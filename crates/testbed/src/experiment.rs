@@ -412,8 +412,9 @@ pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
         mean_burst_secs: (spec.t0 * 0.75).clamp(0.2, 1.5),
     };
     // Probe runs stream their classification: only the loss-indication
-    // counts feed the fixed point, so retaining probe traces (or running
-    // the timing/interval reductions) would be pure overhead.
+    // counts feed the fixed point, so probe traces are not retained and
+    // the interval and correlation reductions are off. Karn timing still
+    // runs, because `stream_config` enables it for every connection.
     let probe_opts = ExperimentOptions {
         retain_trace: false,
         interval_secs: None,

@@ -13,9 +13,103 @@
 //! restart a TCP retransmission timer).
 
 use crate::record::{Trace, TraceEvent};
-use pftk_snap::{SnapReader, SnapResult, SnapWriter};
+use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+
+/// In-flight per-segment state: `(seq, value)` entries in a `VecDeque`
+/// kept sorted by seq, with a `BTreeMap<u64, V>`'s contents after every
+/// operation but shaped for the sender's access pattern. A new send is
+/// above every key (a `push_back`); a forward ACK drops a prefix (front
+/// pops); retransmits look a seq up by binary search. Only salvaged or
+/// imported traces insert elsewhere — a spurious retransmit below the
+/// cumulative ACK, or a "retransmit" of a seq never sent — which falls
+/// back to an ordered insert. The deque holds O(window) entries and keeps
+/// its capacity, so a warm core does not allocate per event.
+#[derive(Debug, Clone)]
+struct SeqDeque<V> {
+    entries: VecDeque<(u64, V)>,
+}
+
+impl<V> Default for SeqDeque<V> {
+    fn default() -> Self {
+        SeqDeque {
+            entries: VecDeque::new(),
+        }
+    }
+}
+
+impl<V: Copy> SeqDeque<V> {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Entries in ascending seq order.
+    fn iter(&self) -> impl Iterator<Item = &(u64, V)> {
+        self.entries.iter()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    fn find(&self, seq: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&seq, |&(s, _)| s)
+    }
+
+    fn get(&self, seq: u64) -> Option<V> {
+        let i = self.find(seq).ok()?;
+        self.entries.get(i).map(|&(_, v)| v)
+    }
+
+    /// Sets `seq`'s value, inserting it in order if absent; returns the
+    /// value it replaced.
+    fn insert(&mut self, seq: u64, value: V) -> Option<V> {
+        match self.entries.back() {
+            Some(&(last, _)) if last >= seq => match self.find(seq) {
+                Ok(i) => self
+                    .entries
+                    .get_mut(i)
+                    .map(|entry| std::mem::replace(&mut entry.1, value)),
+                Err(i) => {
+                    self.entries.insert(i, (seq, value));
+                    None
+                }
+            },
+            _ => {
+                self.entries.push_back((seq, value));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<V> {
+        let i = self.find(seq).ok()?;
+        self.entries.remove(i).map(|(_, v)| v)
+    }
+
+    /// Drops every entry below `bound`, passing each value to `popped` in
+    /// ascending seq order.
+    fn pop_below(&mut self, bound: u64, mut popped: impl FnMut(V)) {
+        while let Some(&(seq, value)) = self.entries.front() {
+            if seq >= bound {
+                break;
+            }
+            self.entries.pop_front();
+            popped(value);
+        }
+    }
+}
+
+/// One in-flight sequence number's send history, as [`KarnCore`] keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Sent {
+    /// Time of the latest transmission.
+    at_ns: u64,
+    /// Sent exactly once so far, so an ACK covering it is a Karn-valid
+    /// RTT sample (`at_ns` is then also the first transmission).
+    timeable: bool,
+}
 
 /// RTT/T0 estimates extracted from a trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -33,16 +127,22 @@ pub struct TimingEstimates {
 /// The incremental Karn RTT / T0 estimator: the streaming core behind
 /// [`estimate_timing`].
 ///
-/// Between events it holds O(window) in-flight maps (entries below the
+/// Between events it holds an O(window) in-flight deque (entries below the
 /// cumulative ACK are pruned on every forward ACK) plus the RTT sample set
 /// — one sample per forward ACK, the irreducible input of the exact
 /// end-of-trace median. Everything else is O(1), so an hour-long
 /// connection can be timed without ever materializing its trace.
 #[derive(Debug, Clone, Default)]
 pub struct KarnCore {
-    /// First-transmission times of not-yet-acked segments; a
-    /// retransmission permanently disqualifies its sequence number.
-    pending: BTreeMap<u64, u64>,
+    /// Send history of every sequence number at or above the cumulative
+    /// ACK, plus retransmitted ones below it until the next forward ACK:
+    /// the last transmission time is what T0 anchoring needs, and a
+    /// retransmission permanently disqualifies its sequence number from
+    /// RTT sampling.
+    in_flight: SeqDeque<Sent>,
+    /// Number of `in_flight` entries still timeable: the segments an ACK
+    /// may yet take an RTT sample from.
+    pending: usize,
     snd_max: u64,
     last_ack: u64,
     /// Samples tagged with how many segments the ACK covered: delayed-ACK
@@ -51,8 +151,6 @@ pub struct KarnCore {
     /// (a substantial share of multi-cover ACKs), single-cover samples are
     /// discarded at [`KarnCore::finish`].
     samples: Vec<(f64, usize)>,
-    /// Last transmission time per in-flight seq — what T0 anchoring needs.
-    last_send_of: BTreeMap<u64, u64>,
     last_progress_ns: Option<u64>,
     in_to_sequence: bool,
     t0_sum: f64,
@@ -67,37 +165,42 @@ impl KarnCore {
 
     /// Consumes one data-segment departure.
     pub fn on_send(&mut self, time_ns: u64, seq: u64) {
-        if seq >= self.snd_max {
-            self.snd_max = seq + 1;
-            self.pending.insert(seq, time_ns);
-        } else {
-            // Retransmission: Karn-disqualify this sequence.
-            self.pending.remove(&seq);
-            if !self.in_to_sequence {
-                // First retransmission since last progress: if it is
-                // a timeout (no way to tell TD vs TO here without
-                // the classifier; T0 sampling accepts the small TD
-                // contamination the same way trace tools do — the
-                // gap for a fast retransmit is ≈RTT and for a
-                // timeout ≈RTO, so downstream users combine this
-                // with the classifier; see `estimate_t0_classified`).
-                let anchor = self
-                    .last_send_of
-                    .get(&seq)
-                    .copied()
-                    .into_iter()
-                    .chain(self.last_progress_ns)
-                    .max();
-                if let Some(anchor) = anchor {
-                    if time_ns > anchor {
-                        self.t0_sum += (time_ns - anchor) as f64 / 1e9;
-                        self.t0_n += 1;
-                    }
-                }
-                self.in_to_sequence = true;
-            }
+        // Anything below `snd_max` is a retransmission: Karn-disqualify it.
+        let timeable = seq >= self.snd_max;
+        let prev = self.in_flight.insert(
+            seq,
+            Sent {
+                at_ns: time_ns,
+                timeable,
+            },
+        );
+        if prev.is_some_and(|p| p.timeable) {
+            self.pending -= 1;
         }
-        self.last_send_of.insert(seq, time_ns);
+        if timeable {
+            self.snd_max = seq + 1;
+            self.pending += 1;
+        } else if !self.in_to_sequence {
+            // First retransmission since last progress: if it is
+            // a timeout (no way to tell TD vs TO here without
+            // the classifier; T0 sampling accepts the small TD
+            // contamination the same way trace tools do — the
+            // gap for a fast retransmit is ≈RTT and for a
+            // timeout ≈RTO, so downstream users combine this
+            // with the classifier; see `estimate_t0_classified`).
+            let anchor = prev
+                .map(|p| p.at_ns)
+                .into_iter()
+                .chain(self.last_progress_ns)
+                .max();
+            if let Some(anchor) = anchor {
+                if time_ns > anchor {
+                    self.t0_sum += (time_ns - anchor) as f64 / 1e9;
+                    self.t0_n += 1;
+                }
+            }
+            self.in_to_sequence = true;
+        }
     }
 
     /// Consumes one ACK arrival.
@@ -108,50 +211,48 @@ impl KarnCore {
             self.in_to_sequence = false;
             // Sample the *highest* newly covered segment: with
             // delayed ACKs its send→ack gap is the cleanest RTT
-            // (lower segments include the delayed-ACK hold). Covered
-            // entries are popped in place — this runs per ACK on the
-            // streaming hot path, so no scratch allocation.
+            // (lower segments include the delayed-ACK hold).
+            //
+            // Every entry below the cumulative ACK goes, not only the
+            // timeable ones: an acked sequence's last send happened at or
+            // before this ACK's arrival, so a later (spurious) retransmit
+            // of it anchors on `last_progress_ns` either way — the max is
+            // unchanged while the deque stays O(window) instead of leaking
+            // one entry per retransmitted sequence for the whole trace.
             let mut covered = 0usize;
             let mut highest_sent = None;
-            while let Some(entry) = self.pending.first_entry() {
-                if *entry.key() >= ack {
-                    break;
+            self.in_flight.pop_below(ack, |sent| {
+                if sent.timeable {
+                    covered += 1;
+                    highest_sent = Some(sent.at_ns);
                 }
-                covered += 1;
-                highest_sent = Some(entry.remove());
-            }
+            });
+            self.pending -= covered;
             if let Some(sent) = highest_sent {
                 if time_ns > sent {
                     self.samples.push(((time_ns - sent) as f64 / 1e9, covered));
                 }
             }
-            // Prune every anchor below the cumulative ACK, not only the
-            // pending ones: an acked sequence's last send happened at or
-            // before this ACK's arrival, so a later (spurious) retransmit
-            // of it anchors on `last_progress_ns` either way — the max is
-            // unchanged while the map stays O(window) instead of leaking
-            // one entry per retransmitted sequence for the whole trace.
-            self.last_send_of = self.last_send_of.split_off(&ack);
         }
     }
 
     /// Entry counts of the retained state `(pending, last_send_of,
-    /// rtt_samples)` — the inputs to streaming memory accounting.
+    /// rtt_samples)` — the inputs to streaming memory accounting. Pending
+    /// entries are the timeable in-flight ones; `last_send_of` counts every
+    /// in-flight entry.
     pub fn state_len(&self) -> (usize, usize, usize) {
-        (
-            self.pending.len(),
-            self.last_send_of.len(),
-            self.samples.len(),
-        )
+        (self.pending, self.in_flight.len(), self.samples.len())
     }
 
-    /// Writes the estimator's full state. `BTreeMap` iteration is key-
-    /// ascending, so the byte encoding is a pure function of the contents.
+    /// Writes the estimator's full state: the timeable entries' send times
+    /// (`pending`), then every entry's last send time (`last_send_of`).
+    /// The deque iterates in ascending seq order, so the byte encoding is a
+    /// pure function of the contents.
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_usize(self.pending.len());
-        for (seq, sent) in &self.pending {
+        w.put_usize(self.pending);
+        for (seq, sent) in self.in_flight.iter().filter(|(_, s)| s.timeable) {
             w.put_u64(*seq);
-            w.put_u64(*sent);
+            w.put_u64(sent.at_ns);
         }
         w.put_u64(self.snd_max);
         w.put_u64(self.last_ack);
@@ -160,10 +261,10 @@ impl KarnCore {
             w.put_f64(*rtt);
             w.put_usize(*covered);
         }
-        w.put_usize(self.last_send_of.len());
-        for (seq, sent) in &self.last_send_of {
+        w.put_usize(self.in_flight.len());
+        for (seq, sent) in self.in_flight.iter() {
             w.put_u64(*seq);
-            w.put_u64(*sent);
+            w.put_u64(sent.at_ns);
         }
         match self.last_progress_ns {
             Some(t) => {
@@ -177,15 +278,25 @@ impl KarnCore {
         w.put_u64(self.t0_n);
     }
 
-    /// Reads state written by [`KarnCore::snapshot_into`].
+    /// Reads state written by [`KarnCore::snapshot_into`]. Every pending
+    /// entry must reappear in `last_send_of` with the same time — a segment
+    /// is timeable only while it has been sent exactly once — or the
+    /// snapshot is rejected as invalid.
     pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         let n = r.get_usize()?;
-        self.pending.clear();
+        self.in_flight.clear();
         for _ in 0..n {
             let seq = r.get_u64()?;
-            let sent = r.get_u64()?;
-            self.pending.insert(seq, sent);
+            let at_ns = r.get_u64()?;
+            self.in_flight.insert(
+                seq,
+                Sent {
+                    at_ns,
+                    timeable: true,
+                },
+            );
         }
+        let pending = self.in_flight.len();
         self.snd_max = r.get_u64()?;
         self.last_ack = r.get_u64()?;
         let n = r.get_usize()?;
@@ -196,12 +307,28 @@ impl KarnCore {
             self.samples.push((rtt, covered));
         }
         let n = r.get_usize()?;
-        self.last_send_of.clear();
+        let mut matched = 0usize;
         for _ in 0..n {
             let seq = r.get_u64()?;
-            let sent = r.get_u64()?;
-            self.last_send_of.insert(seq, sent);
+            let at_ns = r.get_u64()?;
+            let resent = Sent {
+                at_ns,
+                timeable: false,
+            };
+            match self.in_flight.get(seq) {
+                None => {
+                    self.in_flight.insert(seq, resent);
+                }
+                Some(s) if s.timeable && s.at_ns == at_ns => matched += 1,
+                Some(_) => return Err(SnapError::Invalid("karn: inconsistent send history")),
+            }
         }
+        if matched != pending {
+            return Err(SnapError::Invalid(
+                "karn: pending entry without a last send",
+            ));
+        }
+        self.pending = pending;
         self.last_progress_ns = if r.get_bool()? {
             Some(r.get_u64()?)
         } else {
@@ -228,20 +355,32 @@ impl KarnCore {
         // receiver delays ACKs), and cumulative ACKs that jump a repaired hole
         // anchor on segments sent a recovery ago. Both are heavy right tails;
         // the median ignores them where a mean would not.
-        kept.sort_by(f64::total_cmp);
-        let rtt_n = kept.len() as u64;
-        let median = match kept.len() {
-            0 => None,
-            n if n % 2 == 1 => Some(kept[n / 2]),
-            n => Some(0.5 * (kept[n / 2 - 1] + kept[n / 2])),
-        };
         TimingEstimates {
-            mean_rtt: median,
-            rtt_samples: rtt_n,
+            rtt_samples: kept.len() as u64,
+            mean_rtt: median(&mut kept),
             mean_t0: (self.t0_n > 0).then(|| self.t0_sum / self.t0_n as f64),
             t0_samples: self.t0_n,
         }
     }
+}
+
+/// The median of `xs` under `f64::total_cmp` (mean of the two middle
+/// values for even counts), or `None` when empty. Selection, not a full
+/// sort: `total_cmp` ties are bit-identical, so the values picked — and
+/// the result bits — are exactly those of sorting first. Reorders `xs`.
+fn median(xs: &mut [f64]) -> Option<f64> {
+    let n = xs.len();
+    if n == 0 {
+        return None;
+    }
+    let (left, &mut upper, _) = xs.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        return Some(upper);
+    }
+    // The left partition holds the n/2 smallest values; its max is the
+    // lower middle.
+    let lower = left.iter().copied().max_by(f64::total_cmp)?;
+    Some(0.5 * (lower + upper))
 }
 
 /// Extracts RTT and T0 estimates from a sender-side trace: a thin fold of
@@ -310,13 +449,13 @@ pub fn estimate_t0_classified(trace: &Trace, timeout_start_times: &[u64]) -> Opt
 /// The incremental RTT-vs-flight correlator: the streaming core behind
 /// [`rtt_window_correlation`].
 ///
-/// O(window) in-flight map plus two sample vectors (one point per forward
+/// O(window) in-flight deque plus two sample vectors (one point per forward
 /// ACK — the irreducible input of the exact end-of-trace Pearson
 /// coefficient).
 #[derive(Debug, Clone, Default)]
 pub struct CorrCore {
     /// seq → (send time, flight size at send).
-    pending: BTreeMap<u64, (u64, u64)>,
+    pending: SeqDeque<(u64, u64)>,
     snd_max: u64,
     last_ack: u64,
     /// Flight sizes.
@@ -341,7 +480,7 @@ impl CorrCore {
             let flight = self.snd_max.saturating_sub(self.last_ack);
             self.pending.insert(seq, (time_ns, flight));
         } else {
-            self.pending.remove(&seq); // Karn
+            self.pending.remove(seq); // Karn
         }
     }
 
@@ -349,16 +488,10 @@ impl CorrCore {
     pub fn on_ack(&mut self, time_ns: u64, ack: u64) {
         if ack > self.last_ack {
             self.last_ack = ack;
-            // Pop covered entries in place (per-ACK hot path: no
-            // scratch allocation); the last one popped is the highest
-            // newly covered segment, the one worth timing.
+            // The last entry popped is the highest newly covered
+            // segment, the one worth timing.
             let mut last = None;
-            while let Some(entry) = self.pending.first_entry() {
-                if *entry.key() >= ack {
-                    break;
-                }
-                last = Some(entry.remove());
-            }
+            self.pending.pop_below(ack, |entry| last = Some(entry));
             if let Some((sent, flight)) = last {
                 if time_ns > sent {
                     self.xs.push(flight as f64);
@@ -378,7 +511,7 @@ impl CorrCore {
     /// sample vectors — they grow in lock step).
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
         w.put_usize(self.pending.len());
-        for (seq, (sent, flight)) in &self.pending {
+        for (seq, (sent, flight)) in self.pending.iter() {
             w.put_u64(*seq);
             w.put_u64(*sent);
             w.put_u64(*flight);
@@ -475,6 +608,277 @@ fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::record::TraceRecord;
+    use proptest::prelude::*;
+
+    /// The reference the selection median must match bit for bit: sort,
+    /// then index.
+    fn sorted_median(xs: &[f64]) -> Option<f64> {
+        let mut v = xs.to_vec();
+        v.sort_by(f64::total_cmp);
+        match v.len() {
+            0 => None,
+            n if n % 2 == 1 => Some(v[n / 2]),
+            n => Some(0.5 * (v[n / 2 - 1] + v[n / 2])),
+        }
+    }
+
+    #[test]
+    fn selection_median_matches_sorted_median() {
+        let cases: [&[f64]; 9] = [
+            &[],
+            &[0.2],
+            &[0.3, 0.1],
+            &[0.2, 0.2, 0.1],
+            &[0.4, 0.1, 0.4, 0.1],
+            &[0.5, 0.1, 0.3, 0.3, 0.3, 0.2],
+            &[0.0, -0.0, 0.0, -0.0],
+            &[1e-9, 3.0, 1e-9, 2.0, 3.0, 1e-9, 0.7],
+            &[0.25, 0.5, 0.125, 0.5, 0.25, 0.125, 0.5, 0.25],
+        ];
+        for xs in cases {
+            let mut scratch = xs.to_vec();
+            assert_eq!(
+                median(&mut scratch).map(f64::to_bits),
+                sorted_median(xs).map(f64::to_bits),
+                "{xs:?}"
+            );
+        }
+    }
+
+    /// The map-based Karn core the deque replaced (in-flight bookkeeping,
+    /// RTT samples and T0), kept as the reference the folded deque must
+    /// reproduce event for event.
+    #[derive(Default)]
+    struct MapKarn {
+        pending: BTreeMap<u64, u64>,
+        last_send_of: BTreeMap<u64, u64>,
+        snd_max: u64,
+        last_ack: u64,
+        samples: Vec<(f64, usize)>,
+        last_progress_ns: Option<u64>,
+        in_to_sequence: bool,
+        t0_sum: f64,
+        t0_n: u64,
+    }
+
+    impl MapKarn {
+        fn on_send(&mut self, time_ns: u64, seq: u64) {
+            if seq >= self.snd_max {
+                self.snd_max = seq + 1;
+                self.pending.insert(seq, time_ns);
+            } else {
+                self.pending.remove(&seq);
+                if !self.in_to_sequence {
+                    let anchor = self.last_send_of.get(&seq).copied();
+                    if let Some(anchor) = anchor.into_iter().chain(self.last_progress_ns).max() {
+                        if time_ns > anchor {
+                            self.t0_sum += (time_ns - anchor) as f64 / 1e9;
+                            self.t0_n += 1;
+                        }
+                    }
+                    self.in_to_sequence = true;
+                }
+            }
+            self.last_send_of.insert(seq, time_ns);
+        }
+
+        fn on_ack(&mut self, time_ns: u64, ack: u64) {
+            if ack > self.last_ack {
+                self.last_ack = ack;
+                self.last_progress_ns = Some(time_ns);
+                self.in_to_sequence = false;
+                let mut covered = 0usize;
+                let mut highest_sent = None;
+                while let Some(entry) = self.pending.first_entry() {
+                    if *entry.key() >= ack {
+                        break;
+                    }
+                    covered += 1;
+                    highest_sent = Some(entry.remove());
+                }
+                if let Some(sent) = highest_sent {
+                    if time_ns > sent {
+                        self.samples.push(((time_ns - sent) as f64 / 1e9, covered));
+                    }
+                }
+                self.last_send_of = self.last_send_of.split_off(&ack);
+            }
+        }
+    }
+
+    /// A time-ordered sender trace with the unusual events salvaged and
+    /// imported traces carry: in-order sends (every fourth skipping a few
+    /// seqs that are then never sent), retransmits inside and below the
+    /// window, and duplicate, forward, and beyond-`snd_max` ACKs.
+    fn odd_trace(ops: &[(u8, u64)]) -> Vec<(u64, TraceEvent)> {
+        let mut events = Vec::new();
+        let (mut snd_max, mut last_ack) = (0u64, 0u64);
+        for (i, &(op, arg)) in (0u64..).zip(ops) {
+            let now = i * MS + arg % 7;
+            let window = snd_max.saturating_sub(last_ack);
+            let event = match op {
+                0..=2 => {
+                    let seq = snd_max + if arg % 4 == 3 { 1 + arg % 5 } else { 0 };
+                    snd_max = seq + 1;
+                    send(seq)
+                }
+                3 if window > 0 => send(last_ack + arg % window),
+                4 if last_ack > 0 => send(arg % last_ack),
+                5 => ack(last_ack),
+                6 => ack(last_ack + 1 + arg % (window + 1)),
+                7 => ack(snd_max + 1 + arg % 10),
+                _ => continue,
+            };
+            if let TraceEvent::AckIn { ack } = event {
+                last_ack = last_ack.max(ack);
+            }
+            events.push((now, event));
+        }
+        events
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Model check of the in-flight deque against the `BTreeMap` it
+        /// replaced, driven the way a sender trace drives it: in-order
+        /// sends (some skipping seqs, which are then never sent),
+        /// retransmits inside and below the window, Karn removals, and
+        /// duplicate, forward, and beyond-`snd_max` ACKs. Every return
+        /// value, every popped value, and the full contents in iteration
+        /// order must agree after every operation.
+        #[test]
+        fn seq_deque_matches_btreemap_model(
+            ops in prop::collection::vec((0u8..9, 0u64..1_000), 1..300),
+        ) {
+            let mut deque: SeqDeque<u64> = SeqDeque::default();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut snd_max = 0u64;
+            let mut last_ack = 0u64;
+            for (t, (op, arg)) in (0u64..).zip(ops) {
+                let window = snd_max.saturating_sub(last_ack);
+                match op {
+                    // In-order send; every fourth skips a few seqs.
+                    0 | 1 => {
+                        let skip = if arg % 4 == 3 { 1 + arg % 5 } else { 0 };
+                        let seq = snd_max + skip;
+                        snd_max = seq + 1;
+                        prop_assert_eq!(deque.insert(seq, t), model.insert(seq, t));
+                    }
+                    // Retransmit inside the window (a never-sent seq when
+                    // it lands in a skipped hole).
+                    2 if window > 0 => {
+                        let seq = last_ack + arg % window;
+                        prop_assert_eq!(deque.insert(seq, t), model.insert(seq, t));
+                    }
+                    // Spurious retransmit below the cumulative ACK.
+                    3 if last_ack > 0 => {
+                        let seq = arg % last_ack;
+                        prop_assert_eq!(deque.insert(seq, t), model.insert(seq, t));
+                    }
+                    // Karn removal anywhere, sent or not.
+                    4 => {
+                        let seq = arg % (snd_max + 2);
+                        prop_assert_eq!(deque.remove(seq), model.remove(&seq));
+                    }
+                    5 => {
+                        let seq = arg % (snd_max + 2);
+                        prop_assert_eq!(deque.get(seq), model.get(&seq).copied());
+                    }
+                    // Duplicate, forward, and beyond-snd_max ACKs.
+                    6..=8 => {
+                        let ack = match op {
+                            6 => last_ack,
+                            7 => last_ack + 1 + arg % (window + 1),
+                            _ => snd_max + 1 + arg % 10,
+                        };
+                        last_ack = last_ack.max(ack);
+                        let mut popped = Vec::new();
+                        deque.pop_below(ack, |v| popped.push(v));
+                        let mut expected = Vec::new();
+                        while let Some(entry) = model.first_entry() {
+                            if *entry.key() >= ack {
+                                break;
+                            }
+                            expected.push(entry.remove());
+                        }
+                        prop_assert_eq!(popped, expected);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(deque.len(), model.len());
+                let got: Vec<(u64, u64)> = deque.iter().copied().collect();
+                let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+
+        #[test]
+        fn folded_karn_core_matches_map_reference(
+            ops in prop::collection::vec((0u8..9, 0u64..1_000), 1..300),
+        ) {
+            let mut core = KarnCore::new();
+            let mut reference = MapKarn::default();
+            for (time_ns, event) in odd_trace(&ops) {
+                match event {
+                    TraceEvent::Send { seq, .. } => {
+                        core.on_send(time_ns, seq);
+                        reference.on_send(time_ns, seq);
+                    }
+                    TraceEvent::AckIn { ack } => {
+                        core.on_ack(time_ns, ack);
+                        reference.on_ack(time_ns, ack);
+                    }
+                }
+                let entries = |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
+                    m.iter().map(|(&k, &v)| (k, v)).collect()
+                };
+                let pending: Vec<(u64, u64)> = core
+                    .in_flight
+                    .iter()
+                    .filter(|(_, s)| s.timeable)
+                    .map(|&(seq, s)| (seq, s.at_ns))
+                    .collect();
+                let last_send: Vec<(u64, u64)> =
+                    core.in_flight.iter().map(|&(seq, s)| (seq, s.at_ns)).collect();
+                prop_assert_eq!(pending, entries(&reference.pending));
+                prop_assert_eq!(last_send, entries(&reference.last_send_of));
+                let (p, l, n) = core.state_len();
+                prop_assert_eq!(p, reference.pending.len());
+                prop_assert_eq!(l, reference.last_send_of.len());
+                prop_assert_eq!(n, reference.samples.len());
+                prop_assert_eq!(&core.samples, &reference.samples);
+                prop_assert_eq!(core.t0_sum.to_bits(), reference.t0_sum.to_bits());
+                prop_assert_eq!(core.t0_n, reference.t0_n);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_pending_without_matching_last_send() {
+        let mut core = KarnCore::new();
+        core.on_send(0, 0);
+        core.on_send(MS, 1);
+        let mut w = SnapWriter::new();
+        core.snapshot_into(&mut w);
+        let good = w.into_bytes();
+        let mut back = KarnCore::new();
+        back.restore_from(&mut SnapReader::new(&good))
+            .expect("own snapshot restores");
+        assert_eq!(back.state_len(), core.state_len());
+
+        // Same snapshot with seq 1's last send moved: a "pending" segment
+        // whose last transmission differs from its only one.
+        // The tail after the last_send_of block: progress flag (1 byte,
+        // no progress yet), in_to_sequence (1), t0_sum (8), t0_n (8).
+        let mut skewed = good.clone();
+        let last_send_time = good.len() - (1 + 1 + 8 + 8) - 8;
+        skewed[last_send_time] ^= 1;
+        assert!(matches!(
+            KarnCore::new().restore_from(&mut SnapReader::new(&skewed)),
+            Err(SnapError::Invalid("karn: inconsistent send history"))
+        ));
+    }
 
     fn trace(events: &[(u64, TraceEvent)]) -> Trace {
         let mut t = Trace::new();

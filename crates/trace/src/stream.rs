@@ -12,7 +12,7 @@
 //! * [`Classifier`] — TD/TO classification
 //!   (O(1) automaton state + the emitted indications),
 //! * [`KarnCore`] — Karn RTT / T0 estimation
-//!   (O(window) in-flight maps + one sample per forward ACK),
+//!   (O(window) in-flight deque + one sample per forward ACK),
 //! * [`CorrCore`] — RTT-vs-flight correlation,
 //! * [`IntervalCore`] — per-interval send
 //!   counts (one `u64` per elapsed interval).
@@ -220,10 +220,14 @@ impl StreamAnalyzer {
     }
 
     /// Estimated bytes of retained analysis state right now: per-entry
-    /// payload sizes of the in-flight maps, sample vectors, emitted
+    /// payload sizes of the in-flight state, sample vectors, emitted
     /// indications, and interval counters (container overhead excluded —
     /// this is the scaling term, and the asserted memory ceilings leave
     /// headroom for the constant factors).
+    ///
+    /// The fixed term is `size_of::<StreamAnalyzer>()`, and snapshots carry
+    /// the high-water mark, so resizing this struct or its cores changes
+    /// the snapshot bytes (`tests/analyzer_snapshot_compat.rs` pins them).
     pub fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = size_of::<Self>();

@@ -11,6 +11,11 @@
 //! `TraceLog` — against regressions that reintroduce per-packet `Box` or
 //! `Vec` churn.
 //!
+//! A streaming recorder is held to a looser bound: the analyzer keeps one
+//! RTT sample per forward ACK (the exact end-of-trace median and Pearson
+//! coefficient need them all), so its sample vectors keep doubling, but
+//! its in-flight state must not allocate per event.
+//!
 //! The same harness pins the fleet shard loop: after warm-up, a
 //! `FleetShard::run_until` window over hundreds of flows must be
 //! allocation-free too (SoA arenas are fixed at construction; the event
@@ -29,6 +34,7 @@ use padhye_tcp_repro::sim::reno::sender::SenderConfig;
 use padhye_tcp_repro::sim::rounds::RoundsConfig;
 use padhye_tcp_repro::sim::time::{SimDuration, SimTime};
 use padhye_tcp_repro::testbed::TraceRecorder;
+use padhye_tcp_repro::trace::stream::StreamConfig;
 
 /// System allocator with an allocation counter in front.
 ///
@@ -126,6 +132,50 @@ fn steady_state_simulation_does_not_allocate() {
          must be allocation-free after warm-up",
         after - before,
         sent_in_window
+    );
+}
+
+#[test]
+fn warm_streaming_analyzer_allocates_only_sample_growth() {
+    let half = SimDuration::from_millis(50);
+    let config = SenderConfig {
+        rwnd: 64,
+        ..SenderConfig::default()
+    };
+    let mut conn = Connection::builder()
+        .fwd_path(Path::constant(half))
+        .rev_path(Path::constant(half))
+        .loss(Bernoulli::new(0.02))
+        .sender_config(config)
+        .seed(9)
+        .build_with_observer(TraceRecorder::streaming(StreamConfig::default()));
+
+    let hit = conn.run_until_budget(SimTime::from_secs_f64(30.0), 10_000_000);
+    assert!(!hit, "warm-up must not hit the event budget");
+    let sent_at_snapshot = conn.stats().packets_sent;
+
+    COUNTING.with(|c| c.set(true));
+    //~ allow(relaxed_atomic): reads a counter only this thread bumps
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let hit = conn.run_until_budget(SimTime::from_secs_f64(330.0), 10_000_000);
+    //~ allow(relaxed_atomic): reads a counter only this thread bumps
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(false));
+    assert!(!hit, "measurement window must not hit the event budget");
+
+    let sent_in_window = conn.stats().packets_sent - sent_at_snapshot;
+    assert!(
+        sent_in_window > 10_000,
+        "degenerate window: only {sent_in_window} packets"
+    );
+    // Five growing vectors (Karn samples, the correlator's two series,
+    // loss indications, interval counters) each double a handful of
+    // times over the window; per-event allocation would be thousands.
+    let allocations = after - before;
+    assert!(
+        allocations <= 40,
+        "warm streaming analyzer allocated {allocations} times over \
+         {sent_in_window} packets; only sample-vector doublings are expected"
     );
 }
 
