@@ -5,8 +5,9 @@
 //! [`super::CcState`], abstracted to the paper's round granularity: it
 //! owns only the *window laws* (per-round growth, triple-duplicate
 //! reduction, timeout collapse) and **never draws randomness** — the
-//! engine keeps every RNG draw and the `k ≥ 3 ∧ m ≥ 3` TD/TO
-//! classification. That split is what makes RNG draw order — and
+//! round law that both rounds engines call (`rounds::RoundLaw::step`)
+//! keeps every RNG draw and the `k ≥ 3 ∧ m ≥ 3` TD/TO classification.
+//! That split is what makes RNG draw order — and
 //! therefore replay/shard equivalence — structurally identical across
 //! variants: switching a cohort from Reno to CUBIC cannot move a single
 //! draw.
@@ -16,7 +17,7 @@
 //!
 //! One carefully scoped exception to "the engine owns all draws": a
 //! triple-duplicate hook may *request* recovery rounds
-//! ([`RoundCc::on_td`]'s return value). The engine then charges them —
+//! ([`RoundCc::on_td`]'s return value). The round law then charges them —
 //! time, retransmissions, and the per-retransmission loss draws — in a
 //! fixed order, so the draw sequence is still a pure function of the
 //! variant, and the Reno sequence (zero recovery rounds) is untouched.

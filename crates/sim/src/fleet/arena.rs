@@ -1,38 +1,18 @@
 //! SoA connection arenas: hot per-flow state in dense parallel arrays,
 //! cold per-cohort configuration in a small shared table.
 //!
-//! The arena executes the §II rounds model of [`crate::rounds::RoundsSim`]
-//! as an event-per-round state machine. The draw order is kept *identical*
-//! to `RoundsSim::run_one_tdp` — per round: one Bernoulli round-loss draw;
-//! on loss: one truncated-geometric position draw, then the `C(k, m)`
-//! last-round draws, then one Bernoulli draw per variant-requested
-//! recovery round, then (on a lost recovery retransmission or a TO
-//! indication) one Bernoulli draw per retransmission of a timeout
-//! sequence — so a single fleet flow reproduces a `RoundsSim` run
-//! counter for counter (pinned by `single_flow_matches_rounds_sim`).
+//! The arena executes the §II rounds model as an event-per-round state
+//! machine: each event is one [`RoundLaw::step`] — the same law
+//! [`crate::rounds::RoundsSim`] runs — folded into the flow's SoA counters
+//! and an integer-nanosecond clock. A single fleet flow therefore
+//! reproduces a `RoundsSim` run counter for counter (pinned by
+//! `single_flow_matches_rounds_sim`).
 
 use super::FleetCohort;
 use crate::cc::RoundCc;
 use crate::rng::{flow_seed, SimRng};
+use crate::rounds::RoundLaw;
 use std::ops::Range;
-
-/// Cold per-cohort parameters, precomputed into the forms the hot loop
-/// needs (integer nanosecond durations, f64 copies of integer knobs).
-#[derive(Debug, Clone, Copy)]
-struct CohortParams {
-    p: f64,
-    rtt_ns: u64,
-    /// RTT in seconds, for the time-based (CUBIC) growth law.
-    rtt: f64,
-    t0_ns: u64,
-    b: u32,
-    wmax: u32,
-    backoff_cap_exp: u32,
-    slow_start_after_to: bool,
-    /// Recovery rounds before the retransmit timer fires
-    /// ([`crate::rounds::recovery_round_cap`]).
-    recovery_cap: u32,
-}
 
 /// Ground-truth counters of one fleet flow — the fleet-scale subset of
 /// [`crate::stats::ConnStats`].
@@ -63,11 +43,11 @@ impl FlowStats {
 ///
 /// Hot state (the `Copy` per-flow controller `cc`, `rng`) and counters
 /// are split into separate arrays so the inner loop touches only the
-/// cache lines it needs; cold configuration is one `CohortParams` copy
+/// cache lines it needs; cold configuration is one validated [`RoundLaw`]
 /// per *cohort*, not per flow.
 #[derive(Debug)]
 pub(crate) struct FlowArena {
-    cohorts: Vec<CohortParams>,
+    cohorts: Vec<RoundLaw>,
     /// Cohort index of each flow.
     cohort_of: Vec<u32>,
     /// Per-flow deterministic RNG stream (`flow_seed(base, global_id)`).
@@ -91,10 +71,9 @@ impl FlowArena {
     /// Builds the arena for the contiguous global flow range `flows` of a
     /// fleet whose global flow space is `cohorts` concatenated in order.
     pub(crate) fn new(cohorts: &[FleetCohort], base_seed: u64, flows: Range<u64>) -> Self {
-        let params: Vec<CohortParams> = cohorts.iter().map(validate).collect();
         let n = usize::try_from(flows.end - flows.start).expect("shard flow count fits usize"); //~ allow(expect): construction-time validation, documented panic
         let mut arena = FlowArena {
-            cohorts: params,
+            cohorts: cohorts.iter().map(|c| RoundLaw::new(&c.config)).collect(),
             cohort_of: Vec::with_capacity(n),
             rng: Vec::with_capacity(n),
             cc: Vec::with_capacity(n),
@@ -160,161 +139,33 @@ impl FlowArena {
     }
 
     /// Advances flow `f` through one event — a round of the §II model, or
-    /// a loss round together with its Fig. 4 last round and (for a TO
-    /// indication) the whole timeout sequence — and returns the absolute
-    /// nanosecond time of the flow's next event.
-    ///
-    /// The arithmetic and RNG draw order mirror
-    /// [`crate::rounds::RoundsSim::run_one_tdp`] statement for statement;
-    /// divergence here breaks the draw-parity unit test.
+    /// a loss round together with its Fig. 4 last round, any recovery
+    /// rounds and (for a TO) the whole timeout sequence — and returns the
+    /// absolute nanosecond time of the flow's next event.
     pub(crate) fn step(&mut self, f: u32, now_ns: u64) -> u64 {
         let fi = f as usize; //~ allow(cast): u32 flow index widens losslessly
-        let c = self.cohorts[self.cohort_of[fi] as usize]; //~ allow(cast): u32 cohort index widens losslessly
-        let w = self.cc[fi].window(c.wmax);
-        // The whole round is transmitted regardless of loss (§II-A).
-        self.packets_sent[fi] += u64::from(w);
-        self.rounds[fi] = self.rounds[fi].wrapping_add(1);
-        let rng = &mut self.rng[fi];
-        //~ allow(cast): powi exponent; window bounded far below i32::MAX
-        if rng.chance(1.0 - (1.0 - c.p).powi(w as i32)) {
-            // First loss at position pos ∈ 1..=w (truncated geometric);
-            // the pos−1 packets before it are the round's deliveries.
-            let pos = sample_truncated_geometric(rng, c.p, w);
-            self.packets_delivered[fi] += u64::from(pos) - 1;
-            // The "last" round (Fig. 4): the k = pos − 1 ACKed packets
-            // trigger k more transmissions one RTT later.
-            let k = pos - 1;
-            self.packets_sent[fi] += u64::from(k);
+        let cohort = self.cohort_of[fi] as usize; //~ allow(cast): u32 cohort index widens losslessly
+        let law = self.cohorts[cohort];
+        let s = law.step(&mut self.cc[fi], &mut self.rng[fi]);
+        self.packets_sent[fi] += s.new_data() + s.retransmissions();
+        self.packets_delivered[fi] += s.delivered();
+        if !s.is_loss() {
             self.rounds[fi] = self.rounds[fi].wrapping_add(1);
-            let m = sample_last_round_successes(rng, c.p, k);
-            self.packets_delivered[fi] += u64::from(m);
-            if k >= 3 && m >= 3 {
-                // Triple duplicate: variant reduction (halve for Reno),
-                // resume one RTT after the last round. `losses` mirrors
-                // RoundsSim: the doomed penultimate-round tail plus the
-                // last round's failures.
-                self.td_events[fi] += 1;
-                let losses = (w - pos + 1) + (k - m);
-                let recovery = self.cc[fi].on_td(w, losses, c.p);
-                // Recovery rounds (NewReno, RFC 6582 Impatient variant),
-                // mirroring `RoundsSim::run_one_tdp` draw for draw: one
-                // retransmission per round under the never-reset
-                // retransmit timer; a lost retransmission or a fired
-                // timer degrades into a timeout sequence from the
-                // reduced window.
-                let mut recovery_ns: u64 = 0;
-                let mut degraded = false;
-                for r in 0..recovery {
-                    if r >= c.recovery_cap {
-                        degraded = true;
-                        break;
-                    }
-                    recovery_ns += c.rtt_ns;
-                    self.packets_sent[fi] += 1;
-                    self.rounds[fi] = self.rounds[fi].wrapping_add(1);
-                    if rng.chance(c.p) {
-                        degraded = true;
-                        break;
-                    }
-                    self.packets_delivered[fi] += 1;
-                }
-                if degraded {
-                    let w_now = self.cc[fi].window(c.wmax);
-                    let gap_ns = self.timeout_sequence(fi, c);
-                    self.cc[fi].on_to(w_now, c.slow_start_after_to);
-                    now_ns + 2 * c.rtt_ns + recovery_ns + gap_ns
-                } else {
-                    now_ns + 2 * c.rtt_ns + recovery_ns
-                }
-            } else {
-                let gap_ns = self.timeout_sequence(fi, c);
-                self.cc[fi].on_to(w, c.slow_start_after_to);
-                now_ns + 2 * c.rtt_ns + gap_ns
-            }
-        } else {
-            // Loss-free round: deliver everything, grow the window
-            // (variant law; `rtt` drives CUBIC's epoch clock).
-            self.packets_delivered[fi] += u64::from(w);
-            self.cc[fi].on_round_no_loss(c.b, c.wmax, c.rtt);
-            now_ns + c.rtt_ns
+            return now_ns + law.rtt_ns;
         }
-    }
-
-    /// Runs one whole timeout sequence for flow `fi` — geometric length,
-    /// doubling gaps capped at `2^cap · T0`, one retransmission per gap —
-    /// recording its counters and histogram bucket, and returns the total
-    /// gap time in nanoseconds. Same draws as
-    /// `RoundsSim::run_timeout_sequence`.
-    fn timeout_sequence(&mut self, fi: usize, c: CohortParams) -> u64 {
-        let rng = &mut self.rng[fi];
-        let mut len: u32 = 0;
-        let mut gap_ns: u64 = 0;
-        let mut delivered: u64 = 0;
-        loop {
-            len += 1;
-            let exp = (len - 1).min(c.backoff_cap_exp);
-            gap_ns += c.t0_ns << exp;
-            self.packets_sent[fi] += 1;
-            self.rto_firings[fi] += 1;
-            if !rng.chance(c.p) {
-                // Retransmission got through (§V: E[R'] = 1).
-                delivered = 1;
-                break;
-            }
-            if len >= 1_000 {
-                break;
-            }
+        // Loss round, last round, recovery rounds; then the timeout gaps.
+        self.rounds[fi] = self.rounds[fi].wrapping_add(2 + s.recovery_rounds);
+        self.td_events[fi] += u32::from(s.td);
+        let next = now_ns + (2 + u64::from(s.recovery_rounds)) * law.rtt_ns;
+        if s.to_len == 0 {
+            return next;
         }
-        self.packets_delivered[fi] += delivered;
         self.to_events[fi] += 1;
-        let bucket = (len as usize - 1).min(5); //~ allow(cast): u32 sequence length widens losslessly
-        self.to_hist[self.cohort_of[fi] as usize][bucket] += 1; //~ allow(cast): u32 cohort index widens losslessly
-        gap_ns
+        self.rto_firings[fi] += s.to_len;
+        let bucket = (s.to_len as usize - 1).min(5); //~ allow(cast): u32 sequence length widens losslessly
+        self.to_hist[cohort][bucket] += 1;
+        next + law.timeout_gap_ns(s.to_len)
     }
-}
-
-/// Validates one cohort's parameters (the same domain as
-/// [`crate::rounds::RoundsSim::new`]) and precomputes hot-loop forms.
-fn validate(cohort: &FleetCohort) -> CohortParams {
-    let cfg = &cohort.config;
-    assert!(cfg.p > 0.0 && cfg.p < 1.0, "p must be in (0,1)");
-    assert!(cfg.rtt > 0.0 && cfg.t0 > 0.0, "times must be positive");
-    assert!(cfg.b >= 1 && cfg.wmax >= 1 && cfg.initial_window >= 1);
-    assert!(
-        cfg.backoff_cap_exp <= 30,
-        "backoff cap exponent must stay shiftable"
-    );
-    CohortParams {
-        p: cfg.p,
-        rtt: cfg.rtt,
-        rtt_ns: (cfg.rtt * 1e9).round() as u64, //~ allow(cast): deliberate float truncation after round/floor
-        t0_ns: (cfg.t0 * 1e9).round() as u64, //~ allow(cast): deliberate float truncation after round/floor
-        b: cfg.b,
-        wmax: cfg.wmax,
-        backoff_cap_exp: cfg.backoff_cap_exp,
-        slow_start_after_to: cfg.slow_start_after_to,
-        recovery_cap: crate::rounds::recovery_round_cap(cfg.t0, cfg.rtt),
-    }
-}
-
-/// First-loss position within a round of `w` packets, truncated geometric
-/// on `1..=w` — same arithmetic as `RoundsSim::sample_truncated_geometric`.
-fn sample_truncated_geometric(rng: &mut SimRng, p: f64, w: u32) -> u32 {
-    let q = 1.0 - p;
-    let mass = 1.0 - q.powi(w as i32); //~ allow(cast): powi exponent; window bounded far below i32::MAX
-    let u = rng.open01() * mass;
-    let k = ((1.0 - u).ln() / q.ln()).ceil();
-    (k as u32).clamp(1, w) //~ allow(cast): deliberate float truncation after round/floor
-}
-
-/// In-sequence successes in the last round of `k` packets (the paper's
-/// `C(k, m)` law) — same draws as `RoundsSim::sample_last_round_successes`.
-fn sample_last_round_successes(rng: &mut SimRng, p: f64, k: u32) -> u32 {
-    let mut m = 0;
-    while m < k && !rng.chance(p) {
-        m += 1;
-    }
-    m
 }
 
 #[cfg(test)]

@@ -27,11 +27,14 @@
 //!
 //! Each flow executes the **rounds-based model** of
 //! [`crate::rounds::RoundsSim`] — the paper's §II assumptions, executed
-//! literally — re-expressed as an event-per-round state machine over the
-//! arena. The correspondence is exact: a fleet flow seeded with
-//! `flow_seed(base, id)` consumes the *same RNG draws in the same order*
-//! as `RoundsSim::new(config, flow_seed(base, id))` and produces
-//! bit-identical counters (pinned by a unit test). The packet-level
+//! literally — as an event-per-round state machine over the arena. Both
+//! engines call the same round law (one step per loss-free round or per
+//! whole loss event) and differ only in how they fold its outcome: the
+//! arena into SoA counters and an integer-nanosecond clock, `RoundsSim`
+//! into `ConnStats` and an `f64` clock. A fleet flow seeded with
+//! `flow_seed(base, id)` therefore consumes the *same RNG draws in the
+//! same order* as `RoundsSim::new(config, flow_seed(base, id))` and
+//! produces identical counters (pinned by unit tests). The packet-level
 //! simulator stays the ground truth for protocol fidelity; the testbed's
 //! fleet driver cross-checks cohorts against it with a handful of
 //! packet-level "audit" flows per grid point.

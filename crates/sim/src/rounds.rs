@@ -22,6 +22,10 @@
 //! Because it shares the closed form's assumptions exactly, its long-run
 //! send rate converges tightly to Eq. (32) — the crate's strongest
 //! correctness check — and its sample paths regenerate Figs. 1, 3, 5 and 6.
+//!
+//! The law is written once, as a crate-private step that runs one
+//! loss-free round or one whole loss event; the fleet arena
+//! ([`crate::fleet`]) calls the same step for every flow event.
 
 use crate::cc::{CcAlgorithm, RoundCc};
 use crate::rng::SimRng;
@@ -41,7 +45,8 @@ pub struct RoundsConfig {
     pub b: u32,
     /// Receiver-window clamp `W_m`, packets.
     pub wmax: u32,
-    /// Backoff-doubling cap exponent (6 → the paper's `64·T0`).
+    /// Backoff-doubling cap exponent (6 → the paper's `64·T0`); at most
+    /// 30, so that `2^cap` stays a `u32` shift.
     pub backoff_cap_exp: u32,
     /// Window at the start of the very first TDP.
     pub initial_window: u32,
@@ -90,7 +95,7 @@ pub enum Indication {
 /// One TD period, for Fig. 2-style inspection.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TdpRecord {
-    /// Window at the start of the period.
+    /// Window of the period's first round.
     pub start_window: u32,
     /// The paper's `W_i`: window in the round where the loss fell.
     pub peak_window: u32,
@@ -115,10 +120,257 @@ pub struct WindowSample {
     pub window: u32,
 }
 
+/// The §II round law with its parameters validated once and precomputed
+/// into the forms the two engines' loops use.
+///
+/// [`RoundLaw::step`] is the only implementation of the law: `RoundsSim`
+/// folds its outcomes into `ConnStats`, an `f64` clock and the sample and
+/// TD-period records, and the fleet arena folds the same outcomes into its
+/// SoA counters and an integer-nanosecond clock. A fleet flow seeded like
+/// a `RoundsSim` therefore makes the same draws and reaches the same
+/// counters.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundLaw {
+    p: f64,
+    rtt: f64,
+    t0: f64,
+    /// RTT in integer nanoseconds, for the fleet's clock.
+    pub(crate) rtt_ns: u64,
+    t0_ns: u64,
+    b: u32,
+    wmax: u32,
+    backoff_cap_exp: u32,
+    slow_start_after_to: bool,
+    /// Recovery rounds before the retransmit timer fires: the timer, armed
+    /// at the first partial ACK and never reset (RFC 6582 §4, the
+    /// Impatient variant), expires after `t0`, i.e. after ⌊T0/RTT⌋ one-RTT
+    /// recovery rounds (at least one — an RTO is never shorter than the
+    /// RTT).
+    recovery_cap: u32,
+}
+
+/// What one [`RoundLaw::step`] did: either one loss-free round, or a whole
+/// loss event — the loss round, the Fig. 4 last round, any recovery
+/// rounds and, on a TO, the entire timeout sequence.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundStep {
+    /// Window of the round; the paper's `W_i` when the round lost a packet.
+    pub(crate) window: u32,
+    /// 1-indexed position of the first loss in the round, 0 if none.
+    pub(crate) loss_pos: u32,
+    /// Successes `m` of the last round's `k = loss_pos − 1` packets.
+    pub(crate) last_delivered: u32,
+    /// Whether the last round signalled a triple duplicate (`k ≥ 3 ∧ m ≥ 3`),
+    /// even if its recovery later degraded into a timeout.
+    pub(crate) td: bool,
+    /// Recovery rounds charged, one retransmission each.
+    pub(crate) recovery_rounds: u32,
+    /// Recovery and timeout retransmissions that got through.
+    pub(crate) retx_delivered: u32,
+    /// Length of the timeout sequence that ended the event, 0 if none.
+    pub(crate) to_len: u32,
+}
+
+impl RoundStep {
+    /// Whether the step ran a loss event rather than a loss-free round.
+    #[inline]
+    pub(crate) fn is_loss(&self) -> bool {
+        self.loss_pos != 0
+    }
+
+    /// New data sent: the round's window plus, after a loss, the last
+    /// round's `k` packets. The round's post-loss tail counts as sent
+    /// (§II-A counts packets "regardless of their eventual fate"), so a
+    /// loss event sends the paper's `Y = α + W − 1` in total.
+    #[inline]
+    pub(crate) fn new_data(&self) -> u64 {
+        u64::from(self.window) + u64::from(self.loss_pos.saturating_sub(1))
+    }
+
+    /// Retransmissions: one per recovery round and one per RTO.
+    #[inline]
+    pub(crate) fn retransmissions(&self) -> u64 {
+        u64::from(self.recovery_rounds) + u64::from(self.to_len)
+    }
+
+    /// Distinct packets that reached the receiver in this step.
+    #[inline]
+    pub(crate) fn delivered(&self) -> u64 {
+        if self.is_loss() {
+            u64::from(self.loss_pos - 1)
+                + u64::from(self.last_delivered)
+                + u64::from(self.retx_delivered)
+        } else {
+            u64::from(self.window)
+        }
+    }
+}
+
+impl RoundLaw {
+    /// Validates `cfg` against the model's domain.
+    ///
+    /// # Panics
+    /// If `p ∉ (0, 1)`, a time is not positive, `b`, `wmax` or
+    /// `initial_window` is 0, or `backoff_cap_exp > 30`.
+    pub(crate) fn new(cfg: &RoundsConfig) -> Self {
+        assert!(cfg.p > 0.0 && cfg.p < 1.0, "p must be in (0,1)");
+        assert!(cfg.rtt > 0.0 && cfg.t0 > 0.0, "times must be positive");
+        assert!(cfg.b >= 1 && cfg.wmax >= 1 && cfg.initial_window >= 1);
+        assert!(
+            cfg.backoff_cap_exp <= 30,
+            "backoff cap exponent must stay shiftable"
+        );
+        RoundLaw {
+            p: cfg.p,
+            rtt: cfg.rtt,
+            t0: cfg.t0,
+            rtt_ns: (cfg.rtt * 1e9).round() as u64, //~ allow(cast): deliberate float truncation after round/floor
+            t0_ns: (cfg.t0 * 1e9).round() as u64, //~ allow(cast): deliberate float truncation after round/floor
+            b: cfg.b,
+            wmax: cfg.wmax,
+            backoff_cap_exp: cfg.backoff_cap_exp,
+            slow_start_after_to: cfg.slow_start_after_to,
+            recovery_cap: ((cfg.t0 / cfg.rtt).floor() as u32).max(1), //~ allow(cast): deliberate float truncation after round/floor
+        }
+    }
+
+    /// Backoff multiplier `2^min(i, cap)` of the `i`-th (0-indexed)
+    /// timeout of a sequence.
+    #[inline]
+    fn backoff(&self, i: u32) -> u32 {
+        1 << i.min(self.backoff_cap_exp)
+    }
+
+    /// Total wait of a timeout sequence of `len` RTOs in nanoseconds,
+    /// `Σ_{i<len} T0·2^min(i, cap)` in closed form.
+    #[inline]
+    pub(crate) fn timeout_gap_ns(&self, len: u32) -> u64 {
+        let doubling = len.min(self.backoff_cap_exp + 1);
+        self.t0_ns * ((1u64 << doubling) - 1)
+            + u64::from(len - doubling) * (self.t0_ns << self.backoff_cap_exp)
+    }
+
+    /// Runs one loss-free round or one whole loss event of the §II model
+    /// on the controller `cc`, making every RNG draw and every `RoundCc`
+    /// hook call. The draw order is: one Bernoulli round-loss draw; on a
+    /// loss, one truncated-geometric position draw, the `C(k, m)`
+    /// last-round draws, one Bernoulli draw per variant-requested recovery
+    /// round, and (on a lost recovery retransmission, an expired recovery
+    /// timer or a TO indication) one Bernoulli draw per retransmission of
+    /// the timeout sequence.
+    #[inline]
+    pub(crate) fn step(&self, cc: &mut RoundCc, rng: &mut SimRng) -> RoundStep {
+        let w = cc.window(self.wmax);
+        //~ allow(cast): powi exponent; window bounded far below i32::MAX
+        if rng.chance(1.0 - (1.0 - self.p).powi(w as i32)) {
+            return self.loss_event(cc, rng, w);
+        }
+        // Loss-free round: grow the window (variant law; `rtt` drives
+        // CUBIC's epoch clock).
+        cc.on_round_no_loss(self.b, self.wmax, self.rtt);
+        RoundStep {
+            window: w,
+            loss_pos: 0,
+            last_delivered: 0,
+            td: false,
+            recovery_rounds: 0,
+            retx_delivered: 0,
+            to_len: 0,
+        }
+    }
+
+    /// The loss event that follows a round of `w` packets with a loss.
+    /// Kept out of line so the loss-free round stays a short path.
+    #[inline(never)]
+    fn loss_event(&self, cc: &mut RoundCc, rng: &mut SimRng, w: u32) -> RoundStep {
+        // The first loss dooms the rest of the round; the pos − 1 packets
+        // before it are ACKed and trigger the "last" round (Fig. 4) of
+        // k = pos − 1 packets, of which m survive.
+        let pos = self.truncated_geometric(rng, w);
+        let k = pos - 1;
+        let m = self.last_round_successes(rng, k);
+        let mut out = RoundStep {
+            window: w,
+            loss_pos: pos,
+            last_delivered: m,
+            td: k >= 3 && m >= 3,
+            recovery_rounds: 0,
+            retx_delivered: 0,
+            to_len: 0,
+        };
+        let to_window = if out.td {
+            // Packets lost this period: the doomed tail of the penultimate
+            // round plus the last round's failures. Only the
+            // loss-proportional variants read it.
+            let recovery = cc.on_td(w, (w - pos + 1) + (k - m), self.p);
+            // Recovery rounds (NewReno, RFC 6582 Impatient variant): one
+            // retransmission per round, no new data, under the retransmit
+            // timer. A fired timer or a lost retransmission degrades into
+            // a timeout sequence from the already-reduced window. Variants
+            // that request no rounds make no draws here.
+            let mut degraded = recovery > self.recovery_cap;
+            for _ in 0..recovery.min(self.recovery_cap) {
+                out.recovery_rounds += 1;
+                if rng.chance(self.p) {
+                    degraded = true;
+                    break;
+                }
+                out.retx_delivered += 1;
+            }
+            if !degraded {
+                return out;
+            }
+            cc.window(self.wmax)
+        } else {
+            w
+        };
+        // Timeout sequence: geometric length, one retransmission at the
+        // end of each doubling wait; the one that gets through delivers
+        // one packet (§V: E[R'] = 1).
+        loop {
+            out.to_len += 1;
+            if !rng.chance(self.p) {
+                out.retx_delivered += 1;
+                break;
+            }
+            if out.to_len >= 1_000 {
+                // Astronomically unlikely for p < 1; bound the loop anyway.
+                break;
+            }
+        }
+        cc.on_to(to_window, self.slow_start_after_to);
+        out
+    }
+
+    /// First-loss position within a round of `w` packets, truncated
+    /// geometric on `1..=w`, by inverse CDF on the conditional law.
+    #[inline]
+    fn truncated_geometric(&self, rng: &mut SimRng, w: u32) -> u32 {
+        let q = 1.0 - self.p;
+        let mass = 1.0 - q.powi(w as i32); //~ allow(cast): powi exponent; window bounded far below i32::MAX
+        let u = rng.open01() * mass;
+        // Smallest k with 1 − q^k ≥ u.
+        let k = ((1.0 - u).ln() / q.ln()).ceil();
+        (k as u32).clamp(1, w) //~ allow(cast): deliberate float truncation after round/floor
+    }
+
+    /// In-sequence successes in the last round of `k` packets (the paper's
+    /// `C(k, m)` law): each packet survives with probability `1−p` until
+    /// the first failure.
+    #[inline]
+    fn last_round_successes(&self, rng: &mut SimRng, k: u32) -> u32 {
+        let mut m = 0;
+        while m < k && !rng.chance(self.p) {
+            m += 1;
+        }
+        m
+    }
+}
+
 /// The rounds-based simulator.
 #[derive(Debug)]
 pub struct RoundsSim {
-    config: RoundsConfig,
+    law: RoundLaw,
     rng: SimRng,
     /// Round-level congestion controller: owns the fractional window and
     /// the variant's growth/decrease laws; never draws from `rng`.
@@ -134,16 +386,14 @@ pub struct RoundsSim {
 
 impl RoundsSim {
     /// Creates a simulator; `seed` fixes the whole run.
+    ///
+    /// # Panics
+    /// If `config` is outside the model's domain (see
+    /// [`RoundsConfig::backoff_cap_exp`] for the backoff bound).
     pub fn new(config: RoundsConfig, seed: u64) -> Self {
-        assert!(config.p > 0.0 && config.p < 1.0, "p must be in (0,1)");
-        assert!(
-            config.rtt > 0.0 && config.t0 > 0.0,
-            "times must be positive"
-        );
-        assert!(config.b >= 1 && config.wmax >= 1 && config.initial_window >= 1);
         RoundsSim {
+            law: RoundLaw::new(&config),
             cc: RoundCc::new(config.cc, config.initial_window.min(config.wmax)),
-            config,
             rng: SimRng::seed_from_u64(seed),
             elapsed: 0.0,
             stats: ConnStats::default(),
@@ -221,171 +471,68 @@ impl RoundsSim {
     }
 
     /// Simulates one TD period and, if it ends in a timeout, the ensuing
-    /// timeout sequence.
+    /// timeout sequence: steps of the round law up to and including the
+    /// first loss event. The clock adds `rtt` per round and `T0·2^e` per
+    /// timeout in the order they happen, as the atlas goldens require.
     fn run_one_tdp(&mut self) {
-        let cfg = self.config;
-        let mut round: u32 = 0; // 0-indexed rounds within this TDP
+        let law = self.law;
+        let mut start_window = 0;
+        let mut round: u32 = 0; // rounds within this TDP
         let mut alpha: u64 = 0; // packets before/incl. the first loss
-        let mut delivered_before_loss: u64 = 0;
-        let (peak, first_loss_pos) = loop {
-            let w = self.cc.window(cfg.wmax);
-            self.record_sample(w);
-            // Whole round is transmitted regardless of loss (§II-A: send
-            // rate counts packets "regardless of their eventual fate").
-            self.stats.packets_sent += u64::from(w);
-            self.stats.packets_sent_new += u64::from(w);
-            self.elapsed += cfg.rtt;
+        let s = loop {
+            let s = law.step(&mut self.cc, &mut self.rng);
+            if round == 0 {
+                start_window = s.window;
+            }
+            self.record_sample(s.window);
+            self.elapsed += law.rtt;
             round += 1;
-            //~ allow(cast): powi exponent; window and counts bounded far below i32::MAX
-            if self.rng.chance(1.0 - (1.0 - cfg.p).powi(w as i32)) {
-                // First loss lands at position k ∈ 1..=w (truncated geometric).
-                let k = self.sample_truncated_geometric(w);
-                alpha += u64::from(k);
-                delivered_before_loss += u64::from(k) - 1;
-                break (w, k);
+            self.stats.packets_sent += s.new_data() + s.retransmissions();
+            self.stats.packets_sent_new += s.new_data();
+            self.stats.packets_delivered += s.delivered();
+            if s.is_loss() {
+                break s;
             }
-            alpha += u64::from(w);
-            delivered_before_loss += u64::from(w);
-            // Grow the window for the next round (variant law).
-            self.cc.on_round_no_loss(cfg.b, cfg.wmax, cfg.rtt);
+            alpha += u64::from(s.window);
         };
-
-        // The "last" round (Fig. 4): the k = pos − 1 ACKed packets of the
-        // penultimate round trigger k more transmissions. The post-loss tail
-        // of the penultimate round was already counted by the per-round
-        // `packets_sent += w` above, so adding k here yields the paper's
-        // Y = α + W − 1 total exactly.
-        let k = first_loss_pos - 1;
-        self.stats.packets_sent += u64::from(k);
-        self.stats.packets_sent_new += u64::from(k);
-        self.elapsed += cfg.rtt;
-        self.record_sample(peak);
-
-        // Successes in the last round of k packets: m ~ C(k, m).
-        let m = self.sample_last_round_successes(k);
-        let delivered = delivered_before_loss + u64::from(m);
-        self.stats.packets_delivered += delivered;
-
-        let is_td = k >= 3 && m >= 3;
-        let indication = if is_td {
+        alpha += u64::from(s.loss_pos);
+        // The last round (Fig. 4), then the recovery rounds.
+        self.elapsed += law.rtt;
+        self.record_sample(s.window);
+        for _ in 0..s.recovery_rounds {
+            self.elapsed += law.rtt;
+        }
+        self.stats.retransmissions += s.retransmissions();
+        if s.td {
             self.stats.td_events += 1;
-            // Packets lost this period: the doomed tail of the penultimate
-            // round plus the last round's failures. Only the
-            // loss-proportional variants read it.
-            let losses = (peak - first_loss_pos + 1) + (k - m);
-            let recovery = self.cc.on_td(peak, losses, cfg.p);
-            // Recovery rounds (NewReno, RFC 6582 Impatient variant): one
-            // retransmission per round, no new data. They run under the
-            // retransmit timer, which was armed at the first partial ACK
-            // and is never reset, so recovery lasting T0 degrades into a
-            // timeout sequence — as does a lost retransmission, from the
-            // already-reduced window either way. Reno/Cubic/Relentless
-            // request zero rounds, so their draw sequence — and Reno's
-            // bit-identity — is untouched.
-            let timer_cap = recovery_round_cap(cfg.t0, cfg.rtt);
-            let mut degraded = false;
-            for r in 0..recovery {
-                if r >= timer_cap {
-                    degraded = true;
-                    break;
-                }
-                self.elapsed += cfg.rtt;
-                self.stats.packets_sent += 1;
-                self.stats.retransmissions += 1;
-                if self.rng.chance(cfg.p) {
-                    degraded = true;
-                    break;
-                }
-                self.stats.packets_delivered += 1;
-            }
-            if degraded {
-                let w = self.cc.window(cfg.wmax);
-                let seq_len = self.run_timeout_sequence();
-                self.cc.on_to(w, self.config.slow_start_after_to);
-                Indication::Timeout {
-                    sequence_len: seq_len,
-                }
-            } else {
-                Indication::TripleDuplicate
-            }
+        }
+        let indication = if s.to_len == 0 {
+            Indication::TripleDuplicate
         } else {
-            let seq_len = self.run_timeout_sequence();
-            self.cc.on_to(peak, self.config.slow_start_after_to);
+            for i in 0..s.to_len {
+                self.record_sample(0);
+                self.elapsed += law.t0 * f64::from(law.backoff(i));
+            }
+            self.stats.rto_firings += u64::from(s.to_len);
+            self.stats.record_to_sequence(s.to_len);
             Indication::Timeout {
-                sequence_len: seq_len,
+                sequence_len: s.to_len,
             }
         };
 
         if let Some(tdps) = &mut self.tdps {
             if tdps.len() < 100_000 {
                 tdps.push(TdpRecord {
-                    start_window: if matches!(indication, Indication::TripleDuplicate) {
-                        peak / 2
-                    } else {
-                        1
-                    },
-                    peak_window: peak,
+                    start_window,
+                    peak_window: s.window,
                     loss_round: round,
                     alpha,
-                    packets_sent: alpha + u64::from(peak) - 1,
-                    packets_delivered: delivered,
+                    packets_sent: alpha + u64::from(s.window) - 1,
+                    packets_delivered: alpha - 1 + u64::from(s.last_delivered),
                     indication,
                 });
             }
         }
-    }
-
-    /// First-loss position within a round of `w` packets, truncated
-    /// geometric on `1..=w`.
-    fn sample_truncated_geometric(&mut self, w: u32) -> u32 {
-        // Rejection-free inverse CDF on the conditional law.
-        let p = self.config.p;
-        let q = 1.0 - p;
-        let mass = 1.0 - q.powi(w as i32); //~ allow(cast): powi exponent; window and counts bounded far below i32::MAX
-        let u = self.rng.open01() * mass;
-        // Find smallest k with 1 - q^k >= u.
-        let k = ((1.0 - u).ln() / q.ln()).ceil();
-        (k as u32).clamp(1, w) //~ allow(cast): deliberate float truncation after round/floor
-    }
-
-    /// Number of in-sequence successes in the last round of `k` packets
-    /// (the paper's `C(k, m)` law): each packet independently survives with
-    /// probability `1−p` until the first failure.
-    fn sample_last_round_successes(&mut self, k: u32) -> u32 {
-        let mut m = 0;
-        while m < k && !self.rng.chance(self.config.p) {
-            m += 1;
-        }
-        m
-    }
-
-    /// Simulates one timeout sequence; returns its length.
-    fn run_timeout_sequence(&mut self) -> u32 {
-        let cfg = self.config;
-        let mut len: u32 = 0;
-        loop {
-            len += 1;
-            self.record_timeout_gap();
-            // Timeout #len has duration 2^min(len−1, cap) · T0.
-            let exp = (len - 1).min(cfg.backoff_cap_exp);
-            self.elapsed += cfg.t0 * f64::from(1u32 << exp);
-            // One retransmission at the end of the waiting period.
-            self.stats.packets_sent += 1;
-            self.stats.retransmissions += 1;
-            self.stats.rto_firings += 1;
-            if !self.rng.chance(cfg.p) {
-                // Retransmission got through: sequence over, the receiver
-                // finally gets one packet (§V: E[R'] = 1).
-                self.stats.packets_delivered += 1;
-                break;
-            }
-            if len >= 1_000 {
-                // Astronomically unlikely for p < 1; bound the loop anyway.
-                break;
-            }
-        }
-        self.stats.record_to_sequence(len);
-        len
     }
 
     fn record_sample(&mut self, w: u32) {
@@ -398,28 +545,6 @@ impl RoundsSim {
             }
         }
     }
-
-    fn record_timeout_gap(&mut self) {
-        if let Some(samples) = &mut self.samples {
-            if samples.len() < self.sample_cap {
-                samples.push(WindowSample {
-                    time: self.elapsed,
-                    window: 0,
-                });
-            }
-        }
-    }
-}
-
-/// Maximum recovery rounds before the retransmit timer fires: the timer,
-/// armed at the first partial ACK and never reset (RFC 6582 §4, the
-/// Impatient variant), expires after `t0`, i.e. after ⌊T0/RTT⌋ one-RTT
-/// recovery rounds (at least one — an RTO is never shorter than the RTT).
-///
-/// Shared with the fleet arena so both engines degrade at the identical
-/// round, keeping draw parity.
-pub(crate) fn recovery_round_cap(t0: f64, rtt: f64) -> u32 {
-    ((t0 / rtt).floor() as u32).max(1) //~ allow(cast): deliberate float truncation after round/floor
 }
 
 #[cfg(test)]
@@ -560,5 +685,59 @@ mod tests {
     #[should_panic(expected = "p must be in")]
     fn invalid_p_rejected() {
         let _ = RoundsSim::new(config(0.0, 8), 1);
+    }
+
+    /// A cap above 30 used to overflow the `1 << exp` backoff shift deep
+    /// into a timeout sequence (a debug panic, a silently wrapped clock in
+    /// release); both engines now reject it up front.
+    #[test]
+    #[should_panic(expected = "backoff cap exponent must stay shiftable")]
+    fn unshiftable_backoff_cap_rejected() {
+        let cfg = RoundsConfig {
+            backoff_cap_exp: 31,
+            ..config(0.9, 8)
+        };
+        let _ = RoundsSim::new(cfg, 1);
+    }
+
+    #[test]
+    fn first_tdp_starts_at_the_initial_window() {
+        let cfg = RoundsConfig {
+            initial_window: 6,
+            ..config(0.003, 8)
+        };
+        let mut s = RoundsSim::new(cfg, 7).record_tdps();
+        s.run_tdps(1);
+        assert_eq!(s.tdps()[0].start_window, 6);
+    }
+
+    /// `start_window` is the window of the period's first round for every
+    /// variant, found by walking the sample path: a period records one
+    /// sample per round up to the loss, one for the last round, and one
+    /// per timeout of its sequence.
+    #[test]
+    fn start_window_is_the_first_sample_of_its_period() {
+        for cc in CcAlgorithm::ALL {
+            let cfg = RoundsConfig {
+                t0: 0.35,
+                initial_window: 6,
+                cc,
+                ..config(0.02, 64)
+            };
+            let mut s = RoundsSim::new(cfg, 7)
+                .record_samples(1_000_000)
+                .record_tdps();
+            s.run_tdps(2_000);
+            let samples = s.samples();
+            let mut at = 0;
+            for (i, t) in s.tdps().iter().enumerate() {
+                assert_eq!(t.start_window, samples[at].window, "{cc:?} TDP {i}");
+                at += t.loss_round as usize + 1;
+                if let Indication::Timeout { sequence_len } = t.indication {
+                    at += sequence_len as usize;
+                }
+            }
+            assert_eq!(at, samples.len(), "{cc:?}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of simulator invariants.
 
 use proptest::prelude::*;
+use tcp_sim::cc::CcAlgorithm;
 use tcp_sim::connection::Connection;
 use tcp_sim::loss::{Bernoulli, GilbertElliott, RoundCorrelated};
 use tcp_sim::reno::sender::SenderConfig;
@@ -99,10 +100,29 @@ proptest! {
         prop_assert!(c.sender().flight() <= u64::from(rwnd));
     }
 
+    /// Spans the whole parameter domain, including the high-loss,
+    /// deep-backoff corner (p up to 0.9, cap up to 30) where long timeout
+    /// sequences reach the largest backoff shift.
     #[test]
-    fn rounds_sim_rate_positive_and_bounded(p in loss_rate(), wmax in 4u32..128, seed in 0u64..500) {
+    fn rounds_sim_rate_positive_and_bounded(
+        log_p in -2.5f64..-0.0458,
+        wmax in 4u32..128,
+        backoff_cap_exp in 0u32..=30,
+        cc in 0usize..CcAlgorithm::ALL.len(),
+        seed in 0u64..500,
+    ) {
+        let p = 10f64.powf(log_p);
         let mut sim = RoundsSim::new(
-            RoundsConfig { p, rtt: 0.1, t0: 1.0, b: 2, wmax, ..RoundsConfig::default() },
+            RoundsConfig {
+                p,
+                rtt: 0.1,
+                t0: 1.0,
+                b: 2,
+                wmax,
+                backoff_cap_exp,
+                cc: CcAlgorithm::ALL[cc],
+                ..RoundsConfig::default()
+            },
             seed,
         );
         sim.run_for(2_000.0);
