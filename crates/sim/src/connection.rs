@@ -7,15 +7,15 @@
 //! segments leaving and ACKs arriving — which is what the `tcp-trace`
 //! analysis programs consume.
 //!
-//! The hot path is monomorphized two ways: over the event engine
-//! ([`EngineKind`] — the hybrid lane scheduler by default, the legacy heap
-//! via [`ConnectionBuilder::build_legacy`] for equivalence testing), and
-//! over the loss process (the builder converts any concrete model into a
-//! [`LossKind`], so per-packet drop draws inline instead of going through a
-//! `dyn` call). Sender/receiver outputs are pooled: the steady-state event
-//! loop reuses two scratch buffers instead of allocating per event.
+//! Events run on the lane engine ([`HybridQueue`]): data and ACK arrivals
+//! on their monotone lanes, the RTO and delayed-ACK timers on single-slot
+//! lanes. The hot path is monomorphized over the observer and the loss
+//! process (the builder converts any concrete model into a [`LossKind`],
+//! so per-packet drop draws inline instead of going through a `dyn` call).
+//! Sender/receiver outputs are pooled: the steady-state event loop reuses
+//! two scratch buffers instead of allocating per event.
 
-use crate::event::{EngineKind, EventScheduler, HybridEngine, Lane, LegacyEngine};
+use crate::event::{EventScheduler, HybridQueue, Lane};
 use crate::fault::{Direction, FaultPlan, Impairment};
 use crate::link::Path;
 use crate::loss::{LossKind, LossModel, NoLoss};
@@ -176,38 +176,13 @@ impl ConnectionBuilder {
         self
     }
 
-    /// Builds with a custom observer (on the default hybrid engine).
-    pub fn build_with_observer<O: Observer>(self, observer: O) -> Connection<O> {
-        self.build_engine(observer)
-    }
-
-    /// Builds without tracing (on the default hybrid engine).
+    /// Builds without tracing.
     pub fn build(self) -> Connection<()> {
         self.build_with_observer(())
     }
 
-    /// Builds on the **legacy single-heap engine** with a custom observer.
-    /// Exists for the golden-trace equivalence tests and engine
-    /// benchmarks; simulation results are bit-identical to the default
-    /// engine, only slower.
-    pub fn build_legacy_with_observer<O: Observer>(
-        self,
-        observer: O,
-    ) -> Connection<O, LegacyEngine> {
-        self.build_engine(observer)
-    }
-
-    /// Builds on the legacy single-heap engine without tracing.
-    pub fn build_legacy(self) -> Connection<(), LegacyEngine> {
-        self.build_legacy_with_observer(())
-    }
-
-    fn build_engine<O: Observer, K: EngineKind>(mut self, observer: O) -> Connection<O, K> {
-        // A SACK sender is useless without a SACK-reporting receiver;
-        // enable it implicitly (mirrors the SYN-time option negotiation).
-        if self.sender.style == crate::reno::sender::RenoStyle::Sack {
-            self.receiver.sack = true;
-        }
+    /// Builds with a custom observer.
+    pub fn build_with_observer<O: Observer>(self, observer: O) -> Connection<O> {
         let mut root = SimRng::seed_from_u64(self.seed);
         let loss_rng = root.fork(1);
         let path_rng = root.fork(2);
@@ -218,9 +193,9 @@ impl ConnectionBuilder {
         let half = SimDuration::from_nanos(self.rtt.as_nanos() / 2);
         Connection {
             now: SimTime::ZERO,
-            queue: K::Queue::<Ev>::default(),
+            queue: HybridQueue::new(),
             sender: Sender::new(self.sender),
-            receiver: Receiver::new(self.receiver),
+            receiver: Receiver::new(self.receiver.negotiated_with(self.sender.style)),
             fwd: self.fwd.unwrap_or_else(|| Path::constant(half)),
             rev: self.rev.unwrap_or_else(|| Path::constant(half)),
             loss: self.loss,
@@ -241,12 +216,10 @@ impl ConnectionBuilder {
     }
 }
 
-/// A running simulated TCP connection, monomorphized over its event
-/// engine `K` (hybrid by default; legacy via
-/// [`ConnectionBuilder::build_legacy`]).
-pub struct Connection<O: Observer = (), K: EngineKind = HybridEngine> {
+/// A running simulated TCP connection, monomorphized over its observer.
+pub struct Connection<O: Observer = ()> {
     now: SimTime,
-    queue: K::Queue<Ev>,
+    queue: HybridQueue<Ev>,
     sender: Sender,
     receiver: Receiver,
     fwd: Path,
@@ -288,7 +261,7 @@ impl Connection<()> {
     }
 }
 
-impl<O: Observer, K: EngineKind> Connection<O, K> {
+impl<O: Observer> Connection<O> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -520,11 +493,7 @@ impl<O: Observer, K: EngineKind> Connection<O, K> {
             }
         }
     }
-}
 
-/// Checkpoint/restore — available on the default hybrid engine (the one
-/// campaigns run on).
-impl<O: Observer> Connection<O, HybridEngine> {
     /// Encodes the connection's full mutable state — clock, event queue,
     /// sender/receiver protocol state, path and loss-process cursors, fault
     /// plan cursors, and all three RNG stream positions — as a framed,

@@ -1,39 +1,29 @@
-//! The discrete-event engines: time-ordered queues with stable FIFO
+//! The discrete-event engine: a time-ordered queue with stable FIFO
 //! tie-breaking.
 //!
-//! Sans-I/O design: an engine owns nothing but `(time, payload)` pairs; all
-//! protocol state lives in the connection object that pops events and
-//! schedules new ones. Two events at the same instant pop in the order they
-//! were scheduled, which keeps runs deterministic.
+//! Sans-I/O design: the engine owns nothing but `(time, payload)` pairs; all
+//! protocol state lives in the simulator that pops events and schedules new
+//! ones. Two events at the same instant pop in the order they were
+//! scheduled, which keeps runs deterministic.
 //!
-//! Two interchangeable engines implement [`EventScheduler`]:
+//! [`HybridQueue`] realizes the total order ascending `(time, insertion
+//! id)` with one global id counter, from three kinds of storage:
 //!
-//! * [`EventQueue`] — the **legacy reference engine**: a single
-//!   `BinaryHeap` keyed by `(time, insertion id)`. Every push/pop is
-//!   O(log n). Kept as the golden reference the hybrid engine is checked
-//!   against (see the `engine_equivalence` integration tests).
-//! * [`HybridQueue`] — the **fast-path engine**: per-direction monotone
-//!   [`VecDeque`] lanes for link arrivals ([`Lane::Data`]/[`Lane::Ack`]),
-//!   single-slot timer lanes ([`Lane::Rto`]/[`Lane::DelAck`]) where a
-//!   schedule *supersedes* the pending entry, and a tiny heap for the rare
-//!   out-of-order lane push (a fault-plan delay spike). Link arrivals are
-//!   FIFO per direction (the path model clamps arrival times strictly
-//!   increasing), and each timer kind has at most one live deadline, so
-//!   the dominant O(log n) heap traffic becomes O(1) deque pushes/pops
-//!   and slot stores — and the superseded timers the legacy heap would
-//!   pop (and the connection would generation-filter) never become events
-//!   at all.
+//! * per-direction monotone [`VecDeque`] lanes for link arrivals
+//!   ([`Lane::Data`]/[`Lane::Ack`]): an append is O(1) whenever its time is
+//!   not before the lane tail, and a push that would break the lane's order
+//!   (a fault-plan delay spike) overflows to the heap;
+//! * single-slot timer lanes ([`Lane::Rto`]/[`Lane::DelAck`]), where a
+//!   schedule *supersedes* the pending entry, because a connection has at
+//!   most one live deadline per timer kind;
+//! * a small heap for the overflow.
 //!
-//! Both engines realize the *same observable total order* — ascending
-//! `(time, insertion id)` with one global id counter. For the hybrid
-//! engine this holds because each lane is kept sorted by that key (an
-//! arrival that would violate lane monotonicity overflows to the heap)
-//! and a pop takes the minimum over the lane heads, the timer slots, and
-//! the heap top. The engines differ in exactly one way: the legacy queue
-//! retains superseded timer entries until they pop (the simulator filters
-//! them by generation with no side effects), while the hybrid queue drops
-//! them at schedule time — so only `len()` and the raw pop *count* can
-//! differ, never the sequence of live events.
+//! Each lane stays sorted by `(time, id)`, and a pop takes the minimum over
+//! the lane heads, the timer slots and the heap top. A superseded timer
+//! therefore never becomes an event; that is the one observable difference
+//! from a plain `(time, id)` heap. A simulator that schedules only on the
+//! arrival lanes ([`crate::network`] does, for timers too, and
+//! generation-filters stale firings itself) sees exactly the heap's order.
 
 use crate::time::SimTime;
 use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
@@ -42,9 +32,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Which scheduling lane an event belongs to.
 ///
-/// The hybrid engine exploits the per-direction FIFO ordering of link
-/// arrivals and the one-live-deadline nature of the protocol timers. The
-/// legacy engine ignores the lane entirely.
+/// The lanes exploit the per-direction FIFO ordering of link arrivals and
+/// the one-live-deadline nature of the protocol timers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Data-direction link arrivals (sender → receiver): monotone
@@ -62,8 +51,8 @@ pub enum Lane {
     DelAck,
 }
 
-/// Common interface of the event engines, so the connection can be
-/// monomorphized over either (no virtual dispatch on the hot path).
+/// The event engine's interface: schedule on a lane, pop in `(time, id)`
+/// order.
 pub trait EventScheduler<E>: Default {
     /// Schedules `payload` to fire at `at` on the given lane.
     fn schedule(&mut self, lane: Lane, at: SimTime, payload: E);
@@ -79,23 +68,17 @@ pub trait EventScheduler<E>: Default {
     }
 }
 
-/// A time-ordered queue of events of type `E` — the legacy single-heap
-/// engine (every operation O(log n)); see the module docs.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_id: u64,
-}
-
+/// A pending event, ordered by its total-order key `(at, id)`.
 #[derive(Debug)]
 struct Entry<E> {
-    key: Reverse<(SimTime, u64)>,
+    at: SimTime,
+    id: u64,
     payload: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        (self.at, self.id) == (other.at, other.id)
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -106,103 +89,19 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+        (self.at, self.id).cmp(&(other.at, other.id))
     }
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_id: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let id = self.next_id;
-        self.next_id += 1;
-        //~ allow(hot_alloc): amortized heap growth; capacity reaches a steady state after slow start
-        self.heap.push(Entry {
-            key: Reverse((at, id)),
-            payload,
-        });
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.key.0 .0, e.payload))
-    }
-
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.0 .0)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> EventScheduler<E> for EventQueue<E> {
-    #[inline]
-    fn schedule(&mut self, _lane: Lane, at: SimTime, payload: E) {
-        EventQueue::schedule(self, at, payload);
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    #[inline]
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
-    }
-}
-
-/// An entry in a monotone lane: the key `(at, id)` is the same total-order
-/// key the legacy heap uses.
-#[derive(Debug)]
-struct LaneEntry<E> {
-    at: SimTime,
-    id: u64,
-    payload: E,
-}
-
-/// The hybrid fast-path engine: two monotone arrival lanes, two
-/// single-slot timer lanes, plus a tiny heap for out-of-order pushes; see
-/// the module docs.
-///
-/// The sequence of *live* events popped is bit-identical to
-/// [`EventQueue`]'s for any schedule history (the legacy queue
-/// additionally pops superseded timers, which the simulator filters out).
+/// The event engine: two monotone arrival lanes, two single-slot timer
+/// lanes, plus a tiny heap for out-of-order pushes; see the module docs.
 #[derive(Debug)]
 pub struct HybridQueue<E> {
-    data: VecDeque<LaneEntry<E>>,
-    ack: VecDeque<LaneEntry<E>>,
-    rto: Option<LaneEntry<E>>,
-    delack: Option<LaneEntry<E>>,
-    heap: BinaryHeap<Entry<E>>,
+    data: VecDeque<Entry<E>>,
+    ack: VecDeque<Entry<E>>,
+    rto: Option<Entry<E>>,
+    delack: Option<Entry<E>>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_id: u64,
 }
 
@@ -266,10 +165,9 @@ impl<E> HybridQueue<E> {
                 best = Some((slot.at, slot.id, Src::DelAck));
             }
         }
-        if let Some(top) = self.heap.peek() {
-            let (at, id) = top.key.0;
-            if best.is_none_or(|(bat, bid, _)| (at, id) < (bat, bid)) {
-                best = Some((at, id, Src::Heap));
+        if let Some(Reverse(top)) = self.heap.peek() {
+            if best.is_none_or(|(at, id, _)| (top.at, top.id) < (at, id)) {
+                best = Some((top.at, top.id, Src::Heap));
             }
         }
         best
@@ -285,34 +183,29 @@ impl<E> HybridQueue<E> {
         w: &mut SnapWriter,
         mut enc: impl FnMut(&E, &mut SnapWriter),
     ) {
+        let mut put = |e: &Entry<E>, w: &mut SnapWriter| {
+            w.put_u64(e.at.as_nanos());
+            w.put_u64(e.id);
+            enc(&e.payload, w);
+        };
         w.put_u64(self.next_id);
         for lane in [&self.data, &self.ack] {
             w.put_usize(lane.len());
             for e in lane {
-                w.put_u64(e.at.as_nanos());
-                w.put_u64(e.id);
-                enc(&e.payload, w);
+                put(e, w);
             }
         }
         for slot in [&self.rto, &self.delack] {
-            match slot {
-                Some(e) => {
-                    w.put_bool(true);
-                    w.put_u64(e.at.as_nanos());
-                    w.put_u64(e.id);
-                    enc(&e.payload, w);
-                }
-                None => w.put_bool(false),
+            w.put_bool(slot.is_some());
+            if let Some(e) = slot {
+                put(e, w);
             }
         }
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| e.key.0);
+        let mut entries: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
+        entries.sort();
         w.put_usize(entries.len());
         for e in entries {
-            let (at, id) = e.key.0;
-            w.put_u64(at.as_nanos());
-            w.put_u64(id);
-            enc(&e.payload, w);
+            put(e, w);
         }
     }
 
@@ -331,11 +224,11 @@ impl<E> HybridQueue<E> {
         self.delack = None;
         self.heap.clear();
         self.next_id = r.get_u64()?;
-        let mut read_entry = |r: &mut SnapReader<'_>| -> SnapResult<LaneEntry<E>> {
+        let mut read_entry = |r: &mut SnapReader<'_>| -> SnapResult<Entry<E>> {
             let at = SimTime::from_nanos(r.get_u64()?);
             let id = r.get_u64()?;
             let payload = dec(r)?;
-            Ok(LaneEntry { at, id, payload })
+            Ok(Entry { at, id, payload })
         };
         for lane_idx in 0..2u8 {
             let n = r.get_usize()?;
@@ -346,7 +239,7 @@ impl<E> HybridQueue<E> {
                 } else {
                     &mut self.ack
                 };
-                if deque.back().is_some_and(|b| (e.at, e.id) <= (b.at, b.id)) {
+                if deque.back().is_some_and(|b| e <= *b) {
                     return Err(SnapError::Invalid("event lane not sorted by (time, id)"));
                 }
                 deque.push_back(e);
@@ -364,11 +257,7 @@ impl<E> HybridQueue<E> {
         };
         let n = r.get_usize()?;
         for _ in 0..n {
-            let e = read_entry(r)?;
-            self.heap.push(Entry {
-                key: Reverse((e.at, e.id)),
-                payload: e.payload,
-            });
+            self.heap.push(Reverse(read_entry(r)?));
         }
         Ok(())
     }
@@ -385,11 +274,11 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
             // Single-slot timers: the new deadline supersedes any pending
             // one (which the simulator would have generation-filtered).
             Lane::Rto => {
-                self.rto = Some(LaneEntry { at, id, payload });
+                self.rto = Some(Entry { at, id, payload });
                 return;
             }
             Lane::DelAck => {
-                self.delack = Some(LaneEntry { at, id, payload });
+                self.delack = Some(Entry { at, id, payload });
                 return;
             }
         };
@@ -399,12 +288,9 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
         // overflows to the heap, which handles arbitrary order.
         match deque.back() {
             //~ allow(hot_alloc): overflow lane for out-of-order fault-plan delays; rare by construction
-            Some(back) if at < back.at => self.heap.push(Entry {
-                key: Reverse((at, id)),
-                payload,
-            }),
+            Some(back) if at < back.at => self.heap.push(Reverse(Entry { at, id, payload })),
             //~ allow(hot_alloc): lane deques reach steady-state capacity; appends amortized O(1)
-            _ => deque.push_back(LaneEntry { at, id, payload }),
+            _ => deque.push_back(Entry { at, id, payload }),
         }
     }
 
@@ -415,7 +301,7 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
             (_, _, Src::Ack) => self.ack.pop_front().map(|e| (e.at, e.payload)),
             (_, _, Src::Rto) => self.rto.take().map(|e| (e.at, e.payload)),
             (_, _, Src::DelAck) => self.delack.take().map(|e| (e.at, e.payload)),
-            (_, _, Src::Heap) => self.heap.pop().map(|e| (e.key.0 .0, e.payload)),
+            (_, _, Src::Heap) => self.heap.pop().map(|Reverse(e)| (e.at, e.payload)),
         }
     }
 
@@ -443,31 +329,6 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
     }
 }
 
-/// Type-level selector of an event engine, so a simulator can be generic
-/// over the engine (and monomorphize the hot loop for each) without
-/// exposing its private event-payload type in public signatures.
-pub trait EngineKind {
-    /// The queue type this engine instantiates for payload `E`.
-    type Queue<E>: EventScheduler<E>;
-}
-
-/// Selects [`HybridQueue`] — the default fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HybridEngine;
-
-impl EngineKind for HybridEngine {
-    type Queue<E> = HybridQueue<E>;
-}
-
-/// Selects [`EventQueue`] — the legacy reference engine, kept for the
-/// golden-trace equivalence tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LegacyEngine;
-
-impl EngineKind for LegacyEngine {
-    type Queue<E> = EventQueue<E>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,52 +337,6 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(30), "c");
-        q.schedule(t(10), "a");
-        q.schedule(t(20), "b");
-        assert_eq!(q.pop(), Some((t(10), "a")));
-        assert_eq!(q.pop(), Some((t(20), "b")));
-        assert_eq!(q.pop(), Some((t(30), "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(t(5), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((t(5), i)));
-        }
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.schedule(t(7), ());
-        assert_eq!(q.peek_time(), Some(t(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(t(10), 1);
-        q.schedule(t(5), 0);
-        assert_eq!(q.pop(), Some((t(5), 0)));
-        q.schedule(t(7), 2);
-        assert_eq!(q.pop(), Some((t(7), 2)));
-        assert_eq!(q.pop(), Some((t(10), 1)));
     }
 
     #[test]
@@ -594,115 +409,73 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The engines realize the same observable total order: a randomized
+    /// The queue realizes the `(time, id)` total order: a randomized
     /// schedule history (mostly-monotone lanes with occasional backwards
     /// jumps and re-armed timers, interleaved with pops) must pop the same
-    /// live events in the same order. The legacy queue additionally pops
-    /// superseded timer entries — exactly the ones the simulator would
-    /// generation-filter — so the reference skips those.
+    /// events in the same order as an ordered map keyed by `(time, id)`.
+    /// A timer re-arm removes the superseded key from the map, as the
+    /// single-slot lanes do.
     #[test]
-    fn hybrid_matches_legacy_on_randomized_histories() {
-        use std::collections::HashSet;
-
-        /// The next *live* legacy event: superseded timers are filtered
-        /// the way `Connection`'s generation check filters them.
-        fn legacy_next(
-            legacy: &mut EventQueue<u32>,
-            superseded: &mut HashSet<u32>,
-        ) -> Option<(SimTime, u32)> {
-            while let Some((at, v)) = EventQueue::pop(legacy) {
-                if superseded.remove(&v) {
-                    continue;
-                }
-                return Some((at, v));
-            }
-            None
-        }
+    fn hybrid_matches_ordered_model_on_randomized_histories() {
+        use std::collections::BTreeMap;
 
         for seed in 0..20u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let mut legacy = EventQueue::new();
+            let mut model: BTreeMap<(SimTime, u64), u32> = BTreeMap::new();
             let mut hybrid = HybridQueue::new();
-            // Payloads of timer entries superseded by a re-arm and still
-            // sitting in the legacy heap.
-            let mut superseded: HashSet<u32> = HashSet::new();
-            let mut live_rto: Option<u32> = None;
-            let mut live_delack: Option<u32> = None;
+            // Keys of the latest RTO and delayed-ACK entries.
+            let mut live_rto: Option<(SimTime, u64)> = None;
+            let mut live_delack: Option<(SimTime, u64)> = None;
             let mut data_clock = 0u64;
             let mut ack_clock = 0u64;
+            // The payload doubles as the queue's insertion id: both count
+            // schedules from zero.
             let mut next = 0u32;
             for _ in 0..400 {
-                match rng.uniform_u32(0, 10) {
+                let op = rng.uniform_u32(0, 10);
+                let (lane, at) = match op {
                     // Monotone data arrival.
                     0..=2 => {
                         data_clock += rng.uniform_u64(0, 40);
-                        legacy.schedule(t(data_clock), next);
-                        hybrid.schedule(Lane::Data, t(data_clock), next);
-                        next += 1;
+                        (Lane::Data, data_clock)
                     }
                     // Monotone ACK arrival.
                     3..=5 => {
                         ack_clock += rng.uniform_u64(0, 40);
-                        legacy.schedule(t(ack_clock), next);
-                        hybrid.schedule(Lane::Ack, t(ack_clock), next);
-                        next += 1;
+                        (Lane::Ack, ack_clock)
                     }
                     // Backwards lane push (fault-plan delay spike).
-                    6 => {
-                        let at = rng.uniform_u64(0, data_clock.max(1));
-                        legacy.schedule(t(at), next);
-                        hybrid.schedule(Lane::Data, t(at), next);
-                        next += 1;
-                    }
+                    6 => (Lane::Data, rng.uniform_u64(0, data_clock.max(1))),
                     // (Re-)arm the RTO timer at an arbitrary instant.
-                    7 => {
-                        let at = rng.uniform_u64(0, 2000);
-                        legacy.schedule(t(at), next);
-                        hybrid.schedule(Lane::Rto, t(at), next);
-                        if let Some(old) = live_rto.replace(next) {
-                            superseded.insert(old);
-                        }
-                        next += 1;
-                    }
+                    7 => (Lane::Rto, rng.uniform_u64(0, 2000)),
                     // (Re-)arm the delayed-ACK timer.
-                    8 => {
-                        let at = rng.uniform_u64(0, 2000);
-                        legacy.schedule(t(at), next);
-                        hybrid.schedule(Lane::DelAck, t(at), next);
-                        if let Some(old) = live_delack.replace(next) {
-                            superseded.insert(old);
-                        }
-                        next += 1;
-                    }
+                    8 => (Lane::DelAck, rng.uniform_u64(0, 2000)),
                     // Interleaved pop.
                     _ => {
-                        let a = legacy_next(&mut legacy, &mut superseded);
-                        let b = EventScheduler::pop(&mut hybrid);
-                        assert_eq!(a, b, "seed {seed}");
-                        if let Some((_, v)) = a {
-                            if live_rto == Some(v) {
-                                live_rto = None;
-                            }
-                            if live_delack == Some(v) {
-                                live_delack = None;
-                            }
-                        }
+                        let want = model.pop_first().map(|((at, _), v)| (at, v));
+                        assert_eq!(EventScheduler::pop(&mut hybrid), want, "seed {seed}");
+                        continue;
                     }
+                };
+                let key = (t(at), u64::from(next));
+                let superseded = match lane {
+                    Lane::Rto => live_rto.replace(key),
+                    Lane::DelAck => live_delack.replace(key),
+                    Lane::Data | Lane::Ack => None,
+                };
+                if let Some(old) = superseded {
+                    model.remove(&old);
                 }
-                // Live-event counts agree (legacy still holds the
-                // superseded entries).
-                assert_eq!(
-                    legacy.len() - superseded.len(),
-                    EventScheduler::len(&hybrid),
-                    "seed {seed}"
-                );
+                model.insert(key, next);
+                hybrid.schedule(lane, t(at), next);
+                next += 1;
+                assert_eq!(model.len(), EventScheduler::len(&hybrid), "seed {seed}");
             }
-            // Drain: the full remaining live sequences must agree.
+            // Drain: the full remaining sequences must agree.
             loop {
-                let a = legacy_next(&mut legacy, &mut superseded);
-                let b = EventScheduler::pop(&mut hybrid);
-                assert_eq!(a, b, "seed {seed}");
-                if a.is_none() {
+                let want = model.pop_first().map(|((at, _), v)| (at, v));
+                assert_eq!(EventScheduler::pop(&mut hybrid), want, "seed {seed}");
+                if want.is_none() {
                     break;
                 }
             }

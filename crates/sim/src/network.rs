@@ -16,8 +16,15 @@
 //! tail delay → receiver`, with ACKs returning over a fixed delay. All
 //! flows see the same queue, so their losses and queueing delays couple —
 //! the mechanism congestion control exists to manage.
+//!
+//! Events run on the same lane engine as a single connection
+//! ([`HybridQueue`]), but only on its two arrival lanes. N flows have N
+//! timers of each kind, so the single-slot timer lanes do not fit: timers
+//! share the arrival lanes, a stale firing is filtered by its generation
+//! count, and a push that lands before its lane tail overflows to the
+//! heap. Pops therefore follow the plain ascending `(time, id)` order.
 
-use crate::event::EventQueue;
+use crate::event::{EventScheduler, HybridQueue, Lane};
 use crate::packet::{Ack, Segment, Seq};
 use crate::queue::QueuePolicy;
 use crate::receiver::{DelAckTimer, Receiver, ReceiverConfig, ReceiverOutput};
@@ -64,49 +71,36 @@ pub struct FlowConfig {
 }
 
 impl FlowConfig {
+    /// A flow of `kind` with the delay structure of [`FlowConfig::tcp`].
+    fn symmetric(rtt_secs: f64, kind: FlowKind) -> Self {
+        let quarter = SimDuration::from_secs_f64(rtt_secs / 4.0);
+        FlowConfig {
+            kind,
+            access_delay: quarter,
+            tail_delay: quarter,
+            ack_delay: SimDuration::from_secs_f64(rtt_secs / 2.0),
+        }
+    }
+
     /// A TCP flow with symmetric delays summing to `rtt` (half each way,
     /// the forward half split evenly around the bottleneck).
     pub fn tcp(rtt_secs: f64, sender: SenderConfig) -> Self {
-        let quarter = SimDuration::from_secs_f64(rtt_secs / 4.0);
-        let half = SimDuration::from_secs_f64(rtt_secs / 2.0);
-        FlowConfig {
-            kind: FlowKind::Tcp {
-                sender,
-                receiver: ReceiverConfig::default(),
-            },
-            access_delay: quarter,
-            tail_delay: quarter,
-            ack_delay: half,
-        }
+        let receiver = ReceiverConfig::default();
+        Self::symmetric(rtt_secs, FlowKind::Tcp { sender, receiver })
     }
 
     /// A CBR flow at `rate_pps` packets per second with the same delay
     /// structure as [`FlowConfig::tcp`].
     pub fn cbr(rtt_secs: f64, rate_pps: f64) -> Self {
         assert!(rate_pps > 0.0, "CBR rate must be positive");
-        let quarter = SimDuration::from_secs_f64(rtt_secs / 4.0);
-        let half = SimDuration::from_secs_f64(rtt_secs / 2.0);
-        FlowConfig {
-            kind: FlowKind::Cbr {
-                interval: SimDuration::from_secs_f64(1.0 / rate_pps),
-            },
-            access_delay: quarter,
-            tail_delay: quarter,
-            ack_delay: half,
-        }
+        let interval = SimDuration::from_secs_f64(1.0 / rate_pps);
+        Self::symmetric(rtt_secs, FlowKind::Cbr { interval })
     }
 
     /// A TFRC (equation-based) flow with the same delay structure as
     /// [`FlowConfig::tcp`].
     pub fn tfrc(rtt_secs: f64, config: TfrcConfig) -> Self {
-        let quarter = SimDuration::from_secs_f64(rtt_secs / 4.0);
-        let half = SimDuration::from_secs_f64(rtt_secs / 2.0);
-        FlowConfig {
-            kind: FlowKind::Tfrc { config },
-            access_delay: quarter,
-            tail_delay: quarter,
-            ack_delay: half,
-        }
+        Self::symmetric(rtt_secs, FlowKind::Tfrc { config })
     }
 }
 
@@ -176,7 +170,9 @@ enum Ev {
 /// The shared-bottleneck network.
 pub struct Network {
     now: SimTime,
-    queue: EventQueue<Ev>,
+    /// Bottleneck and receiver events go on the data lane, events at the
+    /// senders on the ACK lane (see the module docs).
+    queue: HybridQueue<Ev>,
     flows: Vec<(FlowConfig, FlowState)>,
     /// Bottleneck service time per packet.
     service: SimDuration,
@@ -196,7 +192,7 @@ impl Network {
         assert!(rate_pps > 0.0, "bottleneck rate must be positive");
         Network {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: HybridQueue::new(),
             flows: Vec::new(),
             service: SimDuration::from_secs_f64(1.0 / rate_pps),
             horizon: SimTime::ZERO,
@@ -211,20 +207,12 @@ impl Network {
     /// Adds a flow; returns its index.
     pub fn add_flow(&mut self, config: FlowConfig) -> usize {
         let state = match &config.kind {
-            FlowKind::Tcp { sender, receiver } => {
-                let mut receiver = *receiver;
-                // SACK option "negotiation": a SACK sender implies a
-                // SACK-reporting receiver.
-                if sender.style == crate::reno::sender::RenoStyle::Sack {
-                    receiver.sack = true;
-                }
-                FlowState::Tcp {
-                    sender: Sender::new(*sender),
-                    receiver: Receiver::new(receiver),
-                    rto_gen: 0,
-                    delack_gen: 0,
-                }
-            }
+            FlowKind::Tcp { sender, receiver } => FlowState::Tcp {
+                sender: Sender::new(*sender),
+                receiver: Receiver::new(receiver.negotiated_with(sender.style)),
+                rto_gen: 0,
+                delack_gen: 0,
+            },
             FlowKind::Cbr { interval } => FlowState::Cbr {
                 interval: *interval,
                 next_seq: 0,
@@ -264,12 +252,14 @@ impl Network {
                         self.apply_sender_output(i, out);
                     }
                     FlowState::Cbr { .. } => {
-                        self.queue.schedule(SimTime::ZERO, Ev::CbrTick { flow: i });
+                        self.queue
+                            .schedule(Lane::Ack, SimTime::ZERO, Ev::CbrTick { flow: i });
                     }
                     FlowState::Tfrc { .. } => {
-                        self.queue.schedule(SimTime::ZERO, Ev::TfrcSend { flow: i });
                         self.queue
-                            .schedule(SimTime::ZERO, Ev::TfrcFeedback { flow: i });
+                            .schedule(Lane::Ack, SimTime::ZERO, Ev::TfrcSend { flow: i });
+                        self.queue
+                            .schedule(Lane::Ack, SimTime::ZERO, Ev::TfrcFeedback { flow: i });
                     }
                 }
             }
@@ -356,7 +346,7 @@ impl Network {
                 self.horizon = depart;
                 let tail = self.flows[flow].0.tail_delay;
                 self.queue
-                    .schedule(depart + tail, Ev::RxArrive { flow, seg });
+                    .schedule(Lane::Data, depart + tail, Ev::RxArrive { flow, seg });
             }
             Ev::RxArrive { flow, seg } => match &mut self.flows[flow].1 {
                 FlowState::Tcp { receiver, .. } => {
@@ -428,10 +418,13 @@ impl Network {
                     *sent += 1;
                     let interval = SimDuration::from_secs_f64(1.0 / controller.rate_pps());
                     self.per_flow_sent[flow] += 1;
+                    self.queue.schedule(
+                        Lane::Data,
+                        self.now + access,
+                        Ev::QueueArrive { flow, seg },
+                    );
                     self.queue
-                        .schedule(self.now + access, Ev::QueueArrive { flow, seg });
-                    self.queue
-                        .schedule(self.now + interval, Ev::TfrcSend { flow });
+                        .schedule(Lane::Ack, self.now + interval, Ev::TfrcSend { flow });
                 }
             }
             Ev::TfrcFeedback { flow } => {
@@ -445,7 +438,7 @@ impl Network {
                     controller.on_feedback(estimator.loss_event_rate());
                     let delay = *feedback_delay;
                     self.queue
-                        .schedule(self.now + delay, Ev::TfrcFeedback { flow });
+                        .schedule(Lane::Ack, self.now + delay, Ev::TfrcFeedback { flow });
                 }
             }
             Ev::CbrTick { flow } => {
@@ -465,10 +458,13 @@ impl Network {
                     *sent += 1;
                     let interval = *interval;
                     self.per_flow_sent[flow] += 1;
+                    self.queue.schedule(
+                        Lane::Data,
+                        self.now + access,
+                        Ev::QueueArrive { flow, seg },
+                    );
                     self.queue
-                        .schedule(self.now + access, Ev::QueueArrive { flow, seg });
-                    self.queue
-                        .schedule(self.now + interval, Ev::CbrTick { flow });
+                        .schedule(Lane::Ack, self.now + interval, Ev::CbrTick { flow });
                 }
             }
         }
@@ -479,13 +475,13 @@ impl Network {
         for seg in out.segments {
             self.per_flow_sent[flow] += 1;
             self.queue
-                .schedule(self.now + access, Ev::QueueArrive { flow, seg });
+                .schedule(Lane::Data, self.now + access, Ev::QueueArrive { flow, seg });
         }
         if let TimerCmd::Arm(at) = out.timer {
             if let FlowState::Tcp { rto_gen, .. } = &mut self.flows[flow].1 {
                 *rto_gen += 1;
                 let gen = *rto_gen;
-                self.queue.schedule(at, Ev::Rto { flow, gen });
+                self.queue.schedule(Lane::Ack, at, Ev::Rto { flow, gen });
             }
         }
     }
@@ -494,7 +490,7 @@ impl Network {
         let ack_delay = self.flows[flow].0.ack_delay;
         for ack in out.acks {
             self.queue
-                .schedule(self.now + ack_delay, Ev::AckArrive { flow, ack });
+                .schedule(Lane::Ack, self.now + ack_delay, Ev::AckArrive { flow, ack });
         }
         match out.timer {
             DelAckTimer::Keep => {}
@@ -502,7 +498,8 @@ impl Network {
                 if let FlowState::Tcp { delack_gen, .. } = &mut self.flows[flow].1 {
                     *delack_gen += 1;
                     let gen = *delack_gen;
-                    self.queue.schedule(at, Ev::DelAck { flow, gen });
+                    self.queue
+                        .schedule(Lane::Data, at, Ev::DelAck { flow, gen });
                 }
             }
             DelAckTimer::Cancel => {

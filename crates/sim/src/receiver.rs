@@ -7,6 +7,7 @@
 //! segment ("these ACK's are not delayed", §II-B).
 
 use crate::packet::{Ack, SackBlocks, Segment, Seq};
+use crate::reno::sender::RenoStyle;
 use crate::time::{SimDuration, SimTime};
 use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
@@ -70,6 +71,16 @@ impl Default for ReceiverConfig {
             delack_timeout: SimDuration::from_millis(200),
             sack: false,
         }
+    }
+}
+
+impl ReceiverConfig {
+    /// The receiver a sender of `style` runs against: a SACK sender is
+    /// useless without a SACK-reporting receiver, so SACK is enabled
+    /// implicitly (mirrors the SYN-time option negotiation).
+    pub(crate) fn negotiated_with(mut self, style: RenoStyle) -> Self {
+        self.sack |= style == RenoStyle::Sack;
+        self
     }
 }
 

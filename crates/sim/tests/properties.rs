@@ -158,11 +158,22 @@ proptest! {
         rtt_b in 0.02f64..0.4,
         cbr_rate in 5.0f64..120.0,
         seed in 0u64..200,
+        cc in 0usize..CcAlgorithm::ALL.len(),
+        style in 0usize..4,
     ) {
         use tcp_sim::network::{FlowConfig, Network};
         use tcp_sim::queue::DropTail;
+        use tcp_sim::reno::sender::RenoStyle;
+        // Flow A runs any cc law and recovery style (a SACK sender turns
+        // on its receiver's SACK blocks); flow B stays the default Reno.
+        let styles = [RenoStyle::Tahoe, RenoStyle::Reno, RenoStyle::NewReno, RenoStyle::Sack];
+        let sender = SenderConfig {
+            cc: CcAlgorithm::ALL[cc],
+            style: styles[style],
+            ..SenderConfig::default()
+        };
         let mut net = Network::new(100.0, Box::new(DropTail::new(20)), seed);
-        net.add_flow(FlowConfig::tcp(rtt_a, SenderConfig::default()));
+        net.add_flow(FlowConfig::tcp(rtt_a, sender));
         net.add_flow(FlowConfig::tcp(rtt_b, SenderConfig::default()));
         net.add_flow(FlowConfig::cbr(rtt_a, cbr_rate));
         net.run_for(SimDuration::from_secs_f64(60.0));
