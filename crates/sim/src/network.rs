@@ -104,9 +104,9 @@ impl FlowConfig {
     }
 }
 
-/// Per-flow outcome counters.
+/// Per-flow outcome counters of a [`Network`] run.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlowStats {
+pub struct NetworkFlowStats {
     /// Packets offered to the network (TCP: transmissions incl. rexmits).
     pub sent: u64,
     /// Packets dropped at the bottleneck.
@@ -117,7 +117,7 @@ pub struct FlowStats {
     pub tcp: Option<ConnStats>,
 }
 
-impl FlowStats {
+impl NetworkFlowStats {
     /// Loss fraction at the bottleneck for this flow.
     pub fn loss_fraction(&self) -> f64 {
         if self.sent == 0 {
@@ -292,14 +292,14 @@ impl Network {
     }
 
     /// Per-flow statistics, in `add_flow` order.
-    pub fn stats(&self) -> Vec<FlowStats> {
+    pub fn stats(&self) -> Vec<NetworkFlowStats> {
         self.flows
             .iter()
             .enumerate()
             .map(|(i, (_, state))| match state {
                 FlowState::Tcp {
                     sender, receiver, ..
-                } => FlowStats {
+                } => NetworkFlowStats {
                     sent: self.per_flow_sent[i],
                     dropped: self.per_flow_drops[i],
                     delivered: receiver.distinct_received(),
@@ -311,7 +311,7 @@ impl Network {
                 },
                 FlowState::Cbr {
                     delivered, sent, ..
-                } => FlowStats {
+                } => NetworkFlowStats {
                     sent: *sent,
                     dropped: self.per_flow_drops[i],
                     delivered: *delivered,
@@ -319,7 +319,7 @@ impl Network {
                 },
                 FlowState::Tfrc {
                     delivered, sent, ..
-                } => FlowStats {
+                } => NetworkFlowStats {
                     sent: *sent,
                     dropped: self.per_flow_drops[i],
                     delivered: *delivered,

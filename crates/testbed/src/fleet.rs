@@ -1,6 +1,6 @@
 //! Fleet-scale sharded campaigns: 10^5–10^6 concurrent §II-model flows,
-//! partitioned across [`WorkerPool`] shards, validated distributionally
-//! against Eq. (32).
+//! cut into cache-sized blocks that [`WorkerPool`] workers balance,
+//! validated distributionally against Eq. (32).
 //!
 //! The paper's Table II validates the model one connection at a time; a
 //! fleet campaign asks the same question at population scale. Each cohort
@@ -15,11 +15,22 @@
 //! A [`FleetReport`] is a pure function of ([`FleetCampaignSpec`], nothing
 //! else). The shard count and schedule chaos passed to [`run_fleet_with`]
 //! are *execution* details: flows are seeded from `(base_seed, global
-//! flow id)` only, shards own contiguous global ranges, and every merge
-//! fold walks flows in global order — so reports from 1, 2, and 8 shards
-//! (chaotic or not) serialize bit-identically. The report deliberately
-//! carries no wall-clock fields; throughput measurement wraps the call
-//! (see `crates/bench`).
+//! flow id)` only, each block owns a contiguous global range whose cut
+//! depends on the flow count alone, and every merge fold walks blocks in
+//! range order and flows in global order — so reports from 1, 2, and 8
+//! workers (chaotic or not) serialize bit-identically. The report
+//! deliberately carries no wall-clock fields; throughput measurement
+//! wraps the call (see `crates/bench`).
+//!
+//! ## Blocks
+//!
+//! `shards` counts workers, not partitions. The flow space is cut into
+//! contiguous blocks of at most 4096 flows (~0.9 MB of arena and wheel
+//! state, a quarter of a 4 MiB L2), each run as its own
+//! [`FleetShard`]. One range per worker would walk ~11 MB per event
+//! pass at 10^5 flows and leave the halves unevenly loaded; small blocks
+//! stay cache-resident and let work stealing even out the cohorts'
+//! unequal costs.
 //!
 //! ## Wire audit
 //!
@@ -37,6 +48,7 @@ use pftk_model::params::ModelParams;
 use pftk_model::sendrate::full_model;
 use pftk_model::units::LossProb;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,7 +89,7 @@ pub struct FleetCampaignSpec {
     pub base_seed: u64,
     /// Simulated horizon every flow runs to, seconds.
     pub horizon_secs: f64,
-    /// Event-wheel geometry for every shard.
+    /// Event-wheel geometry for every block.
     pub wheel: WheelConfig,
     /// Packet-level audit connections per cohort (0 disables the audit).
     pub audit_flows_per_cohort: u32,
@@ -191,29 +203,30 @@ pub struct FleetReport {
     pub audit_peak_state_bytes: u64,
 }
 
-/// Longest a shard is allowed to run before the collector declares the
-/// campaign wedged. Generous: a 10^6-flow, 60 s-horizon shard finishes in
-/// seconds in release builds.
-const SHARD_WALL_BUDGET: Duration = Duration::from_secs(1800);
+/// Longest the collector waits for the next finished block before it
+/// declares the campaign wedged. Generous: a whole 10^6-flow, 60 s-horizon
+/// campaign finishes in seconds in release builds.
+const BLOCK_WALL_BUDGET: Duration = Duration::from_secs(1800);
 
-/// Runs `spec` on `shards` shards with natural scheduling.
+/// Runs `spec` on up to `shards` workers with natural scheduling.
 /// See [`run_fleet_with`].
 pub fn run_fleet(spec: &FleetCampaignSpec, shards: usize) -> FleetReport {
     run_fleet_with(spec, shards, None)
 }
 
-/// Runs the fleet campaign: partitions the global flow space into
-/// `shards` contiguous ranges, executes each range as a [`FleetShard`] on
-/// a [`WorkerPool`] worker (with seeded schedule chaos when
-/// `schedule_chaos` is set), merges per-cohort results in global flow
-/// order, and runs the serial wire audit.
+/// Runs the fleet campaign: cuts the global flow space into contiguous
+/// cache-sized blocks, executes each block as a [`FleetShard`] on a
+/// [`WorkerPool`] of at most `shards` workers (with seeded schedule chaos
+/// when `schedule_chaos` is set), merges per-cohort results in global
+/// flow order, and runs the serial wire audit. The pool never has more
+/// workers than blocks; with one worker the blocks run inline, in order.
 ///
 /// The returned [`FleetReport`] does not depend on `shards` or
 /// `schedule_chaos`.
 ///
 /// # Panics
 /// If the spec is empty, `shards` is zero, the horizon is not positive,
-/// a cohort's parameters are outside the model's domain, or a shard
+/// a cohort's parameters are outside the model's domain, or a block's
 /// worker dies or exceeds its wall budget.
 //= pftk#fleet-shard-equivalence
 pub fn run_fleet_with(
@@ -229,7 +242,19 @@ pub fn run_fleet_with(
     let total = spec.total_flows();
     assert!(total > 0, "fleet needs at least one flow");
 
-    let fleet_spec = Arc::new(FleetSpec {
+    let fleet_spec = Arc::new(sim_spec(spec));
+    let horizon = SimTime::from_secs_f64(spec.horizon_secs);
+
+    let finished = run_shards(&fleet_spec, total, shards, schedule_chaos, horizon);
+
+    let mut report = merge_shards(spec, &finished);
+    run_audit(spec, &mut report);
+    report
+}
+
+/// The simulator's view of `spec`: cohort grid, seed and wheel geometry.
+fn sim_spec(spec: &FleetCampaignSpec) -> FleetSpec {
+    FleetSpec {
         cohorts: spec
             .cohorts
             .iter()
@@ -240,18 +265,29 @@ pub fn run_fleet_with(
             .collect(),
         base_seed: spec.base_seed,
         wheel: spec.wheel,
-    });
-    let horizon = SimTime::from_secs_f64(spec.horizon_secs);
-
-    let finished = run_shards(&fleet_spec, total, shards, schedule_chaos, horizon);
-
-    let mut report = merge_shards(spec, &finished);
-    run_audit(spec, &mut report);
-    report
+    }
 }
 
-/// Partitions `0..total` into `shards` contiguous ranges and runs each as
-/// a [`FleetShard`] on the pool, returning the shards in range order.
+/// Most flows one block may hold. A flow carries ~220 B of arena and
+/// wheel state (120 B `SimRng`, 40 B `RoundCc`, counters, wheel links),
+/// so a full block is ~0.9 MB: it stays resident in a 4 MiB L2 while
+/// its wheel drains. Block sizes from 1024 to 8192 flows run within a
+/// few percent of each other; 16 384 already spills.
+const BLOCK_FLOWS: u64 = 4096;
+
+/// Cuts `0..total` into the fewest contiguous, near-equal blocks of at
+/// most [`BLOCK_FLOWS`] flows each, in global flow order.
+fn block_ranges(total: u64) -> Vec<Range<u64>> {
+    let n = total.div_ceil(BLOCK_FLOWS);
+    (0..n)
+        .map(|b| (b * total / n)..((b + 1) * total / n))
+        .collect()
+}
+
+/// Runs every block of `0..total` as a [`FleetShard`] on a
+/// [`WorkerPool`] of at most `shards` workers, whose work stealing
+/// balances the blocks; returns the finished blocks in range order.
+/// With one worker (or one block) the blocks run inline, in order.
 fn run_shards(
     fleet_spec: &Arc<FleetSpec>,
     total: u64,
@@ -259,54 +295,57 @@ fn run_shards(
     schedule_chaos: Option<u64>,
     horizon: SimTime,
 ) -> Vec<FleetShard> {
-    let n = shards as u64;
-    let ranges: Vec<std::ops::Range<u64>> = (0..n)
-        .map(|s| (s * total / n)..((s + 1) * total / n))
-        .collect();
-
-    if shards == 1 {
-        // Single shard: run inline — no pool, no channel, same result.
-        let mut shard = FleetShard::new(fleet_spec, ranges[0].clone());
-        shard.run_until(horizon);
-        return vec![shard];
+    let blocks = block_ranges(total);
+    let workers = shards.min(blocks.len());
+    if workers == 1 {
+        // One worker: run inline — no pool, no channel, same result.
+        return blocks
+            .into_iter()
+            .map(|r| run_block(fleet_spec, r, horizon))
+            .collect();
     }
 
     let pool = match schedule_chaos {
-        Some(seed) => WorkerPool::with_schedule_chaos(shards, seed),
-        None => WorkerPool::new(shards),
+        Some(seed) => WorkerPool::with_schedule_chaos(workers, seed),
+        None => WorkerPool::new(workers),
     };
     let (tx, rx) = mpsc::channel();
-    for (idx, range) in ranges.iter().enumerate() {
+    for (idx, range) in blocks.iter().enumerate() {
         let tx = tx.clone();
         let fleet_spec = Arc::clone(fleet_spec);
         let range = range.clone();
         pool.submit(move || {
-            let mut shard = FleetShard::new(&fleet_spec, range);
-            shard.run_until(horizon);
-            // A send can only fail if the collector gave up; the shard's
+            // A send can only fail if the collector gave up; the block's
             // work is then discarded with it.
-            let _ = tx.send((idx, shard));
+            let _ = tx.send((idx, run_block(&fleet_spec, range, horizon)));
         });
     }
     drop(tx);
 
-    let mut slots: Vec<Option<FleetShard>> = (0..shards).map(|_| None).collect();
-    for _ in 0..shards {
-        let (idx, shard) = rx
-            .recv_timeout(SHARD_WALL_BUDGET)
-            .expect("fleet shard died or exceeded its wall budget"); //~ allow(expect): a lost shard means a lost worker; the campaign cannot continue
-        slots[idx] = Some(shard);
+    let mut slots: Vec<Option<FleetShard>> = blocks.iter().map(|_| None).collect();
+    for _ in 0..blocks.len() {
+        let (idx, block) = rx
+            .recv_timeout(BLOCK_WALL_BUDGET)
+            .expect("fleet block died or exceeded its wall budget"); //~ allow(expect): a lost block means a lost worker; the campaign cannot continue
+        slots[idx] = Some(block);
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every shard index reports exactly once")) //~ allow(expect): indices are 0..shards by construction
+        .map(|s| s.expect("every block index reports exactly once")) //~ allow(expect): indices are 0..blocks by construction
         .collect()
 }
 
-/// Folds finished shards into per-cohort reports. Shards arrive in range
+/// Builds one block's [`FleetShard`] and runs it to `horizon`.
+fn run_block(spec: &FleetSpec, range: Range<u64>, horizon: SimTime) -> FleetShard {
+    let mut block = FleetShard::new(spec, range);
+    block.run_until(horizon);
+    block
+}
+
+/// Folds finished blocks into per-cohort reports. Blocks arrive in range
 /// order and each walks its flows in local order, so every f64 fold below
 /// accumulates in global flow order — the exact same sequence of
-/// additions no matter how many shards ran.
+/// additions no matter how many workers ran them.
 fn merge_shards(spec: &FleetCampaignSpec, shards: &[FleetShard]) -> FleetReport {
     let mut cohorts: Vec<CohortReport> = spec
         .cohorts
@@ -593,6 +632,71 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
         );
+    }
+
+    #[test]
+    fn blocks_cover_the_flow_space_contiguously() {
+        for total in [
+            1,
+            2,
+            BLOCK_FLOWS - 1,
+            BLOCK_FLOWS,
+            BLOCK_FLOWS + 1,
+            2 * BLOCK_FLOWS + 123,
+            100_000,
+            1_000_003,
+        ] {
+            let blocks = block_ranges(total);
+            assert_eq!(blocks.len() as u64, total.div_ceil(BLOCK_FLOWS));
+            let mut next = 0;
+            for b in &blocks {
+                assert_eq!(b.start, next, "gap or overlap at {b:?} of {total}");
+                assert!(!b.is_empty(), "empty block {b:?} of {total}");
+                assert!(b.end - b.start <= BLOCK_FLOWS, "{b:?} of {total}");
+                next = b.end;
+            }
+            assert_eq!(next, total, "blocks of {total} stop short");
+        }
+    }
+
+    //= pftk#fleet-shard-equivalence type=test
+    #[test]
+    fn multi_block_fleet_matches_one_whole_range_shard() {
+        // Three near-equal blocks over two cohorts; the cohort boundary
+        // (flow 3000) falls inside the second block.
+        let cohort = |label: &str, p, wmax, flows| FleetCohortSpec {
+            label: label.into(),
+            config: RoundsConfig {
+                p,
+                rtt: 0.1,
+                t0: 1.0,
+                wmax,
+                ..RoundsConfig::default()
+            },
+            flows,
+        };
+        let spec = FleetCampaignSpec {
+            cohorts: vec![
+                cohort("p=0.02", 0.02, 64, 3000),
+                cohort("p=0.1", 0.1, 16, 2 * BLOCK_FLOWS + 123 - 3000),
+            ],
+            base_seed: 0xB10C,
+            horizon_secs: 3.0,
+            wheel: WheelConfig::default(),
+            audit_flows_per_cohort: 0,
+        };
+        let total = spec.total_flows();
+        assert_eq!(block_ranges(total).len(), 3);
+
+        let whole = run_block(&sim_spec(&spec), 0..total, SimTime::from_secs_f64(3.0));
+        let reference = serde_json::to_string(&merge_shards(&spec, &[whole])).unwrap();
+
+        for shards in [1usize, 2, 3, 8] {
+            let candidate = serde_json::to_string(&run_fleet(&spec, shards)).unwrap();
+            assert_eq!(reference, candidate, "{shards} workers diverged");
+        }
+        let chaotic = serde_json::to_string(&run_fleet_with(&spec, 3, Some(0xB10C))).unwrap();
+        assert_eq!(reference, chaotic, "schedule chaos diverged");
     }
 
     #[test]
