@@ -23,7 +23,7 @@ use tcp_testbed::{
 };
 use tcp_trace::analyzer::{analyze, AnalyzerConfig};
 use tcp_trace::record::Trace;
-use tcp_trace::stream::{StreamAnalyzer, StreamConfig, TraceSink};
+use tcp_trace::stream::{LogMark, StreamAnalyzer, StreamConfig, TraceSink};
 
 /// One benchmark measurement: a workload, its median per-iteration wall
 /// time, and the throughput normalization.
@@ -76,12 +76,16 @@ struct MemoryEntry {
 /// machinery stays off the sim hot path.
 ///
 /// The `campaign_*` rows run the full journaled-campaign pipeline
-/// (streaming analyzer attached). A campaign checkpoint also carries the
-/// analyzer's retained sample vectors (hundreds of kilobytes); the worker
-/// only pays a state clone — the encode and I/O run on the journal's
-/// writer thread — but on a single-core host that thread shares the CPU,
-/// so the wall-clock `campaign_overhead_frac` reported here is an upper
-/// bound on what a multi-core host sees.
+/// (streaming analyzer attached). A campaign checkpoint also carries an
+/// analyzer delta: the O(window) head state plus the samples appended
+/// since the previous checkpoint, encoded on the worker. The I/O runs on
+/// the journal's writer thread, but on a single-core host that thread
+/// shares the CPU, so the wall-clock `campaign_overhead_frac` reported
+/// here is an upper bound on what a multi-core host sees. The size rows
+/// measure one mid-run checkpoint: `stream_snapshot_bytes` is the full
+/// analyzer snapshot (what a delta chain replaces), while
+/// `checkpoint_record_bytes` is the record a campaign writes there, with
+/// the delta since the previous boundary.
 #[derive(serde::Serialize)]
 struct CheckpointReport {
     /// Checkpoint cadence, sim-seconds (`JournalConfig::default`).
@@ -106,10 +110,12 @@ struct CheckpointReport {
     campaign_overhead_frac: f64,
     /// One `Connection::snapshot` for this workload, encoded bytes.
     conn_snapshot_bytes: u64,
-    /// One `StreamAnalyzer::snapshot` for this workload, encoded bytes.
+    /// One full `StreamAnalyzer::snapshot` for this workload, encoded
+    /// bytes.
     stream_snapshot_bytes: u64,
-    /// The full journaled checkpoint record (both snapshots plus resume
-    /// parameters), payload bytes before framing.
+    /// One journaled checkpoint record (connection snapshot, analyzer
+    /// delta since the previous boundary, resume parameters), payload
+    /// bytes before framing.
     checkpoint_record_bytes: u64,
 }
 
@@ -455,20 +461,13 @@ fn sim_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
         }
         if let Some(journal) = journal {
             if let Ok(conn_bytes) = conn.snapshot() {
-                let boundary = k + 1;
-                journal.append_with(move || {
-                    CampaignRecord::Checkpoint(Checkpoint {
-                        job_index: 0,
-                        seed: 7,
-                        wire_bits: [0; 3],
-                        horizon_bits: horizon.to_bits(),
-                        every_bits: cadence.to_bits(),
-                        next_boundary: boundary,
-                        conn: conn_bytes,
-                        stream: Vec::new(),
-                    })
-                    .encode()
-                });
+                journal.append(checkpoint_record(
+                    cadence,
+                    horizon,
+                    k + 1,
+                    conn_bytes,
+                    Vec::new(),
+                ));
             }
         }
         k += 1;
@@ -478,12 +477,13 @@ fn sim_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
 }
 
 /// One sliced run of the full journaled-campaign pipeline (streaming
-/// analyzer attached); with `journal` set, a full checkpoint (connection
-/// snapshot + analyzer clone, encoded on the writer thread) is cut at
-/// every slice boundary — exactly what `run_table2_journaled` does
-/// between `run_until_budget` slices.
+/// analyzer attached); with `journal` set, a checkpoint (connection
+/// snapshot + analyzer delta since the previous boundary, both encoded on
+/// the worker) is cut at every slice boundary — exactly what
+/// `run_table2_journaled` does between `run_until_budget` slices.
 fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
     let mut conn = checkpoint_conn();
+    let mut mark = LogMark::default();
     let mut k: u64 = 1;
     loop {
         let t = (k as f64 * cadence).min(horizon);
@@ -492,29 +492,44 @@ fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
             break;
         }
         if let Some(journal) = journal {
-            if let (Ok(conn_bytes), Some(analyzer)) =
-                (conn.snapshot(), conn.observer().stream_clone())
+            if let (Ok(conn_bytes), Some((stream, next))) =
+                (conn.snapshot(), conn.observer().stream_snapshot_since(mark))
             {
-                let boundary = k + 1;
-                journal.append_with(move || {
-                    CampaignRecord::Checkpoint(Checkpoint {
-                        job_index: 0,
-                        seed: 7,
-                        wire_bits: [0; 3],
-                        horizon_bits: horizon.to_bits(),
-                        every_bits: cadence.to_bits(),
-                        next_boundary: boundary,
-                        conn: conn_bytes,
-                        stream: analyzer.snapshot(),
-                    })
-                    .encode()
-                });
+                mark = next;
+                journal.append(checkpoint_record(
+                    cadence,
+                    horizon,
+                    k + 1,
+                    conn_bytes,
+                    stream,
+                ));
             }
         }
         k += 1;
     }
     std::hint::black_box(conn.stats().packets_sent);
     conn.events_processed()
+}
+
+/// The encoded checkpoint record the bench workloads journal.
+fn checkpoint_record(
+    cadence: f64,
+    horizon: f64,
+    next_boundary: u64,
+    conn: Vec<u8>,
+    stream: Vec<u8>,
+) -> Vec<u8> {
+    CampaignRecord::Checkpoint(Checkpoint {
+        job_index: 0,
+        seed: 7,
+        wire_bits: [0; 3],
+        horizon_bits: horizon.to_bits(),
+        every_bits: cadence.to_bits(),
+        next_boundary,
+        conn,
+        stream,
+    })
+    .encode()
 }
 
 fn checkpoint_report() -> Result<CheckpointReport, Box<dyn std::error::Error>> {
@@ -526,28 +541,21 @@ fn checkpoint_report() -> Result<CheckpointReport, Box<dyn std::error::Error>> {
     const HORIZON: f64 = 900.0;
     let checkpoints_per_run = (HORIZON / CADENCE) as u64 - 1;
 
-    // Snapshot sizes, measured once mid-run (steady state, not cold start).
+    // Snapshot sizes, measured once mid-run (steady state, not cold start):
+    // the checkpoint at the second boundary, whose delta covers one cadence.
     let (conn_snapshot_bytes, stream_snapshot_bytes, checkpoint_record_bytes) = {
         let mut conn = checkpoint_conn();
-        conn.run_until_budget(SimTime::from_secs_f64(HORIZON / 2.0), u64::MAX);
+        conn.run_until_budget(SimTime::from_secs_f64(CADENCE), u64::MAX);
+        let mark = conn.observer().stream_snapshot_since(LogMark::default());
+        let mark = mark.map(|(_, mark)| mark).unwrap_or_default();
+        conn.run_until_budget(SimTime::from_secs_f64(2.0 * CADENCE), u64::MAX);
         let conn_bytes = conn.snapshot().unwrap_or_default();
         let stream_bytes = conn.observer().stream_snapshot().unwrap_or_default();
-        let record = CampaignRecord::Checkpoint(Checkpoint {
-            job_index: 0,
-            seed: 7,
-            wire_bits: [0; 3],
-            horizon_bits: HORIZON.to_bits(),
-            every_bits: CADENCE.to_bits(),
-            next_boundary: 1,
-            conn: conn_bytes.clone(),
-            stream: stream_bytes.clone(),
-        })
-        .encode();
-        (
-            conn_bytes.len() as u64,
-            stream_bytes.len() as u64,
-            record.len() as u64,
-        )
+        let delta = conn.observer().stream_snapshot_since(mark);
+        let delta = delta.map(|(delta, _)| delta).unwrap_or_default();
+        let (conn_len, stream_len) = (conn_bytes.len() as u64, stream_bytes.len() as u64);
+        let record = checkpoint_record(CADENCE, HORIZON, 3, conn_bytes, delta);
+        (conn_len, stream_len, record.len() as u64)
     };
 
     let mut journal_path = std::env::temp_dir();

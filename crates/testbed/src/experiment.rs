@@ -44,7 +44,7 @@ use tcp_trace::intervals::IntervalStats;
 use tcp_trace::karn::TimingEstimates;
 use tcp_trace::log::TraceLog;
 use tcp_trace::record::Trace;
-use tcp_trace::stream::{StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink};
+use tcp_trace::stream::{LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink};
 
 /// A [`tcp_sim::Observer`] that consumes the sender-side wire trace — the
 /// glue between the simulator and the analysis programs (the `tcpdump` of
@@ -168,30 +168,37 @@ impl TraceRecorder {
         self.stream.as_ref().map(StreamAnalyzer::snapshot)
     }
 
-    /// A clone of the streaming analyzer's state, under the same
-    /// availability rule as [`TraceRecorder::stream_snapshot`]. Cloning is
-    /// a plain memcpy of the retained sample vectors — much cheaper than
-    /// encoding — so checkpointed runs hand the clone to the journal's
-    /// writer thread and serialize there ([`Journal::append_with`]).
-    pub fn stream_clone(&self) -> Option<StreamAnalyzer> {
+    /// A delta of the streaming analyzer's state since `mark`
+    /// ([`StreamAnalyzer::snapshot_since`]), with the mark the next delta
+    /// starts from; same availability rule as
+    /// [`TraceRecorder::stream_snapshot`]. Checkpointed runs write one
+    /// delta per checkpoint, so each is O(cadence), not O(duration).
+    pub fn stream_snapshot_since(&self, mark: LogMark) -> Option<(Vec<u8>, LogMark)> {
         if self.log.is_some() {
             return None;
         }
-        self.stream.clone()
+        let stream = self.stream.as_ref()?;
+        Some((stream.snapshot_since(mark), stream.log_mark()))
     }
 
-    /// Restores the streaming analyzer from [`TraceRecorder::stream_snapshot`]
-    /// bytes. The recorder must be reduce-only with an identically
-    /// configured analyzer; on `Err` the analyzer state is unspecified and
-    /// the recorder must be rebuilt before use.
-    pub fn stream_restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
+    /// Applies analyzer bytes — a full [`TraceRecorder::stream_snapshot`]
+    /// or a [`TraceRecorder::stream_snapshot_since`] delta — and returns
+    /// the mark the next delta starts from. A chain of deltas must be
+    /// applied in the order it was written (see
+    /// [`StreamAnalyzer::restore`]). The recorder must be reduce-only with
+    /// an identically configured analyzer; on `Err` the analyzer state is
+    /// unspecified and the recorder must be rebuilt before use.
+    pub fn stream_restore(&mut self, bytes: &[u8]) -> SnapResult<LogMark> {
         if self.log.is_some() {
             return Err(SnapError::Unsupported(
                 "checkpoint restore into a trace-retaining recorder",
             ));
         }
         match &mut self.stream {
-            Some(stream) => stream.restore(bytes),
+            Some(stream) => {
+                stream.restore(bytes)?;
+                Ok(stream.log_mark())
+            }
             None => Err(SnapError::Invalid("recorder has no streaming analyzer")),
         }
     }
@@ -714,11 +721,31 @@ struct CheckpointCtx<'a> {
     journal: &'a Journal,
     job_index: u64,
     every_sim_secs: f64,
-    resume: Option<&'a Checkpoint>,
+    /// The checkpoint chain to resume from, oldest first; empty for a
+    /// fresh run.
+    resume: &'a [Checkpoint],
     crash: Option<&'a CrashPoint>,
 }
 
-/// Runs one connection in sim-time slices, journaling a snapshot between
+/// Restores `conn` from a checkpoint chain: the connection from the last
+/// record, the analyzer by applying every record's bytes in order.
+/// Returns the analyzer mark the next delta starts from.
+fn restore_chain(
+    conn: &mut Connection<TraceRecorder>,
+    chain: &[Checkpoint],
+) -> SnapResult<LogMark> {
+    let last = chain
+        .last()
+        .ok_or(SnapError::Invalid("empty checkpoint chain"))?;
+    conn.restore(&last.conn)?;
+    let mut mark = LogMark::default();
+    for cp in chain {
+        mark = conn.observer_mut().stream_restore(&cp.stream)?;
+    }
+    Ok(mark)
+}
+
+/// Runs one connection in sim-time slices, journaling a checkpoint between
 /// slices; returns the result and whether the run resumed from a
 /// checkpoint.
 ///
@@ -727,10 +754,11 @@ struct CheckpointCtx<'a> {
 /// index, so an interrupted-and-resumed run executes exactly the boundary
 /// sequence of an uninterrupted one — and `Connection::run_until_budget`
 /// is boundary-insensitive (the sim is event-driven; splitting a run at
-/// any time yields the identical event stream). Snapshot *encoding*
-/// happens here on the worker thread strictly between slices, and all
-/// journal I/O happens on the journal's writer thread, so the sim hot
-/// path never sees either.
+/// any time yields the identical event stream). Each checkpoint carries
+/// the connection snapshot and an analyzer delta since the previous
+/// checkpoint of this run, both encoded here on the worker thread
+/// strictly between slices; all journal I/O happens on the journal's
+/// writer thread, so the sim hot path never sees either.
 fn run_connection_checkpointed(
     spec: &PathSpec,
     wire: WireLoss,
@@ -742,17 +770,19 @@ fn run_connection_checkpointed(
 ) -> (ExperimentResult, bool) {
     let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
     let mut next_boundary: u64 = 1;
+    let mut mark = LogMark::default();
     let mut resumed = false;
-    if let Some(cp) = ctx.resume {
+    if let Some(cp) = ctx.resume.last() {
         let compatible = cp.seed == seed
             && cp.horizon_bits == horizon_secs.to_bits()
             && cp.every_bits == ctx.every_sim_secs.to_bits()
             && cp.wire_bits == wire.to_bits();
-        if compatible
-            && conn.restore(&cp.conn).is_ok()
-            && conn.observer_mut().stream_restore(&cp.stream).is_ok()
-        {
+        let restored = compatible
+            .then(|| restore_chain(&mut conn, ctx.resume))
+            .and_then(Result::ok);
+        if let Some(restored) = restored {
             next_boundary = cp.next_boundary;
+            mark = restored;
             resumed = true;
         } else {
             // A stale or mismatched checkpoint is not an error; restore may
@@ -772,29 +802,27 @@ fn run_connection_checkpointed(
         if hit || t >= horizon_secs {
             break hit;
         }
-        // Capture state on the worker thread, strictly between sim
-        // slices: the connection snapshot is a few hundred bytes (encode
-        // it here), while the analyzer state runs to hundreds of
-        // kilobytes — clone it (a memcpy) and let the journal's writer
-        // thread do the expensive encode and the blocking I/O.
-        if let (Ok(conn_bytes), Some(analyzer)) = (conn.snapshot(), conn.observer().stream_clone())
+        if let (Ok(conn_bytes), Some((stream, next_mark))) =
+            (conn.snapshot(), conn.observer().stream_snapshot_since(mark))
         {
-            let (job_index, wire_bits) = (ctx.job_index, wire.to_bits());
-            let (horizon_bits, every_bits) = (horizon_secs.to_bits(), every.to_bits());
-            let boundary = next_boundary + 1;
-            ctx.journal.append_with(move || {
+            mark = next_mark;
+            ctx.journal.append(
                 CampaignRecord::Checkpoint(Checkpoint {
-                    job_index,
+                    job_index: ctx.job_index,
                     seed,
-                    wire_bits,
-                    horizon_bits,
-                    every_bits,
-                    next_boundary: boundary,
+                    wire_bits: wire.to_bits(),
+                    horizon_bits: horizon_secs.to_bits(),
+                    every_bits: every.to_bits(),
+                    next_boundary: next_boundary + 1,
                     conn: conn_bytes,
-                    stream: analyzer.snapshot(),
+                    stream,
                 })
-                .encode()
-            });
+                .encode(),
+            );
+        } else {
+            // No record for this boundary breaks the chain, so the next
+            // checkpoint starts a new one and must carry the full state.
+            mark = LogMark::default();
         }
         if let Some(crash) = ctx.crash {
             crash.tick();
@@ -829,7 +857,7 @@ pub fn run_table2_journaled(
     journal_path: &FsPath,
     config: &JournalConfig,
 ) -> io::Result<CampaignReport> {
-    let state = journal::replay(journal_path)?.fold();
+    let mut state = journal::replay(journal_path)?.into_state();
     let journal = Arc::new(Journal::open(journal_path)?);
     let n = specs.len();
     let mut prefilled: Vec<Option<CampaignRow>> = (0..n).map(|_| None).collect();
@@ -862,7 +890,7 @@ pub fn run_table2_journaled(
             // An undecodable result payload re-runs the attempt — same
             // never-abort policy as a torn tail.
         }
-        let resume = state.inflight.get(&job_index).cloned();
+        let resume = state.inflight.remove(&job_index).unwrap_or_default();
         let resumed_flag = Arc::new(AtomicBool::new(false));
         live_flags.push((i, Arc::clone(&resumed_flag)));
         let spec = *spec;
@@ -877,10 +905,13 @@ pub fn run_table2_journaled(
             label: label.clone(),
             seed: first_seed,
             job: Arc::new(move |seed| {
-                // Only a checkpoint of this very attempt (same seed) may be
-                // resumed; a reseeded retry starts fresh.
-                let resume = resume.as_ref().filter(|cp| cp.seed == seed);
-                let wire = match resume {
+                // Only a checkpoint chain of this very attempt (same seed)
+                // may be resumed; a reseeded retry starts fresh.
+                let resume = match resume.last() {
+                    Some(cp) if cp.seed == seed => resume.as_slice(),
+                    _ => &[],
+                };
+                let wire = match resume.last() {
                     // The stored bits equal what calibration would produce
                     // (it is seed-deterministic); using them skips the probe
                     // runs and is exact by construction.

@@ -9,15 +9,20 @@
 //!   is never lost or recomputed;
 //! * **`Checkpoint`** — periodic in-flight state (the simulator's
 //!   [`Connection::snapshot`](tcp_sim::connection::Connection::snapshot)
-//!   plus the streaming analyzer's snapshot), written asynchronously so
-//!   the sim hot path never blocks on I/O.
+//!   plus an analyzer delta: the streaming analyzer's O(window) head state
+//!   and only the log entries appended since the attempt's previous
+//!   checkpoint), queued to a writer thread so the sim hot path never
+//!   blocks on I/O.
 //!
-//! On startup [`replay`] scans the journal: completed attempts are
-//! reconstructed without re-running, in-flight attempts resume from their
-//! last checkpoint, and a torn tail — a partial header, a short payload, a
-//! checksum mismatch, an undecodable record — is treated as a clean
-//! truncation of everything from that point on. Replay never aborts: the
-//! worst possible corruption merely re-runs work.
+//! On startup [`replay`] scans the journal and
+//! [`JournalReplay::into_state`] folds it: completed attempts are
+//! reconstructed without re-running, and in-flight attempts resume from
+//! their *checkpoint chain* — the consecutive checkpoints of the attempt's
+//! latest run, whose analyzer deltas restore in order. A torn tail — a
+//! partial header, a short payload, a checksum mismatch, an undecodable
+//! record — is treated as a clean truncation of everything from that point
+//! on. Replay never aborts: the worst possible corruption merely re-runs
+//! work.
 //!
 //! # Record framing
 //!
@@ -44,8 +49,10 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-/// Sanity cap on a single record's payload (a Table II checkpoint is a few
-/// tens of kilobytes; anything near this is corruption, not data).
+/// Sanity cap on a single record's payload. A Table II checkpoint delta is
+/// tens to hundreds of kilobytes and a full analyzer snapshot of an
+/// hour-long path (as older journals hold) runs to about a megabyte;
+/// anything near this cap is corruption, not data.
 const MAX_RECORD_LEN: u32 = 1 << 30;
 
 /// One journal entry.
@@ -94,8 +101,25 @@ pub struct Checkpoint {
     pub next_boundary: u64,
     /// `Connection::snapshot` bytes.
     pub conn: Vec<u8>,
-    /// `StreamAnalyzer::snapshot` bytes.
+    /// Analyzer bytes: a `StreamAnalyzer::snapshot_since` delta from the
+    /// attempt's previous checkpoint (older journals hold full
+    /// `StreamAnalyzer::snapshot` bytes; restore accepts both).
     pub stream: Vec<u8>,
+}
+
+impl Checkpoint {
+    /// True when `next` is the checkpoint that follows this one in the same
+    /// run: same attempt (seed), same horizon, cadence and wire loss, and
+    /// the next slice boundary. Only such a record may apply its analyzer
+    /// delta on top of this one's.
+    pub fn is_followed_by(&self, next: &Checkpoint) -> bool {
+        next.job_index == self.job_index
+            && next.seed == self.seed
+            && next.wire_bits == self.wire_bits
+            && next.horizon_bits == self.horizon_bits
+            && next.every_bits == self.every_bits
+            && Some(next.next_boundary) == self.next_boundary.checked_add(1)
+    }
 }
 
 const TAG_ATTEMPT_DONE: u8 = 1;
@@ -104,7 +128,11 @@ const TAG_CHECKPOINT: u8 = 2;
 impl CampaignRecord {
     /// Encodes the record payload (framing is the writer's concern).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapWriter::with_capacity(64);
+        let blobs = match self {
+            CampaignRecord::AttemptDone { result_json, .. } => result_json.len(),
+            CampaignRecord::Checkpoint(cp) => cp.conn.len() + cp.stream.len(),
+        };
+        let mut w = SnapWriter::with_capacity(128 + blobs);
         match self {
             CampaignRecord::AttemptDone {
                 job_index,
@@ -189,9 +217,13 @@ pub struct CampaignState {
     /// Jobs with a durably recorded completion, by job index (the last
     /// record wins).
     pub done: BTreeMap<u64, DoneAttempt>,
-    /// Jobs with an in-flight checkpoint and no completion, by job index
-    /// (the last checkpoint wins; an `AttemptDone` clears it).
-    pub inflight: BTreeMap<u64, Checkpoint>,
+    /// Jobs with in-flight checkpoints and no completion, by job index:
+    /// the checkpoint chain of the job's latest run, oldest first. The
+    /// last record carries the connection state to restore; the analyzer
+    /// bytes of every record apply in order. A checkpoint that does not
+    /// follow the chain's last ([`Checkpoint::is_followed_by`]) starts a
+    /// new chain, and an `AttemptDone` clears it.
+    pub inflight: BTreeMap<u64, Vec<Checkpoint>>,
 }
 
 /// A replayed completion record.
@@ -208,11 +240,12 @@ pub struct DoneAttempt {
 }
 
 impl JournalReplay {
-    /// Folds the record sequence into per-job state: the last completion
-    /// per job wins, and a completion clears any in-flight checkpoint.
-    pub fn fold(&self) -> CampaignState {
+    /// Folds the record sequence into per-job state, moving the records:
+    /// the last completion per job wins, a completion clears the job's
+    /// checkpoint chain, and checkpoints after a completion are ignored.
+    pub fn into_state(self) -> CampaignState {
         let mut state = CampaignState::default();
-        for rec in &self.records {
+        for rec in self.records {
             match rec {
                 CampaignRecord::AttemptDone {
                     job_index,
@@ -221,21 +254,26 @@ impl JournalReplay {
                     resumed,
                     result_json,
                 } => {
-                    state.inflight.remove(job_index);
+                    state.inflight.remove(&job_index);
                     state.done.insert(
-                        *job_index,
+                        job_index,
                         DoneAttempt {
-                            label: label.clone(),
-                            seed: *seed,
-                            resumed: *resumed,
-                            result_json: result_json.clone(),
+                            label,
+                            seed,
+                            resumed,
+                            result_json,
                         },
                     );
                 }
                 CampaignRecord::Checkpoint(cp) => {
-                    if !state.done.contains_key(&cp.job_index) {
-                        state.inflight.insert(cp.job_index, cp.clone());
+                    if state.done.contains_key(&cp.job_index) {
+                        continue;
                     }
+                    let chain = state.inflight.entry(cp.job_index).or_default();
+                    if !chain.last().is_some_and(|last| last.is_followed_by(&cp)) {
+                        chain.clear();
+                    }
+                    chain.push(cp);
                 }
             }
         }
@@ -301,11 +339,8 @@ fn split_at_checked(s: &[u8], mid: usize) -> Option<(&[u8], &[u8])> {
 }
 
 enum Cmd {
-    /// Fire-and-forget append (checkpoints). The thunk produces the record
-    /// payload *on the writer thread*, so expensive encodes (a streaming
-    /// analyzer's sample vectors run to hundreds of kilobytes) cost the
-    /// simulation worker only a state clone, not the serialization.
-    Append(Box<dyn FnOnce() -> Vec<u8> + Send>),
+    /// Fire-and-forget append (checkpoints).
+    Append(Vec<u8>),
     /// Append + fsync, acknowledged (attempt boundaries).
     AppendSync(Vec<u8>, mpsc::Sender<io::Result<()>>),
 }
@@ -354,17 +389,8 @@ impl Journal {
     /// checkpoints: losing one to a crash only costs re-simulating from
     /// the previous checkpoint.
     pub fn append(&self, payload: Vec<u8>) {
-        self.append_with(move || payload);
-    }
-
-    /// Like [`Journal::append`], but defers producing the record payload
-    /// to the writer thread. The caller captures (cheaply cloned) state in
-    /// `encode`; the expensive serialization then runs off the simulation
-    /// worker. Used for checkpoints, whose encoded size grows with the
-    /// analyzer's retained samples.
-    pub fn append_with(&self, encode: impl FnOnce() -> Vec<u8> + Send + 'static) {
         if let Some(tx) = &self.tx {
-            let _ = tx.send(Cmd::Append(Box::new(encode)));
+            let _ = tx.send(Cmd::Append(payload));
         }
     }
 
@@ -405,10 +431,10 @@ impl Drop for Journal {
 fn writer_loop(mut file: File, rx: &mpsc::Receiver<Cmd>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Cmd::Append(encode) => {
+            Cmd::Append(payload) => {
                 // Best-effort: a failed checkpoint write degrades crash
                 // recovery granularity, never the campaign itself.
-                let _ = write_record(&mut file, &encode());
+                let _ = write_record(&mut file, &payload);
             }
             Cmd::AppendSync(payload, ack) => {
                 let res = write_record(&mut file, &payload).and_then(|()| file.sync_data());
@@ -490,7 +516,11 @@ mod tests {
     }
 
     fn ckpt(i: u64, k: u64) -> CampaignRecord {
-        CampaignRecord::Checkpoint(Checkpoint {
+        CampaignRecord::Checkpoint(checkpoint(i, k))
+    }
+
+    fn checkpoint(i: u64, k: u64) -> Checkpoint {
+        Checkpoint {
             job_index: i,
             seed: 40 + i,
             wire_bits: [1, 2, 3],
@@ -499,7 +529,7 @@ mod tests {
             next_boundary: k,
             conn: vec![9; 16],
             stream: vec![7; 8],
-        })
+        }
     }
 
     #[test]
@@ -523,15 +553,65 @@ mod tests {
         let replayed = replay(&path).unwrap();
         assert!(!replayed.torn_tail);
         assert_eq!(replayed.records.len(), 4);
-        let state = replayed.fold();
+        let state = replayed.into_state();
         assert_eq!(state.done.len(), 1);
         assert_eq!(state.done[&1].seed, 41);
         assert!(state.done[&1].resumed);
-        // Job 0 is in flight at its *last* checkpoint; job 1's post-completion
-        // checkpoint was discarded.
+        // Job 0 is in flight with a two-record chain ending at its *last*
+        // checkpoint; job 1's post-completion checkpoint was discarded.
         assert_eq!(state.inflight.len(), 1);
-        assert_eq!(state.inflight[&0].next_boundary, 2);
+        let boundaries: Vec<u64> = state.inflight[&0].iter().map(|c| c.next_boundary).collect();
+        assert_eq!(boundaries, [1, 2]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn chain_of(records: Vec<CampaignRecord>) -> Vec<u64> {
+        let state = JournalReplay {
+            records,
+            ..JournalReplay::default()
+        }
+        .into_state();
+        state
+            .inflight
+            .get(&0)
+            .map(|chain| chain.iter().map(|c| c.next_boundary).collect())
+            .unwrap_or_default()
+    }
+
+    fn with(k: u64, edit: impl FnOnce(&mut Checkpoint)) -> CampaignRecord {
+        let mut cp = checkpoint(0, k);
+        edit(&mut cp);
+        CampaignRecord::Checkpoint(cp)
+    }
+
+    #[test]
+    fn chains_join_consecutive_boundaries_of_one_run_only() {
+        // Consecutive boundaries of one run form one chain.
+        assert_eq!(chain_of((2..6).map(|k| ckpt(0, k)).collect()), [2, 3, 4, 5]);
+        // A rerun from the start (boundary 2 again) starts a new chain, and
+        // so does a gap left by a lost checkpoint.
+        assert_eq!(chain_of(vec![ckpt(0, 2), ckpt(0, 3), ckpt(0, 2)]), [2]);
+        assert_eq!(chain_of(vec![ckpt(0, 2), ckpt(0, 4), ckpt(0, 5)]), [4, 5]);
+        // A different attempt, horizon, cadence or wire loss never joins.
+        for edit in [
+            (|cp: &mut Checkpoint| cp.seed += 1) as fn(&mut Checkpoint),
+            |cp| cp.horizon_bits = 1800f64.to_bits(),
+            |cp| cp.every_bits = 600f64.to_bits(),
+            |cp| cp.wire_bits[1] ^= 1,
+        ] {
+            assert_eq!(chain_of(vec![ckpt(0, 2), with(3, edit)]), [3]);
+        }
+        // A completion clears the chain; later checkpoints are ignored.
+        let mut records = vec![ckpt(0, 2), ckpt(0, 3)];
+        records.push(CampaignRecord::AttemptDone {
+            job_index: 0,
+            label: "path-0".into(),
+            seed: 40,
+            resumed: false,
+            result_json: Vec::new(),
+        });
+        records.push(ckpt(0, 4));
+        assert!(chain_of(records).is_empty());
     }
 
     //= pftk#journal-torn-tail type=test
@@ -609,6 +689,171 @@ mod tests {
         assert_eq!(&after[..before.len()], &before[..], "prefix rewritten");
         assert_eq!(replay(&path).unwrap().records.len(), 2);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Decoding a damaged delta journal — `replay`, `into_state`, and
+    /// restoring every checkpoint chain into a fresh recorder — returns
+    /// `Ok` or `Err` at each step and never panics. The damage generators
+    /// are those of the snapshot codec's properties: truncation, garbage
+    /// and single-bit flips.
+    mod fuzz {
+        use super::*;
+        use crate::experiment::TraceRecorder;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+        use tcp_trace::stream::{LogMark, StreamAnalyzer, StreamConfig, TraceSink};
+
+        /// A small journal as a campaign writes it: job 0 in flight with a
+        /// chain of three analyzer deltas, job 1 checkpointed twice and
+        /// then completed, and job 2 holding one full analyzer snapshot
+        /// (the format of older builds).
+        fn delta_journal() -> &'static [u8] {
+            static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+            BYTES.get_or_init(|| {
+                const MS: u64 = 1_000_000;
+                let mut analyzer = StreamAnalyzer::new(StreamConfig::default());
+                let (mut mark, mut now, mut seq) = (LogMark::default(), 0, 0);
+                let mut records = Vec::new();
+                for k in 2..5 {
+                    for round in 0..6u64 {
+                        for _ in 0..4 {
+                            now += MS;
+                            analyzer.on_send(now, seq, false);
+                            seq += 1;
+                        }
+                        if round % 3 == 2 {
+                            now += 300 * MS;
+                            analyzer.on_send(now, seq - 4, true);
+                        }
+                        now += 100 * MS;
+                        analyzer.on_ack_in(now, seq - 1);
+                    }
+                    let mut cp = checkpoint(0, k);
+                    cp.stream = analyzer.snapshot_since(mark);
+                    mark = analyzer.log_mark();
+                    let mut twin = cp.clone();
+                    twin.job_index = 1;
+                    twin.seed = 41;
+                    records.push(CampaignRecord::Checkpoint(cp));
+                    if k < 4 {
+                        records.push(CampaignRecord::Checkpoint(twin));
+                    }
+                }
+                records.push(done(1));
+                let mut full = checkpoint(2, 2);
+                full.stream = analyzer.snapshot();
+                records.push(CampaignRecord::Checkpoint(full));
+
+                let path = tmp("fuzz-source");
+                let journal = Journal::open(&path).unwrap();
+                for rec in &records {
+                    journal.append(rec.encode());
+                }
+                journal.close().unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                bytes
+            })
+        }
+
+        /// Replays `bytes` as a journal file and restores every chain into
+        /// a fresh recorder, stopping a chain at its first error (the
+        /// resume policy). Returns how many chains restored completely.
+        fn replay_and_restore(bytes: &[u8], name: &str) -> usize {
+            let path = tmp(name);
+            std::fs::write(&path, bytes).unwrap();
+            let replayed = replay(&path).expect("a readable file always replays");
+            let _ = std::fs::remove_file(&path);
+            assert!(replayed.valid_bytes <= bytes.len() as u64);
+            let state = replayed.into_state();
+            state
+                .inflight
+                .values()
+                .filter(|chain| {
+                    let mut recorder = TraceRecorder::streaming(StreamConfig::default());
+                    chain
+                        .iter()
+                        .all(|cp| recorder.stream_restore(&cp.stream).is_ok())
+                })
+                .count()
+        }
+
+        /// `(offset, length)` of every record payload in a journal.
+        fn payloads(bytes: &[u8]) -> Vec<(usize, usize)> {
+            let mut out = Vec::new();
+            let mut at = 0;
+            while at + 8 <= bytes.len() {
+                let len =
+                    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
+                out.push((at + 8, len as usize));
+                at += 8 + len as usize;
+            }
+            out
+        }
+
+        #[test]
+        fn pristine_delta_journal_restores_both_open_chains() {
+            let bytes = delta_journal();
+            assert_eq!(payloads(bytes).len(), 7);
+            let state = {
+                let path = tmp("fuzz-pristine");
+                std::fs::write(&path, bytes).unwrap();
+                let state = replay(&path).unwrap().into_state();
+                let _ = std::fs::remove_file(&path);
+                state
+            };
+            assert_eq!(state.inflight[&0].len(), 3);
+            assert!(state.done.contains_key(&1) && !state.inflight.contains_key(&1));
+            assert_eq!(replay_and_restore(bytes, "fuzz-pristine"), 2);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn truncated_delta_journals_never_panic(cut in 0u64..=u64::MAX) {
+                let bytes = delta_journal();
+                let cut = (cut % (bytes.len() as u64 + 1)) as usize;
+                let restored = replay_and_restore(&bytes[..cut], "fuzz-truncated");
+                prop_assert!(restored <= 2);
+            }
+
+            #[test]
+            fn bit_flipped_delta_journals_never_panic(pos in 0u64..=u64::MAX, bit in 0u8..8) {
+                let mut bytes = delta_journal().to_vec();
+                let pos = (pos % bytes.len() as u64) as usize;
+                bytes[pos] ^= 1 << bit;
+                let restored = replay_and_restore(&bytes, "fuzz-flipped");
+                prop_assert!(restored <= 2);
+            }
+
+            /// A flip inside a record payload with the record's CRC
+            /// recomputed gets past the framing, so the record decoder and
+            /// the analyzer restore see the damage.
+            #[test]
+            fn resealed_bit_flips_reach_the_decoders(pos in 0u64..=u64::MAX, bit in 0u8..8) {
+                let mut bytes = delta_journal().to_vec();
+                let records = payloads(&bytes);
+                let (at, len) = records[(pos % records.len() as u64) as usize];
+                let flip = at + ((pos / records.len() as u64) % len as u64) as usize;
+                bytes[flip] ^= 1 << bit;
+                let crc = crc32(&bytes[at..at + len]);
+                bytes[at - 4..at].copy_from_slice(&crc.to_le_bytes());
+                // A flip may move a record to another job or attempt, so
+                // any number of chains may restore; not panicking is the
+                // property.
+                replay_and_restore(&bytes, "fuzz-resealed");
+            }
+
+            #[test]
+            fn garbage_journals_never_panic(garbage in proptest::collection::vec(0u8..=255, 0..64)) {
+                prop_assert!(replay_and_restore(&garbage, "fuzz-garbage") == 0);
+                let mut bytes = delta_journal().to_vec();
+                bytes.extend_from_slice(&garbage);
+                let restored = replay_and_restore(&bytes, "fuzz-garbage-tail");
+                prop_assert!(restored <= 2);
+            }
+        }
     }
 
     #[test]

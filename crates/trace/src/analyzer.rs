@@ -240,7 +240,9 @@ impl Classifier {
     /// Writes the automaton's mutable state (field order is part of the
     /// snapshot format — see DESIGN.md §13). The dupack threshold is a
     /// shape tag: restore requires an identically-configured classifier.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
+    /// The indication log is append-only, so only its entries from index
+    /// `from` on are written; at `from = 0` this is the full state.
+    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_tag(u64::from(self.config.dupack_threshold));
         w.put_u64(self.snd_max);
         w.put_u64(self.last_ack);
@@ -254,8 +256,9 @@ impl Classifier {
             None => w.put_bool(false),
         }
         w.put_bool(self.td_consumed);
-        w.put_usize(self.out.indications.len());
-        for ind in &self.out.indications {
+        let appended = self.out.indications.get(from..).unwrap_or_default();
+        w.put_usize(appended.len());
+        for ind in appended {
             ind.snapshot_into(w);
         }
         w.put_u64(self.out.packets_sent);
@@ -263,8 +266,10 @@ impl Classifier {
         w.put_u64(self.out.acks_seen);
     }
 
-    /// Reads state written by [`Classifier::snapshot_into`].
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
+    /// Reads state written by [`Classifier::snapshot_into`] at the same
+    /// `from`: the indications past `from` are replaced by the written
+    /// ones (at `from = 0`, all of them).
+    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>, from: usize) -> SnapResult<()> {
         r.expect_tag(
             "classifier-dupack-threshold",
             u64::from(self.config.dupack_threshold),
@@ -279,7 +284,7 @@ impl Classifier {
         };
         self.td_consumed = r.get_bool()?;
         let n = r.get_usize()?;
-        self.out.indications.clear();
+        self.out.indications.truncate(from);
         for _ in 0..n {
             self.out.indications.push(LossIndication::restore_from(r)?);
         }

@@ -244,11 +244,13 @@ impl KarnCore {
         (self.pending, self.in_flight.len(), self.samples.len())
     }
 
-    /// Writes the estimator's full state: the timeable entries' send times
+    /// Writes the estimator's state: the timeable entries' send times
     /// (`pending`), then every entry's last send time (`last_send_of`).
     /// The deque iterates in ascending seq order, so the byte encoding is a
-    /// pure function of the contents.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
+    /// pure function of the contents. The sample log is append-only, so
+    /// only its entries from index `from` on are written; at `from = 0`
+    /// this is the full state.
+    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_usize(self.pending);
         for (seq, sent) in self.in_flight.iter().filter(|(_, s)| s.timeable) {
             w.put_u64(*seq);
@@ -256,8 +258,9 @@ impl KarnCore {
         }
         w.put_u64(self.snd_max);
         w.put_u64(self.last_ack);
-        w.put_usize(self.samples.len());
-        for (rtt, covered) in &self.samples {
+        let appended = self.samples.get(from..).unwrap_or_default();
+        w.put_usize(appended.len());
+        for (rtt, covered) in appended {
             w.put_f64(*rtt);
             w.put_usize(*covered);
         }
@@ -281,8 +284,9 @@ impl KarnCore {
     /// Reads state written by [`KarnCore::snapshot_into`]. Every pending
     /// entry must reappear in `last_send_of` with the same time — a segment
     /// is timeable only while it has been sent exactly once — or the
-    /// snapshot is rejected as invalid.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
+    /// snapshot is rejected as invalid. As in [`KarnCore::snapshot_into`],
+    /// the samples past `from` are replaced by the written ones.
+    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>, from: usize) -> SnapResult<()> {
         let n = r.get_usize()?;
         self.in_flight.clear();
         for _ in 0..n {
@@ -300,7 +304,7 @@ impl KarnCore {
         self.snd_max = r.get_u64()?;
         self.last_ack = r.get_u64()?;
         let n = r.get_usize()?;
-        self.samples.clear();
+        self.samples.truncate(from);
         for _ in 0..n {
             let rtt = r.get_f64()?;
             let covered = r.get_usize()?;
@@ -507,9 +511,11 @@ impl CorrCore {
         (self.pending.len(), self.xs.len())
     }
 
-    /// Writes the correlator's full state (one length prefix covers both
-    /// sample vectors — they grow in lock step).
-    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
+    /// Writes the correlator's state (one length prefix covers both
+    /// sample vectors — they grow in lock step). The vectors are
+    /// append-only, so only their entries from index `from` on are
+    /// written; at `from = 0` this is the full state.
+    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_usize(self.pending.len());
         for (seq, (sent, flight)) in self.pending.iter() {
             w.put_u64(*seq);
@@ -518,17 +524,20 @@ impl CorrCore {
         }
         w.put_u64(self.snd_max);
         w.put_u64(self.last_ack);
-        w.put_usize(self.xs.len());
-        for x in &self.xs {
+        let xs = self.xs.get(from..).unwrap_or_default();
+        let ys = self.ys.get(from..).unwrap_or_default();
+        w.put_usize(xs.len());
+        for x in xs {
             w.put_f64(*x);
         }
-        for y in &self.ys {
+        for y in ys {
             w.put_f64(*y);
         }
     }
 
-    /// Reads state written by [`CorrCore::snapshot_into`].
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
+    /// Reads state written by [`CorrCore::snapshot_into`] at the same
+    /// `from`: the samples past `from` are replaced by the written ones.
+    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>, from: usize) -> SnapResult<()> {
         let n = r.get_usize()?;
         self.pending.clear();
         for _ in 0..n {
@@ -540,8 +549,8 @@ impl CorrCore {
         self.snd_max = r.get_u64()?;
         self.last_ack = r.get_u64()?;
         let n = r.get_usize()?;
-        self.xs.clear();
-        self.ys.clear();
+        self.xs.truncate(from);
+        self.ys.truncate(from);
         for _ in 0..n {
             self.xs.push(r.get_f64()?);
         }
@@ -860,10 +869,10 @@ mod tests {
         core.on_send(0, 0);
         core.on_send(MS, 1);
         let mut w = SnapWriter::new();
-        core.snapshot_into(&mut w);
+        core.snapshot_into(&mut w, 0);
         let good = w.into_bytes();
         let mut back = KarnCore::new();
-        back.restore_from(&mut SnapReader::new(&good))
+        back.restore_from(&mut SnapReader::new(&good), 0)
             .expect("own snapshot restores");
         assert_eq!(back.state_len(), core.state_len());
 
@@ -875,7 +884,7 @@ mod tests {
         let last_send_time = good.len() - (1 + 1 + 8 + 8) - 8;
         skewed[last_send_time] ^= 1;
         assert!(matches!(
-            KarnCore::new().restore_from(&mut SnapReader::new(&skewed)),
+            KarnCore::new().restore_from(&mut SnapReader::new(&skewed), 0),
             Err(SnapError::Invalid("karn: inconsistent send history"))
         ));
     }

@@ -63,7 +63,9 @@ pub use karn::{
 pub use log::TraceLog;
 pub use metrics::{average_error, Observation};
 pub use record::{Trace, TraceEvent, TraceRecord};
-pub use stream::{AnalyzerPool, StreamAnalysis, StreamAnalyzer, StreamConfig, TeeSink, TraceSink};
+pub use stream::{
+    AnalyzerPool, LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TeeSink, TraceSink,
+};
 pub use summary::TraceSummary;
 pub use table::{format_table, TableRow};
 pub use validate::{conservation, validate, Conservation, Finding, Problem, ValidateConfig};

@@ -40,8 +40,24 @@ use serde::{Deserialize, Serialize};
 
 /// Frame kind identifying a streaming-analyzer snapshot (DESIGN.md §13).
 pub const STREAM_SNAPSHOT_KIND: u32 = 2;
-/// Newest analyzer-snapshot format version this build reads and writes.
+/// Frame kind identifying an analyzer delta
+/// ([`StreamAnalyzer::snapshot_since`]).
+pub const STREAM_DELTA_KIND: u32 = 3;
+/// Newest analyzer-snapshot format version this build reads and writes
+/// (for both kinds).
 pub const STREAM_SNAPSHOT_VERSION: u32 = 1;
+
+/// Lengths of the analyzer's append-only logs — the classifier's
+/// indications, Karn's RTT samples and the correlation series — at one
+/// point of the stream. A delta written since a mark carries only the log
+/// entries appended after it ([`StreamAnalyzer::snapshot_since`]); the
+/// default (all-zero) mark makes the delta a full state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogMark {
+    indications: usize,
+    rtt_samples: usize,
+    corr_samples: usize,
+}
 
 /// A consumer of sender-side wire events, fed in nondecreasing time order.
 ///
@@ -269,24 +285,65 @@ impl StreamAnalyzer {
     /// snapshot into an identically-configured [`StreamAnalyzer::new`] and
     /// fed the remaining events produces a [`StreamAnalysis`] bit-identical
     /// to the uninterrupted one.
+    ///
+    /// The snapshot is O(duration): it carries every RTT sample and
+    /// correlation point so far. Checkpoint chains use
+    /// [`StreamAnalyzer::snapshot_since`] instead.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
+        self.encode(STREAM_SNAPSHOT_KIND, LogMark::default())
+    }
+
+    /// The current lengths of the analyzer's append-only logs: the mark a
+    /// later [`StreamAnalyzer::snapshot_since`] writes its delta from.
+    pub fn log_mark(&self) -> LogMark {
+        LogMark {
+            indications: self.classifier.indications().len(),
+            rtt_samples: self.karn.as_ref().map_or(0, |k| k.state_len().2),
+            corr_samples: self.corr.as_ref().map_or(0, |c| c.state_len().1),
+        }
+    }
+
+    /// Encodes a delta ([`STREAM_DELTA_KIND`]): the O(window) head state
+    /// in full plus only the log entries appended since `mark`. Restored
+    /// in order after the state `mark` was taken at, a chain of deltas
+    /// rebuilds the analyzer exactly; each delta is O(what the stream
+    /// appended since its mark), not O(duration). At the default mark
+    /// the delta is a full state.
+    #[must_use]
+    pub fn snapshot_since(&self, mark: LogMark) -> Vec<u8> {
+        self.encode(STREAM_DELTA_KIND, mark)
+    }
+
+    /// Frames the state as `kind`, writing each log from `mark` on. A
+    /// delta leads with its mark; after that both kinds share one body,
+    /// which at the default mark is exactly a full snapshot's.
+    fn encode(&self, kind: u32, mark: LogMark) -> Vec<u8> {
+        use std::mem::size_of;
         // Size hint: the retained-state estimate tracks the encoded size
         // closely (both are dominated by the same sample vectors), so the
         // buffer almost never reallocates mid-encode.
-        let mut w = SnapWriter::with_capacity(self.state_bytes() + 1024);
-        self.classifier.snapshot_into(&mut w);
+        let skipped = mark.indications * size_of::<LossIndication>()
+            + mark.rtt_samples * size_of::<(f64, usize)>()
+            + mark.corr_samples * 2 * size_of::<f64>();
+        let mut w = SnapWriter::with_capacity(self.state_bytes().saturating_sub(skipped) + 1024);
+        if kind == STREAM_DELTA_KIND {
+            w.put_usize(mark.indications);
+            w.put_usize(mark.rtt_samples);
+            w.put_usize(mark.corr_samples);
+        }
+        self.classifier.snapshot_into(&mut w, mark.indications);
         match &self.karn {
             Some(core) => {
                 w.put_bool(true);
-                core.snapshot_into(&mut w);
+                core.snapshot_into(&mut w, mark.rtt_samples);
             }
             None => w.put_bool(false),
         }
         match &self.corr {
             Some(core) => {
                 w.put_bool(true);
-                core.snapshot_into(&mut w);
+                core.snapshot_into(&mut w, mark.corr_samples);
             }
             None => w.put_bool(false),
         }
@@ -300,29 +357,42 @@ impl StreamAnalyzer {
         w.put_u64(self.events);
         w.put_u64(self.last_time_ns);
         w.put_usize(self.peak_state_bytes);
-        frame(
-            STREAM_SNAPSHOT_KIND,
-            STREAM_SNAPSHOT_VERSION,
-            &w.into_bytes(),
-        )
+        frame(kind, STREAM_SNAPSHOT_VERSION, &w.into_bytes())
     }
 
-    /// Applies a snapshot produced by [`StreamAnalyzer::snapshot`] into
-    /// this analyzer, which must have been built with the same
-    /// [`StreamConfig`] (mismatches are [`SnapError::TagMismatch`];
-    /// corrupt or truncated bytes error, never panic). On error the
+    /// Applies a snapshot ([`StreamAnalyzer::snapshot`]) or a delta
+    /// ([`StreamAnalyzer::snapshot_since`]) into this analyzer, which must
+    /// have been built with the same [`StreamConfig`] (mismatches are
+    /// [`SnapError::TagMismatch`]; corrupt or truncated bytes error, never
+    /// panic). A delta applies only where its mark equals this analyzer's
+    /// [`StreamAnalyzer::log_mark`] — that is, in chain order — unless the
+    /// mark is all-zero, which makes it a full restore. On error the
     /// analyzer is left in an unspecified partially-restored state:
     /// rebuild it before further use.
     pub fn restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
         let framed = unframe(bytes, STREAM_SNAPSHOT_VERSION)?;
-        if framed.kind != STREAM_SNAPSHOT_KIND {
-            return Err(SnapError::Invalid("not an analyzer snapshot"));
-        }
         let mut r = SnapReader::new(framed.payload);
-        self.classifier.restore_from(&mut r)?;
+        let mark = match framed.kind {
+            STREAM_SNAPSHOT_KIND => LogMark::default(),
+            STREAM_DELTA_KIND => {
+                let mark = LogMark {
+                    indications: r.get_usize()?,
+                    rtt_samples: r.get_usize()?,
+                    corr_samples: r.get_usize()?,
+                };
+                if mark != LogMark::default() && mark != self.log_mark() {
+                    return Err(SnapError::Invalid(
+                        "analyzer delta does not continue this state",
+                    ));
+                }
+                mark
+            }
+            _ => return Err(SnapError::Invalid("not an analyzer snapshot")),
+        };
+        self.classifier.restore_from(&mut r, mark.indications)?;
         let karn_present = r.get_bool()?;
         match (&mut self.karn, karn_present) {
-            (Some(core), true) => core.restore_from(&mut r)?,
+            (Some(core), true) => core.restore_from(&mut r, mark.rtt_samples)?,
             (None, false) => {}
             (target, found) => {
                 return Err(SnapError::TagMismatch {
@@ -334,7 +404,7 @@ impl StreamAnalyzer {
         }
         let corr_present = r.get_bool()?;
         match (&mut self.corr, corr_present) {
-            (Some(core), true) => core.restore_from(&mut r)?,
+            (Some(core), true) => core.restore_from(&mut r, mark.corr_samples)?,
             (None, false) => {}
             (target, found) => {
                 return Err(SnapError::TagMismatch {

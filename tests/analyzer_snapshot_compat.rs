@@ -16,6 +16,11 @@
 //! lenient binary decoder, and a hand-built imported trace with a
 //! spurious retransmit below the cumulative ACK, a retransmit of a seq
 //! that was never sent, and an ACK beyond anything sent.
+//!
+//! Campaign checkpoints write `snapshot_since` deltas instead of full
+//! snapshots. The same four traces check that a chain of deltas restores
+//! exactly what the uninterrupted analyzer holds, and that a delta applied
+//! anywhere but at the end of its chain is rejected.
 
 use padhye_tcp_repro::sim::connection::Connection;
 use padhye_tcp_repro::sim::fault::FaultPlan;
@@ -25,7 +30,9 @@ use padhye_tcp_repro::sim::reno::sender::SenderConfig;
 use padhye_tcp_repro::sim::time::{SimDuration, SimTime};
 use padhye_tcp_repro::testbed::TraceRecorder;
 use padhye_tcp_repro::trace::record::{Trace, TraceEvent, TraceRecord};
-use padhye_tcp_repro::trace::stream::{StreamAnalyzer, StreamConfig, TraceSink};
+use padhye_tcp_repro::trace::stream::{
+    LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink,
+};
 
 const S: u64 = 1_000_000_000;
 const MS: u64 = 1_000_000;
@@ -251,4 +258,110 @@ fn imported_trace_snapshot_bytes_are_pinned() {
         ],
         2101080250,
     );
+}
+
+/// Cuts `trace` at four points, writes the chain of `snapshot_since`
+/// deltas an incremental checkpointer would, and checks it against the
+/// uninterrupted analyzer:
+///
+/// * a fresh analyzer fed the chain so far holds the same state at every
+///   cut (equal `snapshot()` bytes) and, fed the rest of the trace,
+///   finishes equal;
+/// * a delta applied out of order, or to an analyzer whose log lengths
+///   differ from its mark, is an `Err`;
+/// * an all-zero-mark delta is a full restore, even into an analyzer that
+///   already holds another stream's state.
+fn assert_delta_chain(name: &str, trace: &Trace) {
+    let records = trace.records();
+    let n = records.len();
+    let cuts = [n / 4, n / 2, 3 * n / 4, n];
+    let config = StreamConfig::default();
+    let whole = StreamAnalysis::from_trace(trace, config, Some(300.0));
+
+    let mut live = StreamAnalyzer::new(config);
+    let mut mark = LogMark::default();
+    let mut chain: Vec<(Vec<u8>, LogMark)> = Vec::new();
+    let mut restored = StreamAnalyzer::new(config);
+    let mut fed = 0;
+    for cut in cuts {
+        for rec in &records[fed..cut] {
+            live.on_record(rec);
+        }
+        fed = cut;
+        let delta = live.snapshot_since(mark);
+        chain.push((delta.clone(), mark));
+        mark = live.log_mark();
+        restored
+            .restore(&delta)
+            .unwrap_or_else(|e| panic!("{name}: delta at cut {cut} did not apply: {e}"));
+        assert_eq!(restored.log_mark(), mark, "{name}: cut {cut}");
+        assert_eq!(
+            restored.snapshot(),
+            live.snapshot(),
+            "{name}: chain restored to cut {cut} differs from the live analyzer"
+        );
+
+        // The chain so far, continued with the rest of the trace.
+        let mut resumed = StreamAnalyzer::new(config);
+        for (bytes, _) in &chain {
+            resumed.restore(bytes).expect("chain applies in order");
+        }
+        for rec in &records[cut..] {
+            resumed.on_record(rec);
+        }
+        assert_eq!(
+            resumed.finish(Some(300.0)),
+            whole,
+            "{name}: resumed at cut {cut}, finish diverged"
+        );
+
+        // A zero-mark delta is a full restore into an analyzer in use.
+        let mut used = StreamAnalyzer::new(config);
+        for rec in eventful_trace().records().iter().chain(records) {
+            used.on_record(rec);
+        }
+        used.restore(&live.snapshot_since(LogMark::default()))
+            .unwrap_or_else(|e| panic!("{name}: zero-mark delta at cut {cut}: {e}"));
+        assert_eq!(used.snapshot(), live.snapshot(), "{name}: cut {cut}");
+    }
+    assert_eq!(
+        restored.finish(Some(300.0)),
+        live.finish(Some(300.0)),
+        "{name}: finish after the whole chain"
+    );
+
+    // Out of order: after the first `applied` deltas, every delta whose
+    // mark is not this state's log lengths must be rejected.
+    let mut rejected = 0;
+    for applied in 0..=chain.len() {
+        for (k, (bytes, delta_mark)) in chain.iter().enumerate() {
+            let mut target = StreamAnalyzer::new(config);
+            for (prefix, _) in &chain[..applied] {
+                target.restore(prefix).expect("chain applies in order");
+            }
+            if k == applied || *delta_mark == LogMark::default() {
+                continue;
+            }
+            if target.log_mark() != *delta_mark {
+                assert!(
+                    target.restore(bytes).is_err(),
+                    "{name}: delta {k} applied after {applied} deltas"
+                );
+                rejected += 1;
+            }
+        }
+    }
+    assert!(rejected > 0, "{name}: the chain never grew its logs");
+}
+
+#[test]
+fn delta_chains_restore_the_uninterrupted_state() {
+    for (name, trace) in [
+        ("eventful", eventful_trace()),
+        ("fault-plan", fault_plan_trace()),
+        ("salvaged", salvaged_trace()),
+        ("imported", imported_trace()),
+    ] {
+        assert_delta_chain(name, &trace);
+    }
 }

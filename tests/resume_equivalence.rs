@@ -17,20 +17,24 @@
 //! `Panicked` hole. The pool's schedule chaos stays armed throughout, so
 //! the kill lands under perturbed scheduling too.
 //!
-//! CI runs a matrix over `PFTK_RESUME_WORKERS=1|2|8` (two kill seeds per
-//! worker count); unset, the test sweeps all three counts. The journal is
-//! also checked for **freshness**: a resumed run strictly appends — the
-//! byte prefix written before the crash is never rewritten.
+//! CI runs a matrix over `PFTK_RESUME_WORKERS=1|2|8` (two kill seeds and
+//! a kill at the last checkpoint per worker count); unset, the test sweeps
+//! all three counts. The journal is also checked for **freshness**: a
+//! resumed run strictly appends — the byte prefix written before the
+//! crash is never rewritten.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use padhye_tcp_repro::testbed::journal::{self, CampaignRecord};
+use padhye_tcp_repro::testbed::journal::{self, CampaignRecord, Checkpoint, Journal};
 use padhye_tcp_repro::testbed::{
     run_table2_journaled, CampaignReport, CrashPoint, JournalConfig, Outcome, SupervisorConfig,
-    TABLE2_PATHS,
+    TraceRecorder, TABLE2_PATHS,
 };
+use padhye_tcp_repro::trace::analyzer::AnalyzerConfig;
+use padhye_tcp_repro::trace::stream::{StreamConfig, STREAM_SNAPSHOT_KIND};
 
 /// Pinned campaign seed: the gate's claim is that this exact campaign
 /// reproduces bit-identically through a crash.
@@ -208,13 +212,21 @@ fn killed_and_resumed_campaign_is_bit_identical() {
     let _ = std::fs::remove_file(&ref_path);
 
     for workers in worker_counts() {
-        for (ki, kill_seed) in KILL_SEEDS.iter().enumerate() {
-            let context = format!("{workers} workers, kill seed {ki}");
+        // The longest checkpoint chain a resumed row restored from.
+        let mut longest_chain = 0;
+        // Seeded kill points, clamped to the first half of the tick space
+        // so the crash reliably fires before the campaign drains. Which job
+        // a seeded tick lands on depends on scheduling, so a third kill
+        // is pinned to the campaign's last checkpoint: it is always the
+        // final checkpoint of some job, whose resume then applies a chain
+        // of all that job's checkpoints.
+        let ticks = KILL_SEEDS
+            .iter()
+            .map(|seed| 1 + splitmix(seed ^ workers as u64) % (total_ticks / 2))
+            .chain([total_ticks]);
+        for (ki, tick) in ticks.enumerate() {
+            let context = format!("{workers} workers, kill {ki} at tick {tick}");
             let path = journal_path(&format!("kill-w{workers}-k{ki}"));
-
-            // Seeded kill point, clamped to the first half of the tick
-            // space so the crash reliably fires before the campaign drains.
-            let tick = 1 + splitmix(*kill_seed ^ workers as u64) % (total_ticks / 2);
             let crashed = run(&path, workers, Some(CrashPoint::after(tick)));
             let holes: Vec<_> = crashed
                 .rows
@@ -233,6 +245,10 @@ fn killed_and_resumed_campaign_is_bit_identical() {
                 );
             }
             let bytes_after_crash = std::fs::read(&path).expect("journal exists");
+            let chains = journal::replay(&path)
+                .expect("journal readable")
+                .into_state()
+                .inflight;
 
             // Resume: completed rows replay, the killed row restores from
             // its last checkpoint and continues.
@@ -247,6 +263,7 @@ fn killed_and_resumed_campaign_is_bit_identical() {
                 "{context}: no row was checkpoint-resumed"
             );
             assert_outputs_bit_identical(&reference, &resumed, &context);
+            longest_chain = longest_chain.max(longest_resumed_chain(&resumed, &chains));
 
             // Journal freshness: resuming strictly appends — the bytes
             // written before the crash are still there, byte for byte.
@@ -273,7 +290,30 @@ fn killed_and_resumed_campaign_is_bit_identical() {
             );
             let _ = std::fs::remove_file(&path);
         }
+        // Incremental checkpoints only prove out when a resume applies
+        // more than one analyzer delta.
+        assert!(
+            longest_chain >= 2,
+            "{workers} workers: no resumed row restored from a chain of 2+ \
+             checkpoints (longest {longest_chain})"
+        );
     }
+}
+
+/// The longest checkpoint chain among the rows of `report` that resumed.
+fn longest_resumed_chain(
+    report: &CampaignReport,
+    chains: &BTreeMap<u64, Vec<Checkpoint>>,
+) -> usize {
+    report
+        .rows
+        .iter()
+        .enumerate()
+        .filter(|(_, row)| row.outcome == Outcome::Resumed)
+        .filter_map(|(i, _)| chains.get(&(i as u64)))
+        .map(Vec::len)
+        .max()
+        .unwrap_or(0)
 }
 
 //= pftk#crash-resume type=test
@@ -375,5 +415,95 @@ fn torn_or_corrupt_journal_recovers_without_panicking() {
         resumed.summary()
     );
     assert_outputs_bit_identical(&reference, &resumed, "corrupt record");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A journal in the format older builds wrote: every checkpoint carries
+/// the analyzer's full `stream_snapshot()` at its boundary, sent with
+/// `Journal::append`, and completions with `append_sync`. The records are
+/// those of `delta_journal` (written by this build), with each job's
+/// delta chain expanded into the full snapshots it encodes. Stops right
+/// after the first checkpoint at `boundary` or later of a job that has
+/// not completed by then, and returns that job's index.
+fn write_full_snapshot_journal(
+    delta_journal: &std::path::Path,
+    out: &std::path::Path,
+    boundary: u64,
+) -> u64 {
+    let records = journal::replay(delta_journal)
+        .expect("journal readable")
+        .records;
+    let journal = Journal::open(out).expect("journal opens");
+    let mut recorders: BTreeMap<u64, TraceRecorder> = BTreeMap::new();
+    let mut done = Vec::new();
+    for record in records {
+        match record {
+            CampaignRecord::Checkpoint(mut cp) => {
+                let spec = &TABLE2_PATHS[cp.job_index as usize];
+                let recorder = recorders.entry(cp.job_index).or_insert_with(|| {
+                    TraceRecorder::streaming(StreamConfig::with_analyzer(AnalyzerConfig {
+                        dupack_threshold: spec.sender_os().dupack_threshold(),
+                    }))
+                });
+                recorder
+                    .stream_restore(&cp.stream)
+                    .expect("delta chain applies");
+                cp.stream = recorder.stream_snapshot().expect("reduce-only recorder");
+                let (job, at) = (cp.job_index, cp.next_boundary);
+                journal.append(CampaignRecord::Checkpoint(cp).encode());
+                if at >= boundary && !done.contains(&job) {
+                    journal.close().expect("journal closes");
+                    return job;
+                }
+            }
+            CampaignRecord::AttemptDone { job_index, .. } => {
+                done.push(job_index);
+                journal
+                    .append_sync(record.encode())
+                    .expect("journal append");
+            }
+        }
+    }
+    panic!("no job was mid-run at boundary {boundary}");
+}
+
+//= pftk#crash-resume type=test
+#[test]
+fn full_snapshot_journal_of_older_builds_still_resumes() {
+    let delta_path = journal_path("delta-source");
+    let reference = run(&delta_path, 2, None);
+    assert!(
+        reference.is_complete(),
+        "reference campaign must be clean: {}",
+        reference.summary()
+    );
+
+    // Cut after a mid-run checkpoint, so the resumed job applies a chain
+    // of two or more full snapshots.
+    let path = journal_path("full-snapshots");
+    let job = write_full_snapshot_journal(&delta_path, &path, 3);
+    let _ = std::fs::remove_file(&delta_path);
+    let state = journal::replay(&path)
+        .expect("journal readable")
+        .into_state();
+    let chain = &state.inflight[&job];
+    assert!(chain.len() >= 2, "chain of {} checkpoints", chain.len());
+    for cp in chain {
+        let framed = pftk_snap::unframe(&cp.stream, 1).expect("framed analyzer snapshot");
+        assert_eq!(framed.kind, STREAM_SNAPSHOT_KIND, "not a full snapshot");
+    }
+
+    let resumed = run(&path, 2, None);
+    assert!(
+        resumed.is_complete(),
+        "resume left holes: {}",
+        resumed.summary()
+    );
+    assert_eq!(
+        resumed.rows[job as usize].outcome,
+        Outcome::Resumed,
+        "the cut job did not resume from its full snapshots"
+    );
+    assert_outputs_bit_identical(&reference, &resumed, "full-snapshot journal");
     let _ = std::fs::remove_file(&path);
 }
