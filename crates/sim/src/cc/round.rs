@@ -157,7 +157,11 @@ impl RoundCc {
             | RoundCc::Relentless { wf, .. }
             | RoundCc::Scalable { wf, .. } => wf,
         };
-        (wf.floor() as u32).clamp(1, wmax) //~ allow(cast): deliberate float truncation after round/floor
+        // The truncating cast equals `wf.floor() as u32` for every f64 —
+        // floor and truncation differ only below zero, where the cast
+        // saturates both to 0 — without `floor`'s libm call on baseline
+        // x86-64.
+        (wf as u32).clamp(1, wmax) //~ allow(cast): saturating float truncation, clamped into [1, wmax]
     }
 
     /// Current slow-start threshold (0 = none) — exposed for parity tests.

@@ -145,7 +145,7 @@ impl FlowArena {
     pub(crate) fn step(&mut self, f: u32, now_ns: u64) -> u64 {
         let fi = f as usize; //~ allow(cast): u32 flow index widens losslessly
         let cohort = self.cohort_of[fi] as usize; //~ allow(cast): u32 cohort index widens losslessly
-        let law = self.cohorts[cohort];
+        let law = &self.cohorts[cohort];
         let s = law.step(&mut self.cc[fi], &mut self.rng[fi]);
         self.packets_sent[fi] += s.new_data() + s.retransmissions();
         self.packets_delivered[fi] += s.delivered();

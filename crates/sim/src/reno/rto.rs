@@ -48,6 +48,10 @@ pub struct RtoEstimator {
     srtt: Option<f64>,
     /// RTT variation, seconds.
     rttvar: f64,
+    /// [`Self::base_rto`], recomputed whenever its inputs (`srtt`,
+    /// `rttvar`) change, so the per-ACK timer re-arm reads it instead of
+    /// redoing the rounding. Derived state: snapshots leave it out.
+    base_rto: SimDuration,
     backoff_exp: u32,
     /// Diagnostics: sum/count of base RTOs sampled at the first firing of
     /// each timeout sequence — the simulator's ground-truth `T0`.
@@ -61,16 +65,19 @@ pub struct RtoEstimator {
 impl RtoEstimator {
     /// A fresh estimator with no samples.
     pub fn new(config: RtoConfig) -> Self {
-        RtoEstimator {
+        let mut e = RtoEstimator {
             config,
             srtt: None,
             rttvar: 0.0,
+            base_rto: SimDuration::ZERO,
             backoff_exp: 0,
             t0_sum: 0.0,
             t0_count: 0,
             rtt_sum: 0.0,
             rtt_count: 0,
-        }
+        };
+        e.base_rto = e.compute_base_rto();
+        e
     }
 
     /// Writes the estimator's mutable state (samples, backoff, ground-truth
@@ -104,6 +111,7 @@ impl RtoEstimator {
         self.t0_count = r.get_u64()?;
         self.rtt_sum = r.get_f64()?;
         self.rtt_count = r.get_u64()?;
+        self.base_rto = self.compute_base_rto();
         Ok(())
     }
 
@@ -124,12 +132,19 @@ impl RtoEstimator {
                 self.srtt = Some(0.875 * srtt + 0.125 * r);
             }
         }
+        self.base_rto = self.compute_base_rto();
     }
 
     /// The base (unbacked-off) RTO: `SRTT + max(G, 4·RTTVAR)`, rounded up to
     /// the granularity and clamped to `[min_rto, max_rto]`. This is what the
     /// paper's `T0` measures (the duration of a *single* timeout).
+    #[inline]
     pub fn base_rto(&self) -> SimDuration {
+        self.base_rto
+    }
+
+    /// Evaluates [`Self::base_rto`] from the current estimates.
+    fn compute_base_rto(&self) -> SimDuration {
         let base = match self.srtt {
             None => self.config.initial_rto,
             Some(srtt) => {
@@ -319,6 +334,31 @@ mod tests {
             e.on_rtt_sample(secs(0.01));
         }
         assert_eq!(e.base_rto(), secs(1.0));
+    }
+
+    /// The cached base RTO always equals a fresh evaluation: after every
+    /// sample, across timeouts, and after a snapshot restore (which does
+    /// not carry it).
+    #[test]
+    fn cached_base_rto_tracks_its_inputs() {
+        let mut e = RtoEstimator::new(low_floor());
+        assert_eq!(e.base_rto(), e.compute_base_rto());
+        for (i, ms) in [80u64, 200, 130, 900, 40, 75, 310].iter().enumerate() {
+            e.on_rtt_sample(SimDuration::from_millis(*ms));
+            assert_eq!(e.base_rto(), e.compute_base_rto(), "sample {i}");
+            if i % 3 == 0 {
+                e.on_timeout();
+            }
+        }
+        let mut w = SnapWriter::new();
+        e.snapshot_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = RtoEstimator::new(low_floor());
+        let mut r = SnapReader::new(&bytes);
+        restored.restore_from(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(restored.base_rto(), e.base_rto());
+        assert_eq!(restored.current_rto(), e.current_rto());
     }
 
     #[test]

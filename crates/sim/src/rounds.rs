@@ -129,9 +129,22 @@ pub struct WindowSample {
 /// SoA counters and an integer-nanosecond clock. A fleet flow seeded like
 /// a `RoundsSim` therefore makes the same draws and reaches the same
 /// counters.
-#[derive(Debug, Clone, Copy)]
+///
+/// The round-loss probability `1 − (1−p)^w` and `ln(1−p)` are fixed per
+/// law, so they are tabulated here for windows up to [`LOSS_TABLE_MAX`]
+/// with the very expressions [`RoundLaw::step`] would otherwise evaluate
+/// per round; larger windows fall back to evaluating them. With its 2 KiB
+/// table the law is not `Copy`: both engines borrow it.
+#[derive(Debug, Clone)]
 pub(crate) struct RoundLaw {
     p: f64,
+    /// `ln(1 − p)`, the truncated-geometric inverse-CDF divisor.
+    ln_q: f64,
+    /// `1 − (1−p)^w` at index `w`, for `w ∈ 0..=LOSS_TABLE_MAX`. Inline,
+    /// not boxed: a fleet block builds one law per cohort, and one small
+    /// allocation per law among the arena lanes fragments the heap enough
+    /// to double a multi-worker fleet run's peak RSS.
+    round_loss: [f64; LOSS_TABLE_LEN],
     rtt: f64,
     t0: f64,
     /// RTT in integer nanoseconds, for the fleet's clock.
@@ -206,6 +219,27 @@ impl RoundStep {
     }
 }
 
+/// Largest window whose round-loss probability [`RoundLaw`] tabulates. A
+/// table for the default `wmax` of 65 535 would take 512 KiB per cohort,
+/// competing with the fleet's arena blocks for L2; 2 KiB covers the
+/// windows of the model's loss-rate range, and larger windows evaluate
+/// the expression.
+const LOSS_TABLE_MAX: u32 = 256;
+
+/// Entries of the round-loss table, windows 0 through [`LOSS_TABLE_MAX`].
+const LOSS_TABLE_LEN: usize = LOSS_TABLE_MAX as usize + 1; //~ allow(cast): small constant widens losslessly
+
+/// `x.ceil() as u32` without the `ceil` call (a libm call on baseline
+/// x86-64): the truncating cast, plus one when it rounded down. Equal to
+/// the `ceil`-then-cast for every `f64`, NaN and both infinities included —
+/// both saturate at `u32::MAX` and send NaN and everything at or below
+/// zero to 0.
+#[inline]
+fn ceil_to_u32(x: f64) -> u32 {
+    let t = x as u32; //~ allow(cast): saturating truncation, corrected to the ceiling below
+    t.saturating_add(u32::from(f64::from(t) < x))
+}
+
 impl RoundLaw {
     /// Validates `cfg` against the model's domain.
     ///
@@ -220,8 +254,15 @@ impl RoundLaw {
             cfg.backoff_cap_exp <= 30,
             "backoff cap exponent must stay shiftable"
         );
+        let q = 1.0 - cfg.p;
+        let mut round_loss = [0.0; LOSS_TABLE_LEN];
+        for (w, mass) in (0i32..).zip(round_loss.iter_mut()) {
+            *mass = 1.0 - q.powi(w);
+        }
         RoundLaw {
             p: cfg.p,
+            ln_q: q.ln(),
+            round_loss,
             rtt: cfg.rtt,
             t0: cfg.t0,
             rtt_ns: (cfg.rtt * 1e9).round() as u64, //~ allow(cast): deliberate float truncation after round/floor
@@ -231,6 +272,19 @@ impl RoundLaw {
             backoff_cap_exp: cfg.backoff_cap_exp,
             slow_start_after_to: cfg.slow_start_after_to,
             recovery_cap: ((cfg.t0 / cfg.rtt).floor() as u32).max(1), //~ allow(cast): deliberate float truncation after round/floor
+        }
+    }
+
+    /// Probability `1 − (1−p)^w` that a round of `w` packets loses one:
+    /// the tabulated value, or the same expression evaluated past the
+    /// table.
+    #[inline]
+    fn round_loss(&self, w: u32) -> f64 {
+        //~ allow(cast): u32 window widens losslessly
+        match self.round_loss.get(w as usize) {
+            Some(&mass) => mass,
+            //~ allow(cast): powi exponent; window bounded far below i32::MAX
+            None => 1.0 - (1.0 - self.p).powi(w as i32),
         }
     }
 
@@ -261,8 +315,7 @@ impl RoundLaw {
     #[inline]
     pub(crate) fn step(&self, cc: &mut RoundCc, rng: &mut SimRng) -> RoundStep {
         let w = cc.window(self.wmax);
-        //~ allow(cast): powi exponent; window bounded far below i32::MAX
-        if rng.chance(1.0 - (1.0 - self.p).powi(w as i32)) {
+        if rng.chance(self.round_loss(w)) {
             return self.loss_event(cc, rng, w);
         }
         // Loss-free round: grow the window (variant law; `rtt` drives
@@ -346,12 +399,9 @@ impl RoundLaw {
     /// geometric on `1..=w`, by inverse CDF on the conditional law.
     #[inline]
     fn truncated_geometric(&self, rng: &mut SimRng, w: u32) -> u32 {
-        let q = 1.0 - self.p;
-        let mass = 1.0 - q.powi(w as i32); //~ allow(cast): powi exponent; window bounded far below i32::MAX
-        let u = rng.open01() * mass;
+        let u = rng.open01() * self.round_loss(w);
         // Smallest k with 1 − q^k ≥ u.
-        let k = ((1.0 - u).ln() / q.ln()).ceil();
-        (k as u32).clamp(1, w) //~ allow(cast): deliberate float truncation after round/floor
+        ceil_to_u32((1.0 - u).ln() / self.ln_q).clamp(1, w)
     }
 
     /// In-sequence successes in the last round of `k` packets (the paper's
@@ -475,7 +525,7 @@ impl RoundsSim {
     /// first loss event. The clock adds `rtt` per round and `T0·2^e` per
     /// timeout in the order they happen, as the atlas goldens require.
     fn run_one_tdp(&mut self) {
-        let law = self.law;
+        let law = &self.law;
         let mut start_window = 0;
         let mut round: u32 = 0; // rounds within this TDP
         let mut alpha: u64 = 0; // packets before/incl. the first loss
@@ -484,7 +534,7 @@ impl RoundsSim {
             if round == 0 {
                 start_window = s.window;
             }
-            self.record_sample(s.window);
+            record_sample(&mut self.samples, self.sample_cap, self.elapsed, s.window);
             self.elapsed += law.rtt;
             round += 1;
             self.stats.packets_sent += s.new_data() + s.retransmissions();
@@ -498,7 +548,7 @@ impl RoundsSim {
         alpha += u64::from(s.loss_pos);
         // The last round (Fig. 4), then the recovery rounds.
         self.elapsed += law.rtt;
-        self.record_sample(s.window);
+        record_sample(&mut self.samples, self.sample_cap, self.elapsed, s.window);
         for _ in 0..s.recovery_rounds {
             self.elapsed += law.rtt;
         }
@@ -510,7 +560,7 @@ impl RoundsSim {
             Indication::TripleDuplicate
         } else {
             for i in 0..s.to_len {
-                self.record_sample(0);
+                record_sample(&mut self.samples, self.sample_cap, self.elapsed, 0);
                 self.elapsed += law.t0 * f64::from(law.backoff(i));
             }
             self.stats.rto_firings += u64::from(s.to_len);
@@ -534,15 +584,15 @@ impl RoundsSim {
             }
         }
     }
+}
 
-    fn record_sample(&mut self, w: u32) {
-        if let Some(samples) = &mut self.samples {
-            if samples.len() < self.sample_cap {
-                samples.push(WindowSample {
-                    time: self.elapsed,
-                    window: w,
-                });
-            }
+/// Appends `(time, window)` to an enabled sample path below its cap. A
+/// free function over the two fields, so [`RoundsSim::run_one_tdp`] can
+/// record while it borrows the law.
+fn record_sample(samples: &mut Option<Vec<WindowSample>>, cap: usize, time: f64, window: u32) {
+    if let Some(samples) = samples {
+        if samples.len() < cap {
+            samples.push(WindowSample { time, window });
         }
     }
 }
@@ -550,6 +600,7 @@ impl RoundsSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn config(p: f64, wmax: u32) -> RoundsConfig {
         RoundsConfig {
@@ -738,6 +789,180 @@ mod tests {
                 }
             }
             assert_eq!(at, samples.len(), "{cc:?}");
+        }
+    }
+
+    /// Values where float-to-int truncation and rounding disagree or
+    /// saturate: NaN, ±0, (−1, 0), below −1, the infinities, integers and
+    /// their neighbours, and the neighbourhood of `u32::MAX`.
+    fn truncation_edges() -> Vec<f64> {
+        let max = f64::from(u32::MAX);
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            -1e-300,
+            -0.25,
+            -0.5,
+            -0.999_999,
+            -1.0,
+            -1.5,
+            -2.0,
+            -1e10,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.5,
+            2.0,
+            3.0,
+            255.5,
+            256.0,
+            65_535.0,
+            max - 1.0,
+            max - 0.5,
+            max,
+            max + 0.5,
+            max + 1.0,
+            1e300,
+        ];
+        for x in xs.clone() {
+            if x.is_finite() && x != 0.0 {
+                // The adjacent doubles on either side.
+                xs.push(f64::from_bits(x.to_bits() + 1));
+                xs.push(f64::from_bits(x.to_bits() - 1));
+            }
+        }
+        xs
+    }
+
+    /// The two integer truncations on the round path give exactly what
+    /// `floor`/`ceil`, the cast and the clamp gave: the window of
+    /// `RoundCc::window`, and the first-loss position of
+    /// `truncated_geometric`.
+    fn assert_truncations_match(x: f64, bound: u32) {
+        assert_eq!(ceil_to_u32(x), x.ceil() as u32, "ceil of {x:?}");
+        assert_eq!(
+            ceil_to_u32(x).clamp(1, bound),
+            (x.ceil() as u32).clamp(1, bound),
+            "ceil of {x:?} clamped to {bound}"
+        );
+        let cc = RoundCc::Reno { wf: x, ssthresh: 0 };
+        assert_eq!(
+            cc.window(bound),
+            (x.floor() as u32).clamp(1, bound),
+            "window of {x:?} under wmax {bound}"
+        );
+    }
+
+    #[test]
+    fn integer_truncations_match_floor_and_ceil_on_edges() {
+        for x in truncation_edges() {
+            for bound in [1, 2, 3, 64, 256, 65_535, u32::MAX] {
+                assert_truncations_match(x, bound);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn integer_truncations_match_on_random_bit_patterns(
+            bits in 0u64..u64::MAX,
+            bound in 1u32..u32::MAX,
+        ) {
+            assert_truncations_match(f64::from_bits(bits), bound);
+        }
+
+        #[test]
+        fn integer_truncations_match_on_window_scale_values(
+            x in -3.0f64..70_000.0,
+            bound in 1u32..70_000,
+        ) {
+            assert_truncations_match(x, bound);
+        }
+
+        #[test]
+        fn integer_truncations_match_between_minus_one_and_zero(x in -1.0f64..0.0) {
+            assert_truncations_match(x, 65_535);
+        }
+    }
+
+    /// The round-loss probability has the bits of the `powi` expression
+    /// it replaces for every window up to the default `wmax`: below, at
+    /// and above the table bound.
+    #[test]
+    fn loss_table_matches_powi_reference() {
+        for p in [1e-6, 0.001, 0.013, 0.2, 0.5, 0.97] {
+            let law = RoundLaw::new(&config(p, RoundsConfig::default().wmax));
+            assert_eq!(law.ln_q.to_bits(), (1.0 - p).ln().to_bits());
+            for w in 0..=RoundsConfig::default().wmax {
+                let reference = 1.0 - (1.0 - p).powi(w as i32);
+                assert_eq!(
+                    law.round_loss(w).to_bits(),
+                    reference.to_bits(),
+                    "p={p} w={w}"
+                );
+            }
+        }
+    }
+
+    /// First-loss positions drawn through the table and the integer
+    /// ceiling equal the `powi`/`ceil` formula draw for draw.
+    #[test]
+    fn truncated_geometric_matches_reference_draws() {
+        for p in [0.001, 0.03, 0.4] {
+            let law = RoundLaw::new(&config(p, 65_535));
+            let mut rng = SimRng::seed_from_u64(17);
+            let mut reference_rng = SimRng::seed_from_u64(17);
+            for w in [1, 2, 3, 4, 31, 255, 256, 257, 400, 4_096, 65_535] {
+                for _ in 0..200 {
+                    let q = 1.0 - p;
+                    let u = reference_rng.open01() * (1.0 - q.powi(w as i32));
+                    let k = ((1.0 - u).ln() / q.ln()).ceil();
+                    let reference = (k as u32).clamp(1, w);
+                    assert_eq!(law.truncated_geometric(&mut rng, w), reference);
+                }
+            }
+        }
+    }
+
+    /// Whole runs at the default `wmax`, with windows far past the table
+    /// bound, reach the counters and clock recorded from the `powi`/`ceil`
+    /// implementation, bit for bit, for every variant.
+    #[test]
+    fn default_wmax_runs_match_pinned_values() {
+        // Per variant in `CcAlgorithm::ALL` order: packets sent and
+        // delivered, TD events, RTO firings, elapsed-time bits, peak window.
+        let pinned: [[u64; 6]; 5] = [
+            [10_094_973, 10_078_985, 100, 0, 0x40AB_1933_3333_2183, 722],
+            [9_425_045, 9_411_193, 99, 95, 0x40B1_E3E6_6666_62B5, 606],
+            [10_044_250, 9_950_375, 100, 0, 0x4083_5B33_3333_35AF, 4_969],
+            [10_113_488, 10_027_855, 100, 0, 0x4084_84CC_CCCC_CF93, 3_056],
+            [9_433_777, 9_259_735, 100, 0, 0x407C_3800_0000_0259, 5_011],
+        ];
+        for (cc, want) in CcAlgorithm::ALL.into_iter().zip(pinned) {
+            let cfg = RoundsConfig {
+                p: 1e-5,
+                cc,
+                ..RoundsConfig::default()
+            };
+            let mut s = RoundsSim::new(cfg, 23).record_samples(1_000_000);
+            s.run_tdps(100);
+            let st = s.stats();
+            let peak = s.samples().iter().map(|w| w.window).max();
+            let got = [
+                st.packets_sent,
+                st.packets_delivered,
+                st.td_events,
+                st.rto_firings,
+                s.elapsed().to_bits(),
+                peak.map_or(0, u64::from),
+            ];
+            assert_eq!(got, want, "{cc:?}");
         }
     }
 }

@@ -420,8 +420,9 @@ pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
     };
     // Probe runs stream their classification: only the loss-indication
     // counts feed the fixed point, so probe traces are not retained and
-    // the interval and correlation reductions are off. Karn timing still
-    // runs, because `stream_config` enables it for every connection.
+    // the interval, correlation and Karn timing reductions are off. The
+    // TD/TO classifier never reads Karn state (the two are separate cores
+    // of the streaming analyzer), so the counts are the same without it.
     let probe_opts = ExperimentOptions {
         retain_trace: false,
         interval_secs: None,
@@ -432,8 +433,16 @@ pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
         // over the identical calibrated wire.
         cc: CcAlgorithm::default(),
     };
+    let probe_stream = StreamConfig {
+        timing: false,
+        ..stream_config(spec, &probe_opts)
+    };
     for iter in 0..5 {
-        let r = run_connection_raw(spec, wire, 400.0, seed.wrapping_add(iter), &probe_opts);
+        let probe_seed = seed.wrapping_add(iter);
+        let mut conn =
+            build_wire_connection(spec, wire, 400.0, probe_seed, &probe_opts, probe_stream);
+        let budget_hit = conn.run_until_budget(SimTime::from_secs_f64(400.0), u64::MAX);
+        let r = finish_wire_connection(conn, 400.0, budget_hit);
         let a = r.analysis();
         if a.packets_sent == 0 {
             break;
@@ -504,13 +513,15 @@ fn run_connection_raw(
 /// Builds the identically configured connection behind every wire-loss
 /// run: shared by the straight-through and the checkpointed runners, so a
 /// resumed connection is rebuilt from exactly the configuration the
-/// crashed one had (the snapshot codec restores mutable state only).
+/// crashed one had (the snapshot codec restores mutable state only), and
+/// by the calibration probes. `config` names the streamed reductions.
 fn build_wire_connection(
     spec: &PathSpec,
     wire: WireLoss,
     horizon_secs: f64,
     seed: u64,
     opts: &ExperimentOptions,
+    config: StreamConfig,
 ) -> Connection<TraceRecorder> {
     // Mild jitter (5% of RTT) keeps RTT samples realistic without breaking
     // the RTT-independence assumption the non-modem paths must satisfy.
@@ -518,7 +529,6 @@ fn build_wire_connection(
     let jitter = SimDuration::from_secs_f64(spec.rtt * 0.05);
     let fwd = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
     let rev = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
-    let config = stream_config(spec, opts);
     let recorder = if opts.retain_trace {
         // Preallocate the trace from the paper's hour-long packet count for
         // this path: sends plus delayed (b=2) ACK arrivals ≈ 1.5× packets.
@@ -577,7 +587,8 @@ fn run_connection_budgeted(
     max_events: u64,
     opts: &ExperimentOptions,
 ) -> ExperimentResult {
-    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
+    let stream = stream_config(spec, opts);
+    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts, stream);
     let event_budget_hit = conn.run_until_budget(SimTime::from_secs_f64(horizon_secs), max_events);
     finish_wire_connection(conn, horizon_secs, event_budget_hit)
 }
@@ -768,7 +779,8 @@ fn run_connection_checkpointed(
     opts: &ExperimentOptions,
     ctx: &CheckpointCtx<'_>,
 ) -> (ExperimentResult, bool) {
-    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
+    let stream = stream_config(spec, opts);
+    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts, stream);
     let mut next_boundary: u64 = 1;
     let mut mark = LogMark::default();
     let mut resumed = false;
@@ -787,7 +799,7 @@ fn run_connection_checkpointed(
         } else {
             // A stale or mismatched checkpoint is not an error; restore may
             // have half-applied, so rebuild and run from the start.
-            conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
+            conn = build_wire_connection(spec, wire, horizon_secs, seed, opts, stream);
         }
     }
     let every = if ctx.every_sim_secs > 0.0 {
@@ -1067,6 +1079,61 @@ mod tests {
     use super::*;
     use crate::paths::{table2_path, TABLE2_PATHS};
     use tcp_trace::analyzer::{analyze, AnalyzerConfig};
+
+    /// Calibrated wire-loss parameters, bit for bit, for four Table II
+    /// paths (three sender OSes, one TD-free path) at two seeds — recorded
+    /// when the probes still ran Karn timing, so they pin that the probes'
+    /// loss-indication counts do not depend on it.
+    #[test]
+    fn calibration_bits_are_pinned() {
+        let paths = [
+            ("manic", "alps"),
+            ("void", "baskerville"),
+            ("babel", "spiff"),
+            ("pif", "imagine"),
+        ];
+        // Seeds 1 and 300 of each path, in order.
+        let pinned: [[u64; 3]; 8] = [
+            [
+                0x3F57_D121_2C6B_3B16,
+                0x3FB2_3D78_6731_C813,
+                0x3FF8_0000_0000_0000,
+            ],
+            [
+                0x3F31_BA95_76EE_F73F,
+                0x3FBA_D3AD_09C7_00C2,
+                0x3FF8_0000_0000_0000,
+            ],
+            [
+                0x3F86_0AF1_9D38_DF82,
+                0x3FA7_9465_8984_00EE,
+                0x3FEA_4189_374B_C6A8,
+            ],
+            [
+                0x3F8E_B6B1_4348_6E04,
+                0x3F90_AAE8_F929_8E38,
+                0x3FEA_4189_374B_C6A8,
+            ],
+            [0, 0x3FAC_2AAF_D353_F5A5, 0x3FE6_DF3B_645A_1CAC],
+            [0, 0x3FB8_DB9A_941D_82B6, 0x3FE6_DF3B_645A_1CAC],
+            [
+                0x3F36_2887_2BCB_0EC1,
+                0x3FB0_DA3D_B7C1_03FB,
+                0x3FE0_CCCC_CCCC_CCCC,
+            ],
+            [
+                0x3F12_C46F_14A2_3080,
+                0x3FB8_76CB_F667_D3BF,
+                0x3FE0_CCCC_CCCC_CCCC,
+            ],
+        ];
+        let runs = paths.iter().flat_map(|&path| [(path, 1), (path, 300)]);
+        for (((sender, receiver), seed), bits) in runs.zip(pinned) {
+            let spec = table2_path(sender, receiver).expect("Table II path");
+            let wire = calibrate_wire_loss(spec, seed);
+            assert_eq!(wire.to_bits(), bits, "{sender}->{receiver} seed {seed}");
+        }
+    }
 
     #[test]
     fn hour_run_produces_consistent_analysis_and_stats() {
