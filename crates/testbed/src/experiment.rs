@@ -5,7 +5,8 @@
 //!   (Table II, Figs. 7 and 9);
 //! * [`run_serial_100s`] — 100 serially initiated 100-second connections
 //!   with 50-second gaps (Figs. 8 and 10); the gaps carry no traffic, so
-//!   each connection is simulated independently with its own seed;
+//!   each connection is simulated independently with its own seed, and
+//!   the connections run concurrently on the worker pool;
 //! * [`run_modem`] — the Fig. 11 scenario: a dedicated-buffer bottleneck
 //!   path on which RTT correlates with window size and the models fail to
 //!   match the measured rate.
@@ -19,6 +20,7 @@
 
 use crate::journal::{self, CampaignRecord, Checkpoint, CrashPoint, Journal};
 use crate::paths::{ModemSpec, PathSpec};
+use crate::pool;
 use crate::supervisor::{
     run_campaign, CampaignReport, CampaignRow, JobSpec, Outcome, SupervisorConfig,
 };
@@ -626,6 +628,15 @@ pub fn run_hour_budgeted_with(
 /// The second §III campaign: `n` serially initiated 100-second connections.
 /// The 50-second gaps carry no traffic; each connection gets an independent
 /// seed derived from `base_seed` and its index.
+///
+/// "Serially initiated" is the paper's measurement schedule. Each
+/// simulated connection is a pure function of the path, the calibrated
+/// wire and its own seed, so the connections run concurrently, one pooled
+/// worker per available core, and come back in index order: the results
+/// do not depend on the worker count.
+///
+/// # Panics
+/// If a connection panics or exceeds the pool's wall budget.
 pub fn run_serial_100s(spec: &PathSpec, n: usize, base_seed: u64) -> Vec<ExperimentResult> {
     run_serial_100s_with(spec, n, base_seed, &ExperimentOptions::default())
 }
@@ -640,17 +651,14 @@ pub fn run_serial_100s_with(
     // One calibration pass serves all n connections (the path doesn't change
     // between them).
     let wire = calibrate_wire_loss(spec, base_seed.wrapping_mul(31).wrapping_add(17));
-    (0..n)
+    let tasks = (0..n)
         .map(|i| {
-            run_connection_raw(
-                spec,
-                wire,
-                100.0,
-                base_seed.wrapping_mul(1000).wrapping_add(i as u64),
-                opts,
-            )
+            let (spec, opts) = (*spec, *opts);
+            let seed = base_seed.wrapping_mul(1000).wrapping_add(i as u64);
+            move || run_connection_raw(&spec, wire, 100.0, seed, &opts)
         })
-        .collect()
+        .collect();
+    pool::run_in_order(pool::available_workers(), None, tasks)
 }
 
 /// Runs all 24 Table II hour-long experiments under supervision; the
@@ -1077,7 +1085,7 @@ pub fn run_modem_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{table2_path, TABLE2_PATHS};
+    use crate::paths::{fig8_paths, table2_path, TABLE2_PATHS};
     use tcp_trace::analyzer::{analyze, AnalyzerConfig};
 
     /// Calibrated wire-loss parameters, bit for bit, for four Table II
@@ -1223,6 +1231,27 @@ mod tests {
         }
         // Different connections differ.
         assert_ne!(a[0].stats.packets_sent, a[1].stats.packets_sent);
+    }
+
+    /// The pooled serial campaign returns, field for field, what running
+    /// each connection in turn over the one calibrated wire returns.
+    #[test]
+    fn serial_pooled_campaign_matches_connections_run_in_turn() {
+        let spec = fig8_paths()[1];
+        let opts = ExperimentOptions {
+            cc: CcAlgorithm::Cubic,
+            ..ExperimentOptions::default()
+        };
+        let (n, base_seed) = (9, 5);
+        let pooled = run_serial_100s_with(&spec, n, base_seed, &opts);
+        let wire = calibrate_wire_loss(&spec, base_seed.wrapping_mul(31).wrapping_add(17));
+        let json = |r: &ExperimentResult| serde_json::to_string(r).unwrap();
+        assert_eq!(pooled.len(), n);
+        for (i, result) in pooled.iter().enumerate() {
+            let seed = base_seed.wrapping_mul(1000).wrapping_add(i as u64);
+            let reference = run_connection_raw(&spec, wire, 100.0, seed, &opts);
+            assert!(json(result) == json(&reference), "connection {i} differs");
+        }
     }
 
     #[test]

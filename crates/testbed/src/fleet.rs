@@ -1,6 +1,6 @@
 //! Fleet-scale sharded campaigns: 10^5–10^6 concurrent §II-model flows,
-//! cut into cache-sized blocks that [`WorkerPool`] workers balance,
-//! validated distributionally against Eq. (32).
+//! cut into cache-sized blocks that [`pool::WorkerPool`] workers
+//! balance, validated distributionally against Eq. (32).
 //!
 //! The paper's Table II validates the model one connection at a time; a
 //! fleet campaign asks the same question at population scale. Each cohort
@@ -43,15 +43,13 @@
 //! entire audit pass allocates a bounded number of analyzers.
 
 use crate::experiment::TraceRecorder;
-use crate::pool::WorkerPool;
+use crate::pool;
 use pftk_model::params::ModelParams;
 use pftk_model::sendrate::full_model;
 use pftk_model::units::LossProb;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 use tcp_sim::connection::Connection;
 use tcp_sim::fleet::{FleetCohort, FleetShard, FleetSpec, WheelConfig};
 use tcp_sim::link::Path;
@@ -203,11 +201,6 @@ pub struct FleetReport {
     pub audit_peak_state_bytes: u64,
 }
 
-/// Longest the collector waits for the next finished block before it
-/// declares the campaign wedged. Generous: a whole 10^6-flow, 60 s-horizon
-/// campaign finishes in seconds in release builds.
-const BLOCK_WALL_BUDGET: Duration = Duration::from_secs(1800);
-
 /// Runs `spec` on up to `shards` workers with natural scheduling.
 /// See [`run_fleet_with`].
 pub fn run_fleet(spec: &FleetCampaignSpec, shards: usize) -> FleetReport {
@@ -216,18 +209,19 @@ pub fn run_fleet(spec: &FleetCampaignSpec, shards: usize) -> FleetReport {
 
 /// Runs the fleet campaign: cuts the global flow space into contiguous
 /// cache-sized blocks, executes each block as a [`FleetShard`] on a
-/// [`WorkerPool`] of at most `shards` workers (with seeded schedule chaos
-/// when `schedule_chaos` is set), merges per-cohort results in global
-/// flow order, and runs the serial wire audit. The pool never has more
-/// workers than blocks; with one worker the blocks run inline, in order.
+/// [`pool::WorkerPool`] of at most `shards` workers (with seeded schedule
+/// chaos when `schedule_chaos` is set), merges per-cohort results in
+/// global flow order, and runs the serial wire audit. The pool never has
+/// more workers than blocks; with one worker the blocks run inline, in
+/// order.
 ///
 /// The returned [`FleetReport`] does not depend on `shards` or
 /// `schedule_chaos`.
 ///
 /// # Panics
 /// If the spec is empty, `shards` is zero, the horizon is not positive,
-/// a cohort's parameters are outside the model's domain, or a block's
-/// worker dies or exceeds its wall budget.
+/// a cohort's parameters are outside the model's domain, or a block
+/// panics, dies or exceeds its wall budget.
 //= pftk#fleet-shard-equivalence
 pub fn run_fleet_with(
     spec: &FleetCampaignSpec,
@@ -284,10 +278,10 @@ fn block_ranges(total: u64) -> Vec<Range<u64>> {
         .collect()
 }
 
-/// Runs every block of `0..total` as a [`FleetShard`] on a
-/// [`WorkerPool`] of at most `shards` workers, whose work stealing
-/// balances the blocks; returns the finished blocks in range order.
-/// With one worker (or one block) the blocks run inline, in order.
+/// Runs every block of `0..total` as a [`FleetShard`] through
+/// [`pool::run_in_order`] on at most `shards` workers, whose work
+/// stealing balances the blocks; returns the finished blocks in range
+/// order. With one worker (or one block) the blocks run inline, in order.
 fn run_shards(
     fleet_spec: &Arc<FleetSpec>,
     total: u64,
@@ -295,44 +289,14 @@ fn run_shards(
     schedule_chaos: Option<u64>,
     horizon: SimTime,
 ) -> Vec<FleetShard> {
-    let blocks = block_ranges(total);
-    let workers = shards.min(blocks.len());
-    if workers == 1 {
-        // One worker: run inline — no pool, no channel, same result.
-        return blocks
-            .into_iter()
-            .map(|r| run_block(fleet_spec, r, horizon))
-            .collect();
-    }
-
-    let pool = match schedule_chaos {
-        Some(seed) => WorkerPool::with_schedule_chaos(workers, seed),
-        None => WorkerPool::new(workers),
-    };
-    let (tx, rx) = mpsc::channel();
-    for (idx, range) in blocks.iter().enumerate() {
-        let tx = tx.clone();
-        let fleet_spec = Arc::clone(fleet_spec);
-        let range = range.clone();
-        pool.submit(move || {
-            // A send can only fail if the collector gave up; the block's
-            // work is then discarded with it.
-            let _ = tx.send((idx, run_block(&fleet_spec, range, horizon)));
-        });
-    }
-    drop(tx);
-
-    let mut slots: Vec<Option<FleetShard>> = blocks.iter().map(|_| None).collect();
-    for _ in 0..blocks.len() {
-        let (idx, block) = rx
-            .recv_timeout(BLOCK_WALL_BUDGET)
-            .expect("fleet block died or exceeded its wall budget"); //~ allow(expect): a lost block means a lost worker; the campaign cannot continue
-        slots[idx] = Some(block);
-    }
-    slots
+    let tasks = block_ranges(total)
         .into_iter()
-        .map(|s| s.expect("every block index reports exactly once")) //~ allow(expect): indices are 0..blocks by construction
-        .collect()
+        .map(|range| {
+            let fleet_spec = Arc::clone(fleet_spec);
+            move || run_block(&fleet_spec, range, horizon)
+        })
+        .collect();
+    pool::run_in_order(shards, schedule_chaos, tasks)
 }
 
 /// Builds one block's [`FleetShard`] and runs it to `horizon`.

@@ -8,7 +8,9 @@
 //! * [`experiment::run_hour`] / [`experiment::run_table2`] — the hour-long
 //!   "infinite source" connections behind Table II and Figs. 7/9;
 //! * [`experiment::run_serial_100s`] — the 100×100-second serial
-//!   connections behind Figs. 8/10;
+//!   connections behind Figs. 8/10 ("serially initiated" is the paper's
+//!   schedule; the simulated connections run concurrently on the worker
+//!   pool and come back in index order);
 //! * [`experiment::run_modem`] — the dedicated-buffer modem scenario of
 //!   Fig. 11.
 //!

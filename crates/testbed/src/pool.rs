@@ -34,12 +34,16 @@
 //! any such schedule (and any worker count); the chaos knob makes "the
 //! schedule happened to be benign" an untenable explanation for a
 //! passing test. Chaos never changes *what* runs, only *when* and *who*.
+//!
+//! **Ordered runs** (`run_in_order`, crate-private): the fleet's blocks
+//! and the serial campaign's connections are independent tasks whose
+//! results must come back by index, not by completion. The runner submits
+//! them to one pool and collects each result into its task's slot.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -56,6 +60,14 @@ const ABANDONED_RUNNING: u8 = 3;
 /// interrupted by every submission, so this is only the fallback bound on
 /// wakeup latency.
 const IDLE_PARK: Duration = Duration::from_millis(50);
+
+/// Locks `mutex`, taking the data even if a panicking holder poisoned
+/// it: every structure behind these locks (queues, registries, report
+/// slots) stays consistent between operations, so poison carries no
+/// information here.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A unit of work queued on the pool.
 struct TaskCell {
@@ -102,13 +114,13 @@ impl PoolShared {
     /// `steal_start` siblings past its own (0 = natural order; chaos mode
     /// rotates it to exercise different victim orders).
     fn grab(&self, home: usize, steal_start: usize) -> Option<TaskCell> {
-        if let Some(cell) = self.queues[home].lock().pop_front() {
+        if let Some(cell) = lock(&self.queues[home]).pop_front() {
             return Some(cell);
         }
         let n = self.queues.len();
         for off in 0..n.saturating_sub(1) {
             let victim = (home + 1 + (steal_start + off) % (n - 1)) % n;
-            if let Some(cell) = self.queues[victim].lock().pop_back() {
+            if let Some(cell) = lock(&self.queues[victim]).pop_back() {
                 return Some(cell);
             }
         }
@@ -116,7 +128,7 @@ impl PoolShared {
     }
 
     fn unpark_all(&self) {
-        for t in self.threads.lock().iter() {
+        for t in lock(&self.threads).iter() {
             t.unpark();
         }
     }
@@ -126,7 +138,7 @@ impl PoolShared {
         self.workers_spawned.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(self);
         std::thread::spawn(move || {
-            shared.threads.lock().push(std::thread::current());
+            lock(&shared.threads).push(std::thread::current());
             // Per-worker chaos stream: seed mixed with the home slot so
             // workers perturb independently but reproducibly.
             let mut chaos = shared
@@ -239,7 +251,7 @@ impl WorkerPool {
         let n = self.shared.queues.len();
         //~ allow(relaxed_atomic): round-robin cursor; only uniqueness matters, the queue Mutex orders the hand-off
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % n;
-        self.shared.queues[slot].lock().push_back(cell);
+        lock(&self.shared.queues[slot]).push_back(cell);
         self.shared.unpark_all();
         TaskHandle { state }
     }
@@ -288,6 +300,82 @@ impl Drop for WorkerPool {
         // No joins: idle workers exit within one park interval; a worker
         // wedged inside an abandoned task cannot be waited for anyway.
     }
+}
+
+/// One worker per available core (4 when the count is unknown): the
+/// default width of a campaign's pool.
+pub(crate) fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |c| c.get())
+}
+
+/// Longest [`run_in_order`] waits for the next finished task before it
+/// declares the run wedged. Generous: a whole 10^6-flow fleet or a
+/// 100-connection serial campaign finishes in seconds in release builds.
+const ORDERED_WALL_BUDGET: Duration = Duration::from_secs(1800);
+
+/// Runs `tasks` on `min(workers, tasks.len())` pooled workers (with
+/// seeded schedule chaos when `schedule_chaos` is set) and returns their
+/// results by task index, whatever order they finish in. With one worker
+/// the tasks run inline, in order, on the calling thread, with no pool.
+///
+/// # Panics
+/// If a task panics, or no task finishes within [`ORDERED_WALL_BUDGET`]
+/// of the previous one; the message names the task index.
+//= pftk#det-ordered-output
+pub(crate) fn run_in_order<T, F>(
+    workers: usize,
+    schedule_chaos: Option<u64>,
+    tasks: Vec<F>,
+) -> Vec<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let n = tasks.len();
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, task)| {
+                catch_unwind(AssertUnwindSafe(task)).unwrap_or_else(|_| {
+                    //~ allow(panic): a failed task leaves a hole the ordered result cannot have
+                    panic!("ordered task {i} of {n} panicked")
+                })
+            })
+            .collect();
+    }
+
+    let pool = match schedule_chaos {
+        Some(seed) => WorkerPool::with_schedule_chaos(workers, seed),
+        None => WorkerPool::new(workers),
+    };
+    let (tx, rx) = mpsc::channel();
+    for (i, task) in tasks.into_iter().enumerate() {
+        let tx = tx.clone();
+        pool.submit(move || {
+            // A send can only fail if the collector gave up; the task's
+            // result is then discarded with it.
+            let _ = tx.send((i, catch_unwind(AssertUnwindSafe(task))));
+        });
+    }
+    drop(tx);
+
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for _ in 0..n {
+        let Ok((i, outcome)) = rx.recv_timeout(ORDERED_WALL_BUDGET) else {
+            let first = slots.iter().position(Option::is_none).unwrap_or(n);
+            //~ allow(panic): a lost task means a lost worker; the run cannot continue
+            panic!("ordered task {first} of {n} (first outstanding) died or exceeded its budget");
+        };
+        let Ok(result) = outcome else {
+            //~ allow(panic): a failed task leaves a hole the ordered result cannot have
+            panic!("ordered task {i} of {n} panicked");
+        };
+        slots[i] = Some(result);
+    }
+    // Every index in 0..n reports exactly once, so no slot is empty.
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -467,5 +555,65 @@ mod tests {
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
         drop(pool); // must not hang
+    }
+
+    /// `n` tasks whose later indices sleep less, so they tend to finish
+    /// in reverse index order.
+    fn staggered_tasks(n: usize) -> Vec<impl FnOnce() -> usize + Send + 'static> {
+        (0..n)
+            .map(|i| {
+                move || {
+                    std::thread::sleep(Duration::from_micros(200 * (n - i) as u64));
+                    i * i
+                }
+            })
+            .collect()
+    }
+
+    //= pftk#det-ordered-output type=test
+    #[test]
+    fn ordered_results_follow_task_index() {
+        let expected: Vec<usize> = (0..24).map(|i| i * i).collect();
+        for workers in [1, 2, 3, 8] {
+            for chaos in [None, Some(0xC0FFEE)] {
+                let got = run_in_order(workers, chaos, staggered_tasks(24));
+                assert_eq!(got, expected, "{workers} workers, chaos {chaos:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_run_of_no_tasks_is_empty() {
+        let tasks: Vec<fn() -> u64> = Vec::new();
+        assert!(run_in_order(4, None, tasks).is_empty());
+    }
+
+    #[test]
+    fn one_worker_runs_ordered_tasks_inline() {
+        let caller = std::thread::current().id();
+        let on_thread = |workers| {
+            let tasks = (0..4).map(|_| || std::thread::current().id()).collect();
+            run_in_order(workers, None, tasks)
+        };
+        assert!(on_thread(1).iter().all(|&id| id == caller));
+        assert!(on_thread(2).iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "ordered task 3 of 6 panicked")]
+    fn panicking_ordered_task_panics_the_caller() {
+        let tasks = (0..6u64)
+            .map(|i| move || assert!(i != 3, "injected task panic"))
+            .collect();
+        run_in_order(2, None, tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "ordered task 2 of 4 panicked")]
+    fn panicking_inline_ordered_task_panics_the_caller() {
+        let tasks = (0..4u64)
+            .map(|i| move || assert!(i != 2, "injected task panic"))
+            .collect();
+        run_in_order(1, None, tasks);
     }
 }

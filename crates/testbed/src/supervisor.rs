@@ -29,11 +29,10 @@
 //! campaign.
 
 use crate::experiment::ExperimentResult;
-use crate::pool::WorkerPool;
-use parking_lot::Mutex;
+use crate::pool::{self, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// An experiment as the supervisor sees it: a seeded, re-runnable closure.
@@ -289,7 +288,7 @@ pub fn run_campaign(jobs: Vec<JobSpec>, config: &SupervisorConfig) -> CampaignRe
     let slots: Mutex<Vec<Option<CampaignRow>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
     let monitors = if config.max_workers == 0 {
-        std::thread::available_parallelism().map_or(4, |c| c.get())
+        pool::available_workers()
     } else {
         config.max_workers
     }
@@ -301,29 +300,33 @@ pub fn run_campaign(jobs: Vec<JobSpec>, config: &SupervisorConfig) -> CampaignRe
         Some(seed) => WorkerPool::with_schedule_chaos(monitors, seed),
         None => WorkerPool::new(monitors),
     };
-    let pool_ref = &pool;
-    let jobs_ref = &jobs;
-    let scope_result = crossbeam::scope(|scope| {
-        for _ in 0..monitors {
-            scope.spawn(|_| loop {
-                // AcqRel: claiming index `i` is the hand-off point that
-                // entitles this monitor to job `i` and its report slot;
-                // make the claim's ordering explicit instead of leaning
-                // on the slots Mutex alone.
-                let i = next.fetch_add(1, Ordering::AcqRel);
-                if i >= n {
-                    break;
-                }
-                let row = supervise_one(pool_ref, &jobs_ref[i], config);
-                slots.lock()[i] = Some(row);
-            });
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..monitors)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    // AcqRel: claiming index `i` is the hand-off point that
+                    // entitles this monitor to job `i` and its report slot;
+                    // make the claim's ordering explicit instead of leaning
+                    // on the slots Mutex alone.
+                    let i = next.fetch_add(1, Ordering::AcqRel);
+                    if i >= n {
+                        break;
+                    }
+                    let row = supervise_one(&pool, &jobs[i], config);
+                    pool::lock(&slots)[i] = Some(row);
+                })
+            })
+            .collect();
+        // A lost monitor (cannot happen in the current design: monitors
+        // run no experiment code) must not void the survivors' work, so
+        // its join error is discarded rather than re-raised by the scope.
+        for handle in handles {
+            let _ = handle.join();
         }
     });
-    // A lost monitor (cannot happen in the current design: monitors run no
-    // experiment code) must not void the survivors' work.
-    drop(scope_result);
     let rows = slots
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
