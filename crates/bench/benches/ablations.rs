@@ -103,22 +103,25 @@ fn bench_loss_processes(c: &mut Criterion) {
 }
 
 fn bench_tcp_variants(c: &mut Criterion) {
+    use tcp_sim::cc::CcAlgorithm;
     use tcp_sim::reno::sender::{RenoStyle, SenderConfig};
     let mut group = c.benchmark_group("ablation_tcp_variant");
     group.sample_size(10);
-    for style in [
-        RenoStyle::Tahoe,
-        RenoStyle::Reno,
-        RenoStyle::NewReno,
-        RenoStyle::Sack,
+    // NewReno is the Reno style under the NewReno law.
+    for (name, style, cc) in [
+        ("Tahoe", RenoStyle::Tahoe, CcAlgorithm::Reno),
+        ("Reno", RenoStyle::Reno, CcAlgorithm::Reno),
+        ("NewReno", RenoStyle::Reno, CcAlgorithm::NewReno),
+        ("Sack", RenoStyle::Sack, CcAlgorithm::Reno),
     ] {
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{style:?}")),
-            &style,
-            |b, &style| {
+            BenchmarkId::from_parameter(name),
+            &(style, cc),
+            |b, &(style, cc)| {
                 b.iter(|| {
                     let sender = SenderConfig {
                         style,
+                        cc,
                         rwnd: 32,
                         ..SenderConfig::default()
                     };

@@ -8,16 +8,18 @@
 //! both PFTK modelling assumptions at once — growth is neither +1/W per
 //! round nor a function of the window — which is exactly why it belongs
 //! in the model-domain atlas.
+//!
+//! On the shared window core ([`super::CcState`]) CUBIC supplies its
+//! congestion-avoidance step, its `β` reduction and the `W_max`/`K`/epoch
+//! state those reset; slow start, inflation, recovery and the timeout
+//! collapse are the core's.
 
-use super::CongestionController;
-use crate::time::{SimDuration, SimTime};
+use super::MIN_SSTHRESH;
+use crate::time::SimTime;
 use pftk_snap::{SnapReader, SnapResult, SnapWriter};
 
 /// Multiplicative-decrease factor β (RFC 8312 §4.5).
 const BETA: f64 = 0.7;
-
-/// Floor for the slow-start threshold, packets (matches Reno's floor).
-const MIN_SSTHRESH: f64 = 2.0;
 
 /// Time, in seconds, for the cubic to return from `start` to the plateau
 /// `w_max`: the real root of `C·(t − K)³ + W_max = start`.
@@ -49,148 +51,67 @@ pub fn cubic_window(t: f64, k: f64, w_max: f64) -> f64 {
     0.4 * (d * d * d) + w_max
 }
 
-/// CUBIC controller state.
-///
-/// Unlike Reno, the state carries the plateau `w_max`, the recovery
-/// origin `k`, and the wall-clock epoch start; the [`SimTime`] passed to
-/// [`CongestionController::on_new_ack`] is what makes the growth law
-/// time-based.
+/// CUBIC's state on top of the shared window core: the last loss plateau
+/// `w_max`, the recovery origin `k`, and the wall-clock epoch start. The
+/// [`SimTime`] of each ACK is what makes the growth law time-based.
 #[derive(Debug, Clone)]
-pub struct CubicCc {
-    cwnd: f64,
-    ssthresh: f64,
+pub(super) struct Cubic {
     w_max: f64,
     k: f64,
     epoch_start: Option<SimTime>,
-    in_fast_recovery: bool,
 }
 
-impl CubicCc {
-    /// Starts in slow start with the given initial window (packets).
-    pub fn new(initial_cwnd: f64) -> Self {
-        assert!(
-            initial_cwnd >= 1.0,
-            "initial cwnd must be at least one segment"
-        );
-        CubicCc {
-            cwnd: initial_cwnd,
-            ssthresh: f64::INFINITY,
+impl Cubic {
+    /// A first epoch with the plateau at the initial window.
+    pub(super) fn new(initial_cwnd: f64) -> Self {
+        Cubic {
             w_max: initial_cwnd,
             k: 0.0,
             epoch_start: None,
-            in_fast_recovery: false,
         }
     }
 
-    /// Last loss plateau `W_max`, packets.
-    pub fn w_max(&self) -> f64 {
-        self.w_max
+    /// Congestion-avoidance growth of `cwnd` for one ACK at `now`: close
+    /// the gap to the cubic within roughly one RTT (RFC 8312 §4.1's
+    /// per-ACK increment), or slow max-probing at or beyond it.
+    #[inline]
+    pub(super) fn increment(&mut self, cwnd: f64, now: SimTime) -> f64 {
+        let start = *self.epoch_start.get_or_insert(now);
+        let t = now.saturating_since(start).as_secs_f64();
+        let target = cubic_window(t, self.k, self.w_max);
+        if target > cwnd {
+            (target - cwnd) / cwnd
+        } else {
+            0.01 / cwnd
+        }
     }
 
-    /// Recovery-origin offset `K`, seconds.
-    pub fn k(&self) -> f64 {
-        self.k
-    }
-
-    /// Enters a fresh reduction epoch from window `w` with fast
-    /// convergence (RFC 8312 §4.6): a plateau lower than the previous one
-    /// means capacity shrank, so release it faster.
-    fn reduce(&mut self, w: f64) {
+    /// Enters a fresh reduction epoch from window `w` and returns the new
+    /// `ssthresh`. Fast convergence (RFC 8312 §4.6): a plateau lower than
+    /// the previous one means capacity shrank, so release it faster.
+    #[inline]
+    pub(super) fn reduce(&mut self, w: f64) -> f64 {
         self.w_max = if w < self.w_max {
             // (2 − β)/2 with β = 0.7, inlined for the numeric-domain pass.
             w * 0.65
         } else {
             w
         };
-        self.ssthresh = (w * BETA).max(MIN_SSTHRESH);
-        self.k = cubic_k(self.w_max, self.ssthresh);
+        let ssthresh = (w * BETA).max(MIN_SSTHRESH);
+        self.k = cubic_k(self.w_max, ssthresh);
         self.epoch_start = None;
-    }
-}
-
-impl CongestionController for CubicCc {
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-    fn window(&self) -> u64 {
-        (self.cwnd.floor() as u64).max(1) //~ allow(cast): deliberate float truncation after round/floor
-    }
-    fn in_fast_recovery(&self) -> bool {
-        self.in_fast_recovery
-    }
-    fn in_slow_start(&self) -> bool {
-        !self.in_fast_recovery && self.cwnd < self.ssthresh
+        ssthresh
     }
 
+    /// Recovery exit: the next congestion-avoidance ACK starts the epoch.
     #[inline]
-    fn on_new_ack(&mut self, now: SimTime) {
-        if self.in_fast_recovery {
-            self.cwnd = self.ssthresh;
-            self.in_fast_recovery = false;
-            self.epoch_start = None;
-        } else if self.cwnd < self.ssthresh {
-            self.cwnd += 1.0;
-        } else {
-            let start = *self.epoch_start.get_or_insert(now);
-            let t = now.saturating_since(start).as_secs_f64();
-            let target = cubic_window(t, self.k, self.w_max);
-            if target > self.cwnd {
-                // Close the gap to the cubic within roughly one RTT
-                // (RFC 8312 §4.1's per-ACK increment).
-                self.cwnd += (target - self.cwnd) / self.cwnd;
-            } else {
-                // At or beyond the cubic: slow max-probing.
-                self.cwnd += 0.01 / self.cwnd;
-            }
-        }
-    }
-
-    #[inline]
-    fn on_dupack_in_recovery(&mut self) {
-        debug_assert!(self.in_fast_recovery);
-        self.cwnd += 1.0;
-    }
-
-    #[inline]
-    fn on_fast_retransmit(&mut self, _now: SimTime, _flight: u64) {
-        let w = self.cwnd;
-        self.reduce(w);
-        self.cwnd = self.ssthresh + 3.0;
-        self.in_fast_recovery = true;
-    }
-
-    #[inline]
-    fn on_sack_retransmit(&mut self, _now: SimTime, _flight: u64) {
-        let w = self.cwnd;
-        self.reduce(w);
-        self.cwnd = self.ssthresh;
-        self.in_fast_recovery = true;
-    }
-
-    #[inline]
-    fn on_timeout(&mut self, _flight: u64) {
-        let w = self.cwnd;
-        self.reduce(w);
-        self.cwnd = 1.0;
-        self.in_fast_recovery = false;
-    }
-
-    #[inline]
-    fn exit_recovery(&mut self) {
-        self.cwnd = self.ssthresh;
-        self.in_fast_recovery = false;
+    pub(super) fn restart_epoch(&mut self) {
         self.epoch_start = None;
     }
 
-    #[inline]
-    fn on_rtt_sample(&mut self, _rtt: SimDuration) {}
-
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_f64(self.cwnd);
-        w.put_f64(self.ssthresh);
+    /// Writes `w_max`, `k` and the epoch start; the core writes them
+    /// between `ssthresh` and the recovery flag.
+    pub(super) fn snapshot_into(&self, w: &mut SnapWriter) {
         w.put_f64(self.w_max);
         w.put_f64(self.k);
         match self.epoch_start {
@@ -200,12 +121,10 @@ impl CongestionController for CubicCc {
             }
             None => w.put_bool(false),
         }
-        w.put_bool(self.in_fast_recovery);
     }
 
-    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        self.cwnd = r.get_f64()?;
-        self.ssthresh = r.get_f64()?;
+    /// Reads state written by [`Self::snapshot_into`].
+    pub(super) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         self.w_max = r.get_f64()?;
         self.k = r.get_f64()?;
         self.epoch_start = if r.get_bool()? {
@@ -213,7 +132,6 @@ impl CongestionController for CubicCc {
         } else {
             None
         };
-        self.in_fast_recovery = r.get_bool()?;
         Ok(())
     }
 }
@@ -221,6 +139,7 @@ impl CongestionController for CubicCc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::{CcAlgorithm, CcState, CongestionController, Law};
 
     fn at(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -255,14 +174,26 @@ mod tests {
         assert!(cubic_window(k * 1.5, k, w_max) > w_max);
     }
 
+    /// A CUBIC controller and a view of its epoch state.
+    fn cubic_cc(initial_cwnd: f64) -> CcState {
+        CcState::new(CcAlgorithm::Cubic, initial_cwnd)
+    }
+
+    fn epoch(cc: &CcState) -> &Cubic {
+        match &cc.law {
+            Law::Cubic(c) => c,
+            _ => unreachable!("not a CUBIC controller"),
+        }
+    }
+
     #[test]
     fn slow_start_then_cubic_growth() {
-        let mut cc = CubicCc::new(1.0);
+        let mut cc = cubic_cc(1.0);
         assert!(cc.in_slow_start());
         for _ in 0..9 {
             cc.on_new_ack(at(0.0));
         }
-        assert_eq!(CongestionController::window(&cc), 10);
+        assert_eq!(cc.window(), 10);
         cc.on_fast_retransmit(at(1.0), 10);
         assert!(cc.in_fast_recovery());
         assert_eq!(cc.ssthresh(), 7.0);
@@ -284,33 +215,37 @@ mod tests {
             far.cwnd(),
             near.cwnd()
         );
-        assert!(far.cwnd() > cc.w_max(), "convex probe beyond the plateau");
+        assert!(
+            far.cwnd() > epoch(&cc).w_max,
+            "convex probe beyond the plateau"
+        );
     }
 
     #[test]
     fn fast_convergence_shrinks_plateau_on_back_to_back_losses() {
-        let mut cc = CubicCc::new(20.0);
+        let mut cc = cubic_cc(20.0);
         cc.on_fast_retransmit(at(1.0), 20); // w_max = 20
-        assert_eq!(cc.w_max(), 20.0);
+        assert_eq!(epoch(&cc).w_max, 20.0);
         cc.on_new_ack(at(1.1));
         // Second loss from a smaller window: plateau shrinks below it.
         let w = cc.cwnd();
         cc.on_fast_retransmit(at(1.2), 14);
-        assert!(cc.w_max() < w, "fast convergence: {} < {w}", cc.w_max());
+        let w_max = epoch(&cc).w_max;
+        assert!(w_max < w, "fast convergence: {w_max} < {w}");
     }
 
     #[test]
     fn timeout_collapses_to_one() {
-        let mut cc = CubicCc::new(16.0);
+        let mut cc = cubic_cc(16.0);
         cc.on_timeout(16);
-        assert_eq!(CongestionController::window(&cc), 1);
+        assert_eq!(cc.window(), 1);
         assert!(cc.in_slow_start());
         assert_eq!(cc.ssthresh(), 16.0 * BETA);
     }
 
     #[test]
     fn snapshot_round_trips_mid_epoch() {
-        let mut cc = CubicCc::new(1.0);
+        let mut cc = cubic_cc(1.0);
         for _ in 0..14 {
             cc.on_new_ack(at(0.5));
         }
@@ -320,7 +255,7 @@ mod tests {
         let mut w = SnapWriter::new();
         cc.snapshot_into(&mut w);
         let bytes = w.into_bytes();
-        let mut restored = CubicCc::new(1.0);
+        let mut restored = cubic_cc(1.0);
         let mut r = SnapReader::new(&bytes);
         restored.restore_from(&mut r).expect("restore");
         r.finish().expect("fully consumed");
@@ -328,7 +263,7 @@ mod tests {
         cc.on_new_ack(at(2.9));
         restored.on_new_ack(at(2.9));
         assert_eq!(cc.cwnd().to_bits(), restored.cwnd().to_bits());
-        assert_eq!(cc.k().to_bits(), restored.k().to_bits());
-        assert_eq!(cc.epoch_start, restored.epoch_start);
+        assert_eq!(epoch(&cc).k.to_bits(), epoch(&restored).k.to_bits());
+        assert_eq!(epoch(&cc).epoch_start, epoch(&restored).epoch_start);
     }
 }

@@ -1,21 +1,26 @@
-//! Pluggable congestion control: the [`CongestionController`] trait, the
-//! monomorphized variant dispatch ([`CcState`]), and the per-OS quirk
-//! decorator ([`Quirked`]).
+//! Pluggable congestion control: the [`CongestionController`] trait and
+//! [`CcState`], the one window core every packet-level law runs on.
 //!
 //! The paper models **Reno**; this module generalizes the sender's
-//! congestion state behind a trait so the same engine — packet-level
-//! sender, §II rounds model, and fleet arena — can run the variants that
-//! replaced Reno (NewReno window deflation, CUBIC's cube-root growth,
-//! Relentless's loss-proportional decrease) and map where the PFTK
+//! congestion state so the same engine — packet-level sender, §II rounds
+//! model, and fleet arena — can run the variants that replaced Reno
+//! (NewReno window deflation, CUBIC's cube-root growth, Relentless's
+//! loss-proportional decrease, Scalable's MIMD) and map where the PFTK
 //! prediction stops holding.
 //!
-//! Dispatch is monomorphized the same way [`crate::loss::LossKind`]
-//! already is: the sender stores a [`CcState`] enum and every hook is an
-//! `#[inline]` match, so the per-packet hot path pays a predictable branch
-//! instead of a `dyn` call and the zero-allocation steady state is
-//! preserved. Per-OS quirk knobs (the Linux dupthresh-2 and Irix backoff
-//! quirks of §III/§IV) are a [`Quirked`] decorator *over* the trait, so
-//! protocol code never branches on host identity.
+//! Every packet-level law shares the §II mechanics: slow start, dupack
+//! inflation, recovery entry and exit, and the timeout collapse to one.
+//! [`CcState`] writes them once over the three words `cwnd`, `ssthresh`
+//! and `in_fast_recovery`. A law supplies only what differs from Reno:
+//! its congestion-avoidance increment, its reduced `ssthresh` after a
+//! loss, its partial-ACK reaction, and (CUBIC) its epoch state. The law
+//! is a private enum matched inside each `#[inline]` hook — the
+//! [`crate::loss::LossKind`] idiom — so the per-packet path pays a
+//! predictable branch instead of a `dyn` call and stays allocation-free.
+//!
+//! Per-OS quirks ([`Quirks`]) are plain configuration: the sender reads
+//! its duplicate-ACK threshold from its own config, so protocol code
+//! never branches on host identity.
 //!
 //! The round-granularity counterpart for the §II model and the fleet
 //! arena is [`RoundCc`]: window laws only, no RNG draws, so every variant
@@ -23,29 +28,34 @@
 //! holds structurally.
 
 mod cubic;
-mod newreno;
-mod relentless;
 mod round;
-mod scalable;
 
-pub use cubic::{cubic_k, cubic_window, CubicCc};
-pub use newreno::NewRenoCc;
-pub use relentless::RelentlessCc;
+pub use cubic::{cubic_k, cubic_window};
 pub use round::RoundCc;
-pub use scalable::ScalableCc;
 
-use crate::reno::cwnd::CongestionControl;
 use crate::time::{SimDuration, SimTime};
+use cubic::Cubic;
 use pftk_snap::{SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
+
+/// Floor for the slow-start threshold, packets (RFC 5681's `max(F/2, 2)`);
+/// every law's decrease stops here, so the sender can always keep one
+/// retransmission and one probe in flight.
+const MIN_SSTHRESH: f64 = 2.0;
+
+/// Per-ACK congestion-avoidance increment of Scalable TCP (Kelly's `a`).
+const SCALABLE_GAIN: f64 = 0.01;
+
+/// Share of the window Scalable TCP keeps on a loss (1 − Kelly's `b`).
+const SCALABLE_KEEP: f64 = 0.875;
 
 /// The sender-side congestion-control contract: window accessors plus the
 /// ACK/loss/timeout/RTT event hooks the sender state machine drives.
 ///
 /// Implementations are pure window arithmetic — they never touch the
 /// clock, the RNG, or the network. Loss *detection* (dupack counting,
-/// SACK scoreboards, RTO timers) stays in the sender; implementations
-/// only decide how the window reacts.
+/// SACK scoreboards, RTO timers, the RFC 6582 `recover` mark) stays in
+/// the sender; implementations only decide how the window reacts.
 pub trait CongestionController {
     /// Raw floating-point congestion window, packets.
     fn cwnd(&self) -> f64;
@@ -53,26 +63,15 @@ pub trait CongestionController {
     fn ssthresh(&self) -> f64;
     /// Integer usable window in packets (≥ 1).
     fn window(&self) -> u64;
-    /// True between a fast-retransmit entry and the next new ACK.
+    /// True between a recovery entry and its exit.
     fn in_fast_recovery(&self) -> bool;
     /// True while the window grows exponentially.
     fn in_slow_start(&self) -> bool;
-    /// Duplicate-ACK threshold for fast retransmit. RFC 5681 says 3; the
-    /// [`Quirked`] decorator overrides this with the per-OS value (§III:
-    /// Linux fires after two).
-    fn dupthresh(&self) -> u32 {
-        3
-    }
     /// An ACK advancing `snd_una` arrived at `now`.
     fn on_new_ack(&mut self, now: SimTime);
-    /// A partial ACK arrived during NewReno/SACK-style recovery: `snd_una`
-    /// advanced by `newly_acked` packets but recovery stays open. The
-    /// default is a no-op (plain Reno has no partial-ACK reaction — this
-    /// is what keeps Reno-behind-the-trait bit-identical to the paper's
-    /// protocol).
-    fn on_partial_ack(&mut self, newly_acked: u64) {
-        let _ = newly_acked;
-    }
+    /// A partial ACK arrived during RFC 6582 / SACK recovery: `snd_una`
+    /// advanced by `newly_acked` packets but recovery stays open.
+    fn on_partial_ack(&mut self, newly_acked: u64);
     /// A further duplicate ACK arrived during fast recovery (a packet has
     /// left the network).
     fn on_dupack_in_recovery(&mut self);
@@ -96,72 +95,19 @@ pub trait CongestionController {
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()>;
 }
 
-/// Reno implements the trait by delegating to its existing inherent
-/// methods, so the arithmetic the paper models is stated exactly once
-/// (in [`crate::reno::cwnd`]) and the trait seam adds no behaviour.
-impl CongestionController for CongestionControl {
-    #[inline]
-    fn cwnd(&self) -> f64 {
-        CongestionControl::cwnd(self)
-    }
-    #[inline]
-    fn ssthresh(&self) -> f64 {
-        CongestionControl::ssthresh(self)
-    }
-    #[inline]
-    fn window(&self) -> u64 {
-        CongestionControl::window(self)
-    }
-    #[inline]
-    fn in_fast_recovery(&self) -> bool {
-        CongestionControl::in_fast_recovery(self)
-    }
-    #[inline]
-    fn in_slow_start(&self) -> bool {
-        CongestionControl::in_slow_start(self)
-    }
-    #[inline]
-    fn on_new_ack(&mut self, _now: SimTime) {
-        CongestionControl::on_new_ack(self);
-    }
-    #[inline]
-    fn on_dupack_in_recovery(&mut self) {
-        CongestionControl::on_dupack_in_recovery(self);
-    }
-    #[inline]
-    fn on_fast_retransmit(&mut self, _now: SimTime, flight: u64) {
-        CongestionControl::on_fast_retransmit(self, flight);
-    }
-    #[inline]
-    fn on_sack_retransmit(&mut self, _now: SimTime, flight: u64) {
-        CongestionControl::on_sack_retransmit(self, flight);
-    }
-    #[inline]
-    fn on_timeout(&mut self, flight: u64) {
-        CongestionControl::on_timeout(self, flight);
-    }
-    #[inline]
-    fn exit_recovery(&mut self) {
-        CongestionControl::exit_recovery(self);
-    }
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        CongestionControl::snapshot_into(self, w);
-    }
-    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        CongestionControl::restore_from(self, r)
-    }
-}
-
 /// Which congestion-control algorithm a sender (or rounds-model flow)
-/// runs. Orthogonal to [`crate::reno::sender::RenoStyle`], which selects
-/// the *loss-recovery mechanics* (dupack vs SACK bookkeeping); this
-/// selects the *window laws*.
+/// runs. [`crate::reno::sender::RenoStyle`] selects the *loss-recovery
+/// mechanics* (Tahoe collapse, dupack or SACK bookkeeping); this selects
+/// the *window laws*. NewReno is the one law the mechanics read: it turns
+/// on the sender's RFC 6582 partial-ACK recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum CcAlgorithm {
     /// RFC 5681 AIMD — the paper's protocol and the library default.
     #[default]
     Reno,
-    /// RFC 6582: Reno laws plus partial-ACK window deflation.
+    /// RFC 6582: Reno laws plus partial-ACK window deflation. The sender
+    /// runs partial-ACK recovery for it: a partial ACK retransmits the next
+    /// hole and recovery stays open until `snd_una` passes `recover`.
     NewReno,
     /// RFC 8312 CUBIC: cube-root window growth around the last loss
     /// plateau, β = 0.7 multiplicative decrease, fast convergence.
@@ -236,128 +182,233 @@ impl CcAlgorithm {
     }
 }
 
-/// The monomorphized variant dispatch: one enum arm per algorithm, every
-/// trait hook an `#[inline]` match — the [`crate::loss::LossKind`] idiom,
-/// so the sender's per-ACK path never goes through a `dyn` call.
+/// The one window core: Reno's three words and the §II mechanics every
+/// packet-level law shares, plus the law that supplies what differs.
 //= pftk#variant-envelope type=impl
 #[derive(Debug, Clone)]
-pub enum CcState {
-    /// Plain Reno (the paper's protocol).
-    Reno(CongestionControl),
-    /// NewReno with partial-ACK deflation.
-    NewReno(NewRenoCc),
-    /// CUBIC.
-    Cubic(CubicCc),
-    /// Relentless.
-    Relentless(RelentlessCc),
-    /// Scalable TCP.
-    Scalable(ScalableCc),
+pub struct CcState {
+    cwnd: f64,
+    ssthresh: f64,
+    in_fast_recovery: bool,
+    law: Law,
 }
 
-/// Forwards one `&self` accessor through the variant match.
-macro_rules! cc_dispatch {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match $self {
-            CcState::Reno($inner) => $body,
-            CcState::NewReno($inner) => $body,
-            CcState::Cubic($inner) => $body,
-            CcState::Relentless($inner) => $body,
-            CcState::Scalable($inner) => $body,
+/// What a law changes on top of Reno's mechanics.
+#[derive(Debug, Clone)]
+enum Law {
+    /// RFC 5681 AIMD, the paper's protocol: +1/W per ACK, `flight / 2`
+    /// on every loss.
+    Reno,
+    /// RFC 6582: Reno plus partial-ACK deflation. Selecting it also turns
+    /// on the sender's partial-ACK recovery.
+    NewReno,
+    /// CUBIC (RFC 8312): the cubic step and its epoch state.
+    Cubic(Cubic),
+    /// Relentless (Diana & Lochin, "An Analytical Model of TCP Relentless
+    /// Congestion Control"): a fast retransmit costs one segment per lost
+    /// segment instead of `W/2` — `W − 1` at entry and one more per
+    /// partial ACK, each of which marks another repaired hole. Timeouts
+    /// stay Reno's, which keeps the PFTK timeout term comparable while the
+    /// TD term's `√(3/2bp)` dependence disappears.
+    Relentless,
+    /// Scalable TCP (Kelly, CCR 2003): MIMD — `+0.01` per ACK in
+    /// congestion avoidance (`+a·W` per round) and `×7/8` on a loss, as in
+    /// Linux `tcp_scalable`. Its equilibrium window is `Θ(1/p)` where
+    /// Reno's is `Θ(1/√p)`, so its atlas frontier is the widest.
+    Scalable,
+}
+
+impl Law {
+    /// Congestion-avoidance growth of `cwnd` for one ACK at `now`.
+    #[inline]
+    fn ca_increment(&mut self, cwnd: f64, now: SimTime) -> f64 {
+        match self {
+            Law::Reno | Law::NewReno | Law::Relentless => 1.0 / cwnd,
+            Law::Cubic(c) => c.increment(cwnd, now),
+            Law::Scalable => SCALABLE_GAIN,
         }
-    };
+    }
+
+    /// The reduced slow-start threshold after a loss seen at window `cwnd`
+    /// with `flight` packets outstanding; `timeout` marks an RTO (or a
+    /// Tahoe TD) as against a fast or SACK retransmit.
+    #[inline]
+    fn reduced_ssthresh(&mut self, cwnd: f64, flight: u64, timeout: bool) -> f64 {
+        let flight = flight as f64; //~ allow(cast): integer count to f64, exact below 2^53
+        let target = match self {
+            Law::Cubic(c) => return c.reduce(cwnd),
+            Law::Relentless if !timeout => cwnd - 1.0,
+            Law::Scalable if timeout => flight * SCALABLE_KEEP,
+            Law::Scalable => cwnd * SCALABLE_KEEP,
+            Law::Reno | Law::NewReno | Law::Relentless => flight / 2.0,
+        };
+        target.max(MIN_SSTHRESH)
+    }
 }
 
 impl CcState {
-    /// Builds the selected algorithm's controller in its initial state.
+    /// Builds the selected algorithm's controller in slow start with the
+    /// given initial window (packets) and an effectively unlimited
+    /// threshold.
     pub fn new(algo: CcAlgorithm, initial_cwnd: f64) -> CcState {
-        match algo {
-            CcAlgorithm::Reno => CcState::Reno(CongestionControl::new(initial_cwnd)),
-            CcAlgorithm::NewReno => CcState::NewReno(NewRenoCc::new(initial_cwnd)),
-            CcAlgorithm::Cubic => CcState::Cubic(CubicCc::new(initial_cwnd)),
-            CcAlgorithm::Relentless => CcState::Relentless(RelentlessCc::new(initial_cwnd)),
-            CcAlgorithm::Scalable => CcState::Scalable(ScalableCc::new(initial_cwnd)),
+        assert!(
+            initial_cwnd >= 1.0,
+            "initial cwnd must be at least one segment"
+        );
+        let law = match algo {
+            CcAlgorithm::Reno => Law::Reno,
+            CcAlgorithm::NewReno => Law::NewReno,
+            CcAlgorithm::Cubic => Law::Cubic(Cubic::new(initial_cwnd)),
+            CcAlgorithm::Relentless => Law::Relentless,
+            CcAlgorithm::Scalable => Law::Scalable,
+        };
+        CcState {
+            cwnd: initial_cwnd,
+            ssthresh: f64::INFINITY,
+            in_fast_recovery: false,
+            law,
         }
     }
 
     /// Which algorithm this state belongs to.
     pub fn algorithm(&self) -> CcAlgorithm {
-        match self {
-            CcState::Reno(_) => CcAlgorithm::Reno,
-            CcState::NewReno(_) => CcAlgorithm::NewReno,
-            CcState::Cubic(_) => CcAlgorithm::Cubic,
-            CcState::Relentless(_) => CcAlgorithm::Relentless,
-            CcState::Scalable(_) => CcAlgorithm::Scalable,
+        match self.law {
+            Law::Reno => CcAlgorithm::Reno,
+            Law::NewReno => CcAlgorithm::NewReno,
+            Law::Cubic(_) => CcAlgorithm::Cubic,
+            Law::Relentless => CcAlgorithm::Relentless,
+            Law::Scalable => CcAlgorithm::Scalable,
         }
+    }
+
+    /// Recovery entry: reduce `ssthresh` by the law, then set the window
+    /// to it plus `inflation` (3 for the duplicates behind a fast
+    /// retransmit, RFC 5681 §3.2; 0 under SACK, whose pipe algorithm
+    /// regulates transmissions instead).
+    //= pftk#cwnd-td-halve
+    #[inline]
+    fn enter_recovery(&mut self, flight: u64, inflation: f64) {
+        self.ssthresh = self.law.reduced_ssthresh(self.cwnd, flight, false);
+        self.cwnd = self.ssthresh + inflation;
+        self.in_fast_recovery = true;
     }
 }
 
 impl CongestionController for CcState {
     #[inline]
     fn cwnd(&self) -> f64 {
-        cc_dispatch!(self, c => c.cwnd())
+        self.cwnd
     }
     #[inline]
     fn ssthresh(&self) -> f64 {
-        cc_dispatch!(self, c => c.ssthresh())
+        self.ssthresh
     }
     #[inline]
     fn window(&self) -> u64 {
-        cc_dispatch!(self, c => c.window())
+        (self.cwnd.floor() as u64).max(1) //~ allow(cast): deliberate float truncation after round/floor
     }
     #[inline]
     fn in_fast_recovery(&self) -> bool {
-        cc_dispatch!(self, c => c.in_fast_recovery())
+        self.in_fast_recovery
     }
     #[inline]
     fn in_slow_start(&self) -> bool {
-        cc_dispatch!(self, c => c.in_slow_start())
+        !self.in_fast_recovery && self.cwnd < self.ssthresh
     }
-    // UFCS on the hooks whose trait signature differs from Reno's
-    // inherent one, so the Reno arm resolves to the trait impl (which
-    // delegates) instead of tripping over inherent-method precedence.
+
+    /// Leaves fast recovery (Reno deflates to `ssthresh` on the first new
+    /// ACK), or grows the window: +1 per ACK in slow start, the law's
+    /// increment (Reno's +1/W) in congestion avoidance.
+    //= pftk#cwnd-linear-growth
     #[inline]
     fn on_new_ack(&mut self, now: SimTime) {
-        cc_dispatch!(self, c => CongestionController::on_new_ack(c, now));
+        if self.in_fast_recovery {
+            self.exit_recovery();
+        } else if self.cwnd < self.ssthresh {
+            self.cwnd += 1.0;
+        } else {
+            self.cwnd += self.law.ca_increment(self.cwnd, now);
+        }
     }
+
+    /// NewReno deflates by the amount acknowledged and adds back one
+    /// segment for the retransmitted hole (RFC 6582 §3.2 step 5);
+    /// Relentless takes one more segment off the exit window; the other
+    /// laws ignore partial ACKs.
     #[inline]
     fn on_partial_ack(&mut self, newly_acked: u64) {
-        cc_dispatch!(self, c => c.on_partial_ack(newly_acked));
+        debug_assert!(self.in_fast_recovery);
+        match self.law {
+            Law::NewReno => {
+                let acked = newly_acked as f64; //~ allow(cast): integer count to f64, exact below 2^53
+                self.cwnd = (self.cwnd - acked + 1.0).max(1.0);
+            }
+            Law::Relentless => self.ssthresh = (self.ssthresh - 1.0).max(MIN_SSTHRESH),
+            Law::Reno | Law::Cubic(_) | Law::Scalable => {}
+        }
     }
+
     #[inline]
     fn on_dupack_in_recovery(&mut self) {
-        cc_dispatch!(self, c => c.on_dupack_in_recovery());
+        debug_assert!(self.in_fast_recovery);
+        self.cwnd += 1.0;
     }
+
     #[inline]
-    fn on_fast_retransmit(&mut self, now: SimTime, flight: u64) {
-        cc_dispatch!(self, c => CongestionController::on_fast_retransmit(c, now, flight));
+    fn on_fast_retransmit(&mut self, _now: SimTime, flight: u64) {
+        self.enter_recovery(flight, 3.0);
     }
+
     #[inline]
-    fn on_sack_retransmit(&mut self, now: SimTime, flight: u64) {
-        cc_dispatch!(self, c => CongestionController::on_sack_retransmit(c, now, flight));
+    fn on_sack_retransmit(&mut self, _now: SimTime, flight: u64) {
+        self.enter_recovery(flight, 0.0);
     }
+
+    /// Collapse to one segment and re-enter slow start ("following a
+    /// time-out, the congestion window is reduced to one", §II-B). Also
+    /// the Tahoe reaction to a triple duplicate.
+    //= pftk#cwnd-to-collapse
     #[inline]
     fn on_timeout(&mut self, flight: u64) {
-        cc_dispatch!(self, c => c.on_timeout(flight));
+        self.ssthresh = self.law.reduced_ssthresh(self.cwnd, flight, true);
+        self.cwnd = 1.0;
+        self.in_fast_recovery = false;
     }
+
     #[inline]
     fn exit_recovery(&mut self) {
-        cc_dispatch!(self, c => c.exit_recovery());
+        self.cwnd = self.ssthresh;
+        self.in_fast_recovery = false;
+        if let Law::Cubic(c) = &mut self.law {
+            c.restart_epoch();
+        }
     }
-    #[inline]
-    fn on_rtt_sample(&mut self, rtt: SimDuration) {
-        cc_dispatch!(self, c => c.on_rtt_sample(rtt));
-    }
+
     fn snapshot_into(&self, w: &mut SnapWriter) {
-        cc_dispatch!(self, c => c.snapshot_into(w));
+        w.put_f64(self.cwnd);
+        w.put_f64(self.ssthresh);
+        if let Law::Cubic(c) = &self.law {
+            c.snapshot_into(w);
+        }
+        w.put_bool(self.in_fast_recovery);
     }
+
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        cc_dispatch!(self, c => c.restore_from(r))
+        self.cwnd = r.get_f64()?;
+        self.ssthresh = r.get_f64()?;
+        if let Law::Cubic(c) = &mut self.law {
+            c.restore_from(r)?;
+        }
+        self.in_fast_recovery = r.get_bool()?;
+        Ok(())
     }
 }
 
 /// The per-OS TCP quirk knobs the paper's §III/§IV measurements correct
 /// for, gathered in one place so protocol code reads *quirks*, never host
-/// identity.
+/// identity. They are configuration: a host's sender takes `dupthresh`
+/// as [`crate::reno::sender::SenderConfig::dupthresh`] and the backoff cap
+/// as [`crate::reno::rto::RtoConfig::backoff_cap_exp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quirks {
     /// Duplicate ACKs required for fast retransmit (Linux 2.0: 2; RFC: 3).
@@ -375,132 +426,25 @@ impl Default for Quirks {
     }
 }
 
-/// Decorates any controller with per-OS quirk knobs: every window hook
-/// forwards untouched, only [`CongestionController::dupthresh`] is
-/// overridden. (The backoff cap is consumed by
-/// [`crate::reno::rto::RtoConfig`] at configuration time — it is carried
-/// here so one `Quirks` value describes a host completely.)
-#[derive(Debug, Clone)]
-pub struct Quirked<C> {
-    inner: C,
-    quirks: Quirks,
-}
-
-impl<C: CongestionController> Quirked<C> {
-    /// Wraps `inner` with the given quirk knobs.
-    pub fn new(inner: C, quirks: Quirks) -> Self {
-        Quirked { inner, quirks }
-    }
-
-    /// The quirk knobs in force.
-    pub fn quirks(&self) -> Quirks {
-        self.quirks
-    }
-
-    /// The decorated controller.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Duplicate-ACK threshold (the decorated, per-OS value).
-    pub fn dupthresh(&self) -> u32 {
-        self.quirks.dupthresh
-    }
-
-    /// Integer usable window in packets (≥ 1).
-    pub fn window(&self) -> u64 {
-        self.inner.window()
-    }
-
-    /// Raw floating-point congestion window.
-    pub fn cwnd(&self) -> f64 {
-        self.inner.cwnd()
-    }
-
-    /// Current slow-start threshold.
-    pub fn ssthresh(&self) -> f64 {
-        self.inner.ssthresh()
-    }
-
-    /// True while in fast recovery.
-    pub fn in_fast_recovery(&self) -> bool {
-        self.inner.in_fast_recovery()
-    }
-
-    /// True while in slow start.
-    pub fn in_slow_start(&self) -> bool {
-        self.inner.in_slow_start()
-    }
-}
-
-impl<C: CongestionController> CongestionController for Quirked<C> {
-    #[inline]
-    fn cwnd(&self) -> f64 {
-        self.inner.cwnd()
-    }
-    #[inline]
-    fn ssthresh(&self) -> f64 {
-        self.inner.ssthresh()
-    }
-    #[inline]
-    fn window(&self) -> u64 {
-        self.inner.window()
-    }
-    #[inline]
-    fn in_fast_recovery(&self) -> bool {
-        self.inner.in_fast_recovery()
-    }
-    #[inline]
-    fn in_slow_start(&self) -> bool {
-        self.inner.in_slow_start()
-    }
-    #[inline]
-    fn dupthresh(&self) -> u32 {
-        self.quirks.dupthresh
-    }
-    #[inline]
-    fn on_new_ack(&mut self, now: SimTime) {
-        self.inner.on_new_ack(now);
-    }
-    #[inline]
-    fn on_partial_ack(&mut self, newly_acked: u64) {
-        self.inner.on_partial_ack(newly_acked);
-    }
-    #[inline]
-    fn on_dupack_in_recovery(&mut self) {
-        self.inner.on_dupack_in_recovery();
-    }
-    #[inline]
-    fn on_fast_retransmit(&mut self, now: SimTime, flight: u64) {
-        self.inner.on_fast_retransmit(now, flight);
-    }
-    #[inline]
-    fn on_sack_retransmit(&mut self, now: SimTime, flight: u64) {
-        self.inner.on_sack_retransmit(now, flight);
-    }
-    #[inline]
-    fn on_timeout(&mut self, flight: u64) {
-        self.inner.on_timeout(flight);
-    }
-    #[inline]
-    fn exit_recovery(&mut self) {
-        self.inner.exit_recovery();
-    }
-    #[inline]
-    fn on_rtt_sample(&mut self, rtt: SimDuration) {
-        self.inner.on_rtt_sample(rtt);
-    }
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        self.inner.snapshot_into(w);
-    }
-    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        self.inner.restore_from(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const T: SimTime = SimTime::ZERO;
+
+    fn reno(initial_cwnd: f64) -> CcState {
+        CcState::new(CcAlgorithm::Reno, initial_cwnd)
+    }
+
+    /// A controller of `algo` grown by `acks` slow-start ACKs from one
+    /// segment.
+    fn grown(algo: CcAlgorithm, acks: u32) -> CcState {
+        let mut cc = CcState::new(algo, 1.0);
+        for _ in 0..acks {
+            cc.on_new_ack(T);
+        }
+        cc
+    }
 
     #[test]
     fn labels_round_trip() {
@@ -520,47 +464,218 @@ mod tests {
     }
 
     #[test]
-    fn reno_behind_trait_matches_inherent_arithmetic() {
-        // The trait seam must add nothing: drive the same event sequence
-        // through the bare struct and the dispatch enum and compare state.
-        let now = SimTime::ZERO;
-        let mut bare = CongestionControl::new(1.0);
-        let mut seam = CcState::new(CcAlgorithm::Reno, 1.0);
-        for _ in 0..20 {
-            bare.on_new_ack();
-            CongestionController::on_new_ack(&mut seam, now);
-        }
-        bare.on_fast_retransmit(20);
-        seam.on_fast_retransmit(now, 20);
-        bare.on_dupack_in_recovery();
-        seam.on_dupack_in_recovery();
-        bare.on_new_ack();
-        CongestionController::on_new_ack(&mut seam, now);
-        bare.on_timeout(9);
-        seam.on_timeout(9);
-        assert_eq!(bare.cwnd().to_bits(), seam.cwnd().to_bits());
-        assert_eq!(bare.ssthresh().to_bits(), seam.ssthresh().to_bits());
-        assert_eq!(
-            bare.in_fast_recovery(),
-            CongestionController::in_fast_recovery(&seam)
-        );
+    fn starts_in_slow_start() {
+        let cc = reno(1.0);
+        assert!(cc.in_slow_start());
+        assert_eq!(cc.window(), 1);
     }
 
     #[test]
-    fn quirk_decorator_overrides_only_dupthresh() {
-        let linux = Quirks {
-            dupthresh: 2,
-            backoff_cap_exp: 6,
-        };
-        let mut q = Quirked::new(CcState::new(CcAlgorithm::Reno, 1.0), linux);
-        assert_eq!(q.dupthresh(), 2);
-        assert_eq!(q.quirks(), linux);
-        let mut bare = CongestionControl::new(1.0);
-        for _ in 0..7 {
-            bare.on_new_ack();
-            CongestionController::on_new_ack(&mut q, SimTime::ZERO);
+    fn slow_start_doubles_per_window() {
+        // Each ACK adds a full segment: after W ACKs the window has doubled.
+        assert_eq!(grown(CcAlgorithm::Reno, 1).window(), 2);
+        assert_eq!(grown(CcAlgorithm::Reno, 3).window(), 4);
+    }
+
+    #[test]
+    //= pftk#cwnd-linear-growth type=test
+    fn congestion_avoidance_grows_one_per_window() {
+        let mut cc = reno(10.0);
+        // Force CA by setting a low threshold via a timeout + regrowth.
+        cc.on_timeout(10); // ssthresh = 5, cwnd = 1
+        for _ in 0..4 {
+            cc.on_new_ack(T); // slow start to 5
         }
-        assert_eq!(q.cwnd().to_bits(), bare.cwnd().to_bits());
+        assert!(!cc.in_slow_start());
+        let w0 = cc.cwnd();
+        // W ACKs in CA should add ~1 segment total.
+        for _ in 0..cc.window() {
+            cc.on_new_ack(T);
+        }
+        let grown = cc.cwnd() - w0;
+        assert!((grown - 1.0).abs() < 0.2, "grew {grown} per window");
+    }
+
+    #[test]
+    //= pftk#cwnd-td-halve type=test
+    fn fast_retransmit_halves_and_inflates() {
+        let mut cc = grown(CcAlgorithm::Reno, 19);
+        assert_eq!(cc.window(), 20);
+        cc.on_fast_retransmit(T, 20);
+        assert!(cc.in_fast_recovery());
+        assert_eq!(cc.ssthresh(), 10.0);
+        assert_eq!(cc.window(), 13); // ssthresh + 3 dupacks
+        cc.on_dupack_in_recovery();
+        assert_eq!(cc.window(), 14);
+        cc.on_new_ack(T); // deflate
+        assert!(!cc.in_fast_recovery());
+        assert_eq!(cc.window(), 10);
+    }
+
+    #[test]
+    //= pftk#cwnd-to-collapse type=test
+    fn timeout_collapses_to_one() {
+        let mut cc = grown(CcAlgorithm::Reno, 15);
+        cc.on_timeout(16);
+        assert_eq!(cc.window(), 1);
+        assert_eq!(cc.ssthresh(), 8.0);
+        assert!(cc.in_slow_start());
+    }
+
+    #[test]
+    fn ssthresh_floor_is_two() {
+        let mut cc = reno(1.0);
+        cc.on_timeout(1);
+        assert_eq!(cc.ssthresh(), 2.0);
+        cc.on_fast_retransmit(T, 2);
+        assert_eq!(cc.ssthresh(), 2.0);
+    }
+
+    #[test]
+    fn window_never_below_one() {
+        let mut cc = reno(1.0);
+        cc.on_timeout(0);
+        assert_eq!(cc.window(), 1);
+    }
+
+    #[test]
+    fn sack_entry_halves_without_inflation() {
+        let mut cc = grown(CcAlgorithm::Reno, 19);
+        cc.on_sack_retransmit(T, 20);
+        assert!(cc.in_fast_recovery());
+        assert_eq!(cc.window(), 10, "no +3 inflation under SACK");
+        cc.exit_recovery();
+        assert!(!cc.in_fast_recovery());
+        assert_eq!(cc.window(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one")]
+    fn zero_initial_cwnd_rejected() {
+        let _ = reno(0.0);
+    }
+
+    #[test]
+    fn newreno_matches_reno_outside_recovery() {
+        let mut nr = grown(CcAlgorithm::NewReno, 25);
+        let mut reno = grown(CcAlgorithm::Reno, 25);
+        nr.on_timeout(26);
+        reno.on_timeout(26);
+        for _ in 0..40 {
+            nr.on_new_ack(T);
+            reno.on_new_ack(T);
+        }
+        assert_eq!(nr.cwnd().to_bits(), reno.cwnd().to_bits());
+        assert_eq!(nr.ssthresh().to_bits(), reno.ssthresh().to_bits());
+    }
+
+    #[test]
+    fn newreno_partial_ack_deflates_and_readds_one() {
+        let mut nr = grown(CcAlgorithm::NewReno, 19);
+        nr.on_fast_retransmit(T, 20); // ssthresh 10, cwnd 13
+        assert_eq!(nr.cwnd(), 13.0);
+        nr.on_partial_ack(5); // 13 − 5 + 1
+        assert_eq!(nr.cwnd(), 9.0);
+        assert!(nr.in_fast_recovery(), "partial ACK keeps recovery open");
+        nr.exit_recovery();
+        assert_eq!(nr.cwnd(), 10.0);
+        assert!(!nr.in_fast_recovery());
+        // Reno ignores the same partial ACK.
+        let mut reno = grown(CcAlgorithm::Reno, 19);
+        reno.on_fast_retransmit(T, 20);
+        reno.on_partial_ack(5);
+        assert_eq!(reno.cwnd(), 13.0);
+    }
+
+    #[test]
+    fn newreno_partial_ack_deflation_floors_at_one() {
+        let mut nr = CcState::new(CcAlgorithm::NewReno, 4.0);
+        nr.on_fast_retransmit(T, 4);
+        nr.on_partial_ack(100);
+        assert_eq!(nr.cwnd(), 1.0);
+        assert_eq!(nr.window(), 1);
+    }
+
+    #[test]
+    fn relentless_single_loss_costs_one_segment() {
+        let mut cc = grown(CcAlgorithm::Relentless, 19);
+        assert_eq!(cc.window(), 20);
+        cc.on_fast_retransmit(T, 20);
+        assert!(cc.in_fast_recovery());
+        assert_eq!(cc.ssthresh(), 19.0, "W − 1, not W/2");
+        cc.on_new_ack(T); // deflate
+        assert_eq!(cc.cwnd(), 19.0);
+    }
+
+    #[test]
+    fn relentless_each_repaired_hole_costs_another_segment() {
+        let mut cc = CcState::new(CcAlgorithm::Relentless, 10.0);
+        cc.on_fast_retransmit(T, 10); // ssthresh 9
+        cc.on_partial_ack(3);
+        cc.on_partial_ack(2);
+        assert_eq!(cc.ssthresh(), 7.0, "3 losses → W − 3");
+        cc.exit_recovery();
+        assert_eq!(cc.cwnd(), 7.0);
+    }
+
+    #[test]
+    fn relentless_timeout_still_halves_the_flight() {
+        let mut cc = grown(CcAlgorithm::Relentless, 15);
+        cc.on_timeout(16);
+        assert_eq!(cc.window(), 1);
+        assert_eq!(cc.ssthresh(), 8.0);
+        assert!(cc.in_slow_start());
+    }
+
+    #[test]
+    fn relentless_decrease_floors_at_min_ssthresh() {
+        let mut cc = CcState::new(CcAlgorithm::Relentless, 2.0);
+        cc.on_fast_retransmit(T, 2);
+        assert_eq!(cc.ssthresh(), 2.0);
+        cc.on_partial_ack(1);
+        assert_eq!(cc.ssthresh(), 2.0);
+    }
+
+    #[test]
+    fn scalable_congestion_avoidance_adds_a_per_ack() {
+        let mut cc = CcState::new(CcAlgorithm::Scalable, 1.0);
+        cc.on_timeout(1); // arm a threshold so CA is reachable
+        cc.ssthresh = 2.0;
+        cc.on_new_ack(T); // slow start: 1 → 2
+        assert_eq!(cc.cwnd(), 2.0);
+        cc.on_new_ack(T); // CA: + 0.01
+        assert_eq!(cc.cwnd(), 2.01);
+    }
+
+    #[test]
+    fn scalable_loss_costs_one_eighth_not_half() {
+        let mut cc = CcState::new(CcAlgorithm::Scalable, 16.0);
+        cc.on_fast_retransmit(T, 16);
+        assert!(cc.in_fast_recovery());
+        assert_eq!(cc.ssthresh(), 14.0, "16 · 7/8, not 8");
+        cc.on_new_ack(T); // deflate
+        assert_eq!(cc.cwnd(), 14.0);
+        assert!(!cc.in_fast_recovery());
+    }
+
+    #[test]
+    fn scalable_timeout_collapses_to_one() {
+        let mut cc = CcState::new(CcAlgorithm::Scalable, 16.0);
+        cc.on_timeout(16);
+        assert_eq!(cc.window(), 1);
+        assert_eq!(cc.ssthresh(), 14.0);
+        assert!(cc.in_slow_start());
+    }
+
+    #[test]
+    fn scalable_decrease_floors_at_min_ssthresh() {
+        let mut cc = CcState::new(CcAlgorithm::Scalable, 2.0);
+        cc.on_fast_retransmit(T, 2);
+        assert_eq!(cc.ssthresh(), 2.0);
+    }
+
+    #[test]
+    fn quirk_defaults_are_rfc_5681_and_the_papers_cap() {
         assert_eq!(Quirks::default().dupthresh, 3);
         assert_eq!(Quirks::default().backoff_cap_exp, 6);
     }
@@ -568,8 +683,8 @@ mod tests {
     #[test]
     fn snapshot_round_trips_every_variant() {
         for algo in CcAlgorithm::ALL {
-            let mut cc = CcState::new(algo, 1.0);
             let t = SimTime::from_secs_f64(1.0);
+            let mut cc = CcState::new(algo, 1.0);
             for _ in 0..10 {
                 cc.on_new_ack(t);
             }

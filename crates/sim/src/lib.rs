@@ -68,7 +68,7 @@ pub mod stats;
 pub mod tfrc;
 pub mod time;
 
-pub use cc::{CcAlgorithm, CcState, CongestionController, Quirked, Quirks, RoundCc};
+pub use cc::{CcAlgorithm, CcState, CongestionController, Quirks, RoundCc};
 pub use connection::{Connection, Observer};
 pub use fault::{FaultPlan, Impairment};
 pub use fleet::{FleetCohort, FleetShard, FleetSpec, FlowStats, WheelConfig};

@@ -1,10 +1,8 @@
-//! TCP Reno sender-side machinery: congestion control, timeout estimation,
-//! and the sans-I/O sender state machine.
+//! TCP Reno sender-side machinery: timeout estimation and the sans-I/O
+//! sender state machine. The window laws live in [`crate::cc`].
 
-pub mod cwnd;
 pub mod rto;
 pub mod sender;
 
-pub use cwnd::CongestionControl;
 pub use rto::{RtoConfig, RtoEstimator};
 pub use sender::{Sender, SenderConfig, SenderOutput, TimerCmd};

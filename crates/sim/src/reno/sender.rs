@@ -7,28 +7,30 @@
 //! protocol logic purely functional over its own state and unit-testable
 //! without a network.
 
-use crate::cc::{CcAlgorithm, CcState, CongestionController, Quirked, Quirks};
+use crate::cc::{CcAlgorithm, CcState, CongestionController};
 use crate::packet::{Ack, Segment, Seq};
 use crate::reno::rto::{RtoConfig, RtoEstimator};
 use crate::stats::ConnStats;
 use crate::time::SimTime;
 use pftk_snap::{SnapReader, SnapResult, SnapWriter};
 
-/// Which loss-recovery algorithm the sender runs. The paper models
+/// Which loss-recovery mechanics the sender runs. The paper models
 /// **Reno**; the other variants exist for the ref-\[3\]-style comparison
 /// ("Simulation-based comparisons of Tahoe, Reno, and SACK TCP") and to
-/// quantify how far each deviates from the model.
+/// quantify how far each deviates from the model. NewReno is not a style:
+/// it is [`CcAlgorithm::NewReno`], whose RFC 6582 partial-ACK recovery the
+/// `Reno` style runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RenoStyle {
     /// No fast recovery: any loss (dupacks or timeout) collapses the window
     /// to one and slow-starts (§IV notes SunOS TCP was Tahoe-derived).
     Tahoe,
     /// RFC 5681 fast retransmit/fast recovery — the paper's protocol.
+    /// With [`CcAlgorithm::NewReno`] it becomes RFC 6582: partial ACKs
+    /// retransmit the next hole without leaving recovery, so a multi-loss
+    /// window costs one window reduction.
     #[default]
     Reno,
-    /// RFC 6582: partial ACKs retransmit the next hole without leaving
-    /// recovery, so a multi-loss window costs one window reduction.
-    NewReno,
     /// RFC 2018 selective acknowledgments with a pipe-driven recovery
     /// (requires a SACK-enabled receiver).
     Sack,
@@ -91,9 +93,10 @@ pub struct SenderConfig {
     pub data_limit: Option<u64>,
     /// Loss-recovery algorithm (default: Reno, the paper's protocol).
     pub style: RenoStyle,
-    /// Congestion-control window laws (default: Reno). Orthogonal to
-    /// `style`: `style` picks the recovery *mechanics* (dupack vs SACK
-    /// bookkeeping), `cc` picks how the window reacts to those events.
+    /// Congestion-control window laws (default: Reno). `style` picks the
+    /// recovery *mechanics* (dupack vs SACK bookkeeping), `cc` picks how
+    /// the window reacts to those events; `NewReno` also turns on
+    /// partial-ACK recovery.
     pub cc: CcAlgorithm,
 }
 
@@ -120,9 +123,8 @@ pub struct Sender {
     snd_una: Seq,
     /// Next new sequence number to send.
     snd_nxt: Seq,
-    /// The pluggable congestion controller, decorated with the per-OS
-    /// quirk knobs so the protocol code below never reads host identity.
-    cc: Quirked<CcState>,
+    /// The pluggable congestion controller.
+    cc: CcState,
     rto: RtoEstimator,
     dupacks: u32,
     /// RTT timing in progress: (sequence, send time). Karn: discarded if
@@ -133,9 +135,13 @@ pub struct Sender {
     to_run: u32,
     /// When the final packet of a finite transfer was acked.
     completed_at: Option<SimTime>,
-    /// NewReno/SACK: highest sequence outstanding when recovery began; the
-    /// recovery ends when `snd_una` passes it (RFC 6582's `recover`).
+    /// Partial-ACK recovery: highest sequence outstanding when recovery
+    /// began; the recovery ends when `snd_una` passes it (RFC 6582's
+    /// `recover`).
     recover: Seq,
+    /// Whether partial ACKs keep recovery open (the SACK style, or the
+    /// NewReno law). A function of the config, so never snapshotted.
+    partial_acks: bool,
     /// SACK scoreboard: sequences above `snd_una` the receiver reported.
     scoreboard: std::collections::BTreeSet<Seq>,
     /// Holes already retransmitted during the current recovery episode.
@@ -150,19 +156,14 @@ impl Sender {
         Sender {
             snd_una: 0,
             snd_nxt: 0,
-            cc: Quirked::new(
-                CcState::new(config.cc, config.initial_cwnd),
-                Quirks {
-                    dupthresh: config.dupthresh,
-                    backoff_cap_exp: config.rto.backoff_cap_exp,
-                },
-            ),
+            cc: CcState::new(config.cc, config.initial_cwnd),
             rto: RtoEstimator::new(config.rto),
             dupacks: 0,
             timed: None,
             to_run: 0,
             completed_at: None,
             recover: 0,
+            partial_acks: config.style == RenoStyle::Sack || config.cc == CcAlgorithm::NewReno,
             scoreboard: std::collections::BTreeSet::new(),
             rexmitted: std::collections::BTreeSet::new(),
             stats: ConnStats::default(),
@@ -191,8 +192,8 @@ impl Sender {
         self.cc.window().min(u64::from(self.config.rwnd))
     }
 
-    /// Read-only view of the congestion controller (quirk-decorated).
-    pub fn congestion(&self) -> &Quirked<CcState> {
+    /// Read-only view of the congestion controller.
+    pub fn congestion(&self) -> &CcState {
         &self.cc
     }
 
@@ -212,12 +213,11 @@ impl Sender {
     }
 
     /// Stable numeric code for the recovery style, used as a snapshot
-    /// shape tag.
+    /// shape tag (2 was a retired NewReno style).
     fn style_tag(style: RenoStyle) -> u64 {
         match style {
             RenoStyle::Tahoe => 0,
             RenoStyle::Reno => 1,
-            RenoStyle::NewReno => 2,
             RenoStyle::Sack => 3,
         }
     }
@@ -352,9 +352,11 @@ impl Sender {
             let newly_acked = ack.ack - self.snd_una;
             self.snd_una = ack.ack;
             self.dupacks = 0;
-            //~ allow(hot_alloc): split_off allocates one root node; trees bounded by the flight window
-            self.scoreboard = self.scoreboard.split_off(&self.snd_una);
-            self.rexmitted = self.rexmitted.split_off(&self.snd_una); //~ allow(hot_alloc): split_off allocates one root node; trees bounded by the flight window
+            for set in [&mut self.scoreboard, &mut self.rexmitted] {
+                while set.first().is_some_and(|&seq| seq < ack.ack) {
+                    set.pop_first();
+                }
+            }
             if let Some(limit) = self.config.data_limit {
                 if self.snd_una >= limit && self.completed_at.is_none() {
                     self.completed_at = Some(now);
@@ -372,31 +374,22 @@ impl Sender {
                     self.timed = None;
                 }
             }
-            match self.config.style {
-                RenoStyle::Tahoe | RenoStyle::Reno => {
-                    self.cc.on_new_ack(now);
-                    self.fill_window(now, out);
-                }
-                RenoStyle::NewReno | RenoStyle::Sack if was_in_recovery => {
-                    if self.snd_una >= self.recover {
-                        // Full ACK: recovery over.
-                        self.cc.exit_recovery();
-                        self.rexmitted.clear();
-                        self.fill_window(now, out);
-                    } else {
-                        // Partial ACK (RFC 6582): the next hole is also
-                        // lost; retransmit it immediately, stay in recovery.
-                        self.cc.on_partial_ack(newly_acked);
-                        match self.config.style {
-                            RenoStyle::NewReno => self.retransmit_head(now, out),
-                            RenoStyle::Sack => self.send_sack_recovery(now, out),
-                            _ => unreachable!(), //~ allow(hot_panic): partial-ACK recovery only runs under NewReno/Sack styles
-                        }
-                    }
-                }
-                RenoStyle::NewReno | RenoStyle::Sack => {
-                    self.cc.on_new_ack(now);
-                    self.fill_window(now, out);
+            if !(self.partial_acks && was_in_recovery) {
+                self.cc.on_new_ack(now);
+                self.fill_window(now, out);
+            } else if self.snd_una >= self.recover {
+                // Full ACK: recovery over.
+                self.cc.exit_recovery();
+                self.rexmitted.clear();
+                self.fill_window(now, out);
+            } else {
+                // Partial ACK (RFC 6582): the next hole is also lost;
+                // retransmit it immediately, stay in recovery.
+                self.cc.on_partial_ack(newly_acked);
+                if self.config.style == RenoStyle::Sack {
+                    self.send_sack_recovery(now, out);
+                } else {
+                    self.retransmit_head(now, out);
                 }
             }
             // Restart the timer for the (still) outstanding data.
@@ -407,9 +400,9 @@ impl Sender {
             match self.config.style {
                 RenoStyle::Tahoe => {
                     // `== dupthresh` fires once per progress epoch (dupacks
-                    // only reset on forward progress). The threshold comes
-                    // from the quirk decorator, not the host.
-                    if self.dupacks == self.cc.dupthresh() {
+                    // only reset on forward progress). The threshold is the
+                    // configured per-OS quirk, never the host.
+                    if self.dupacks == self.config.dupthresh {
                         // Tahoe: a TD indication collapses the window.
                         self.stats.td_events += 1;
                         self.cc.on_timeout(self.flight());
@@ -421,20 +414,13 @@ impl Sender {
                     if self.cc.in_fast_recovery() {
                         self.cc.on_dupack_in_recovery();
                         self.fill_window(now, out);
-                    } else if self.dupacks == self.cc.dupthresh() {
+                    } else if self.dupacks == self.config.dupthresh {
                         self.stats.td_events += 1;
-                        self.cc.on_fast_retransmit(now, self.flight());
-                        self.retransmit_head(now, out);
-                        out.timer = TimerCmd::Arm(now + self.rto.current_rto());
-                    }
-                }
-                RenoStyle::NewReno => {
-                    if self.cc.in_fast_recovery() {
-                        self.cc.on_dupack_in_recovery();
-                        self.fill_window(now, out);
-                    } else if self.dupacks == self.cc.dupthresh() {
-                        self.stats.td_events += 1;
-                        self.recover = self.snd_nxt;
+                        // Plain Reno never reads `recover`; it stays 0, as
+                        // its pinned snapshot bytes record.
+                        if self.partial_acks {
+                            self.recover = self.snd_nxt;
+                        }
                         self.cc.on_fast_retransmit(now, self.flight());
                         self.retransmit_head(now, out);
                         out.timer = TimerCmd::Arm(now + self.rto.current_rto());
@@ -443,7 +429,7 @@ impl Sender {
                 RenoStyle::Sack => {
                     if self.cc.in_fast_recovery() {
                         self.send_sack_recovery(now, out);
-                    } else if self.dupacks == self.cc.dupthresh() {
+                    } else if self.dupacks == self.config.dupthresh {
                         self.stats.td_events += 1;
                         self.recover = self.snd_nxt;
                         self.rexmitted.clear();
@@ -786,16 +772,17 @@ mod tests {
         assert_eq!(s.snd_una(), 0);
     }
 
-    fn styled(style: RenoStyle) -> Sender {
-        Sender::new(SenderConfig {
-            style,
-            ..SenderConfig::default()
-        })
-    }
-
     /// Grows the window to ~9 and leaves `flight == 8` outstanding.
     fn warmed(style: RenoStyle) -> Sender {
-        let mut s = styled(style);
+        warmed_with(style, CcAlgorithm::Reno)
+    }
+
+    fn warmed_with(style: RenoStyle, cc: CcAlgorithm) -> Sender {
+        let mut s = Sender::new(SenderConfig {
+            style,
+            cc,
+            ..SenderConfig::default()
+        });
         s.on_start(t(0));
         for i in 1..=8u64 {
             s.on_ack(t(i * 10), Ack::plain(i));
@@ -828,7 +815,7 @@ mod tests {
 
     #[test]
     fn newreno_partial_ack_repairs_next_hole_in_recovery() {
-        let mut s = warmed(RenoStyle::NewReno);
+        let mut s = warmed_with(RenoStyle::Reno, CcAlgorithm::NewReno);
         let una = s.snd_una();
         let snd_nxt = s.snd_nxt();
         dupack_n(&mut s, una, 3, 200); // enter recovery, retransmit head

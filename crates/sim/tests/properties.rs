@@ -159,14 +159,15 @@ proptest! {
         cbr_rate in 5.0f64..120.0,
         seed in 0u64..200,
         cc in 0usize..CcAlgorithm::ALL.len(),
-        style in 0usize..4,
+        style in 0usize..3,
     ) {
         use tcp_sim::network::{FlowConfig, Network};
         use tcp_sim::queue::DropTail;
         use tcp_sim::reno::sender::RenoStyle;
         // Flow A runs any cc law and recovery style (a SACK sender turns
-        // on its receiver's SACK blocks); flow B stays the default Reno.
-        let styles = [RenoStyle::Tahoe, RenoStyle::Reno, RenoStyle::NewReno, RenoStyle::Sack];
+        // on its receiver's SACK blocks; the NewReno law turns on
+        // partial-ACK recovery); flow B stays the default Reno.
+        let styles = [RenoStyle::Tahoe, RenoStyle::Reno, RenoStyle::Sack];
         let sender = SenderConfig {
             cc: CcAlgorithm::ALL[cc],
             style: styles[style],

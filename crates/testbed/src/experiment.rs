@@ -324,9 +324,9 @@ impl ExperimentResult {
 }
 
 fn sender_config(spec: &PathSpec, cc: CcAlgorithm) -> SenderConfig {
-    // All per-OS knobs come from the quirk bundle; the sender wraps its
-    // controller in `Quirked`, so no protocol code branches on host
-    // identity past this point.
+    // All per-OS knobs come from the quirk bundle and go into the sender's
+    // config, so no protocol code branches on host identity past this
+    // point.
     let quirks = spec.sender_os().quirks();
     SenderConfig {
         rwnd: spec.wmax,

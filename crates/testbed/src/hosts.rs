@@ -25,10 +25,10 @@ pub enum Os {
 }
 
 impl Os {
-    /// The per-OS TCP quirk knobs, packaged for the simulator's quirk
-    /// decorator ([`tcp_sim::Quirked`]). This is the single place the
-    /// testbed branches on host identity: the per-packet path reads the
-    /// knobs from the decorator, never from the OS.
+    /// The per-OS TCP quirk knobs ([`tcp_sim::Quirks`]), which the
+    /// testbed copies into each sender's config. This is the single place
+    /// the testbed branches on host identity: the per-packet path reads
+    /// the knobs from its config, never from the OS.
     pub fn quirks(self) -> Quirks {
         Quirks {
             dupthresh: match self {
@@ -216,9 +216,9 @@ mod tests {
 
     #[test]
     fn quirks_pin_table_ii_hosts() {
-        // Satellite regression: the decorator knobs for the Table II
-        // senders are exactly what the legacy accessors reported, so host
-        // results computed through `Quirked` cannot drift.
+        // The quirk knobs for the Table II senders are exactly what the
+        // per-knob accessors report, so host results computed from
+        // `Quirks` cannot drift.
         for h in HOSTS {
             let q = h.os.quirks();
             assert_eq!(q.dupthresh, h.os.dupack_threshold(), "{}", h.name);

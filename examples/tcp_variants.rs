@@ -7,6 +7,7 @@
 //! ```
 
 use padhye_tcp_repro::model::prelude::*;
+use padhye_tcp_repro::sim::cc::CcAlgorithm;
 use padhye_tcp_repro::sim::connection::Connection;
 use padhye_tcp_repro::sim::loss::RoundCorrelated;
 use padhye_tcp_repro::sim::reno::sender::{RenoStyle, SenderConfig};
@@ -21,14 +22,16 @@ fn main() {
         "wire p", "variant", "rate p/s", "TD", "TO", "p_obs", "model B"
     );
     for wire_p in [0.005, 0.02, 0.05] {
-        for style in [
-            RenoStyle::Tahoe,
-            RenoStyle::Reno,
-            RenoStyle::NewReno,
-            RenoStyle::Sack,
+        // NewReno is the Reno style under the NewReno law.
+        for (name, style, cc) in [
+            ("Tahoe", RenoStyle::Tahoe, CcAlgorithm::Reno),
+            ("Reno", RenoStyle::Reno, CcAlgorithm::Reno),
+            ("NewReno", RenoStyle::Reno, CcAlgorithm::NewReno),
+            ("Sack", RenoStyle::Sack, CcAlgorithm::Reno),
         ] {
             let sender = SenderConfig {
                 style,
+                cc,
                 rwnd: 32,
                 ..SenderConfig::default()
             };
@@ -47,7 +50,7 @@ fn main() {
             println!(
                 "{:>9} {:>8} | {:>9.1} {:>7} {:>7} {:>9.4} {:>9.1}",
                 wire_p,
-                format!("{style:?}"),
+                name,
                 s.packets_sent as f64 / HORIZON,
                 s.td_events,
                 s.to_events(),

@@ -11,7 +11,12 @@
 //!   once fast recovery actually starts, which whole-tail bursts often
 //!   prevent (fewer than three duplicate ACKs) — so its visible gain here
 //!   is in send rate, not indication count.
+//!
+//! NewReno is not a recovery style of its own: it is the `Reno` style
+//! under the NewReno law ([`CcAlgorithm::NewReno`]), which turns on RFC
+//! 6582 partial-ACK recovery and adds its window deflation.
 
+use padhye_tcp_repro::sim::cc::CcAlgorithm;
 use padhye_tcp_repro::sim::connection::Connection;
 use padhye_tcp_repro::sim::loss::RoundCorrelated;
 use padhye_tcp_repro::sim::reno::sender::{RenoStyle, SenderConfig};
@@ -20,9 +25,18 @@ use padhye_tcp_repro::sim::ConnStats;
 
 const HORIZON: f64 = 900.0;
 
-fn run(style: RenoStyle, wire_p: f64, seed: u64) -> ConnStats {
+/// A loss-recovery variant: the sender's style and its window law.
+type Variant = (RenoStyle, CcAlgorithm);
+
+const TAHOE: Variant = (RenoStyle::Tahoe, CcAlgorithm::Reno);
+const RENO: Variant = (RenoStyle::Reno, CcAlgorithm::Reno);
+const NEWRENO: Variant = (RenoStyle::Reno, CcAlgorithm::NewReno);
+const SACK: Variant = (RenoStyle::Sack, CcAlgorithm::Reno);
+
+fn run((style, cc): Variant, wire_p: f64, seed: u64) -> ConnStats {
     let sender = SenderConfig {
         style,
+        cc,
         rwnd: 32,
         ..SenderConfig::default()
     };
@@ -38,11 +52,11 @@ fn run(style: RenoStyle, wire_p: f64, seed: u64) -> ConnStats {
 }
 
 /// Averages a metric over several seeds (one connection per seed).
-fn mean_over_seeds<F: Fn(&ConnStats) -> f64>(style: RenoStyle, wire_p: f64, f: F) -> f64 {
+fn mean_over_seeds<F: Fn(&ConnStats) -> f64>(variant: Variant, wire_p: f64, f: F) -> f64 {
     let seeds = [1u64, 2, 3, 4];
     seeds
         .iter()
-        .map(|&s| f(&run(style, wire_p, s)))
+        .map(|&s| f(&run(variant, wire_p, s)))
         .sum::<f64>()
         / seeds.len() as f64
 }
@@ -57,13 +71,13 @@ fn sack_takes_fewer_indications_per_burst() {
     // recovery rarely *starts* — the timeout-dominated regime the paper's
     // Table II documents. We only require NewReno not to be worse.)
     let p = 0.02;
-    let reno = mean_over_seeds(RenoStyle::Reno, p, |s| {
+    let reno = mean_over_seeds(RENO, p, |s| {
         s.loss_indications() as f64 / s.packets_sent as f64
     });
-    let newreno = mean_over_seeds(RenoStyle::NewReno, p, |s| {
+    let newreno = mean_over_seeds(NEWRENO, p, |s| {
         s.loss_indications() as f64 / s.packets_sent as f64
     });
-    let sack = mean_over_seeds(RenoStyle::Sack, p, |s| {
+    let sack = mean_over_seeds(SACK, p, |s| {
         s.loss_indications() as f64 / s.packets_sent as f64
     });
     assert!(
@@ -79,11 +93,11 @@ fn sack_takes_fewer_indications_per_burst() {
 #[test]
 fn send_rate_ordering_under_bursty_loss() {
     let p = 0.02;
-    let rate = |style| mean_over_seeds(style, p, |s| s.packets_sent as f64 / HORIZON);
-    let tahoe = rate(RenoStyle::Tahoe);
-    let reno = rate(RenoStyle::Reno);
-    let newreno = rate(RenoStyle::NewReno);
-    let sack = rate(RenoStyle::Sack);
+    let rate = |variant| mean_over_seeds(variant, p, |s| s.packets_sent as f64 / HORIZON);
+    let tahoe = rate(TAHOE);
+    let reno = rate(RENO);
+    let newreno = rate(NEWRENO);
+    let sack = rate(SACK);
     // The ref-[3] ordering, with slack for stochastic noise: Tahoe worst,
     // SACK/NewReno best.
     assert!(reno > tahoe * 0.95, "Reno {reno:.1} vs Tahoe {tahoe:.1}");
@@ -97,13 +111,13 @@ fn timeout_share_shrinks_with_better_recovery() {
     // holes in the window can't gather three dupacks). NewReno/SACK repair
     // those holes inside one recovery episode.
     let p = 0.02;
-    let to_share = |style| {
-        mean_over_seeds(style, p, |s| {
+    let to_share = |variant| {
+        mean_over_seeds(variant, p, |s| {
             s.to_events() as f64 / s.loss_indications().max(1) as f64
         })
     };
-    let reno = to_share(RenoStyle::Reno);
-    let sack = to_share(RenoStyle::Sack);
+    let reno = to_share(RENO);
+    let sack = to_share(SACK);
     assert!(
         sack < reno,
         "SACK timeout share {sack:.3} should be below Reno's {reno:.3}"
@@ -112,21 +126,16 @@ fn timeout_share_shrinks_with_better_recovery() {
 
 #[test]
 fn all_variants_conserve_and_deliver() {
-    for style in [
-        RenoStyle::Tahoe,
-        RenoStyle::Reno,
-        RenoStyle::NewReno,
-        RenoStyle::Sack,
-    ] {
-        let s = run(style, 0.03, 9);
+    for variant in [TAHOE, RENO, NEWRENO, SACK] {
+        let s = run(variant, 0.03, 9);
         assert_eq!(
             s.packets_sent,
             s.packets_sent_new + s.retransmissions,
-            "{style:?}"
+            "{variant:?}"
         );
-        assert!(s.packets_delivered > 0, "{style:?} delivered nothing");
-        assert!(s.packets_delivered <= s.packets_sent, "{style:?}");
-        assert!(s.loss_indications() > 0, "{style:?} saw no loss at 3%");
+        assert!(s.packets_delivered > 0, "{variant:?} delivered nothing");
+        assert!(s.packets_delivered <= s.packets_sent, "{variant:?}");
+        assert!(s.loss_indications() > 0, "{variant:?} saw no loss at 3%");
     }
 }
 
@@ -138,13 +147,14 @@ fn variants_converge_under_isolated_losses() {
     // variants land within a narrow band (Tahoe still pays for its
     // collapse-on-every-loss).
     use padhye_tcp_repro::sim::loss::Bernoulli;
-    let rate = |style| {
+    let rate = |(style, cc): Variant| {
         let seeds = [21u64, 22, 23];
         seeds
             .iter()
             .map(|&seed| {
                 let sender = SenderConfig {
                     style,
+                    cc,
                     rwnd: 32,
                     ..SenderConfig::default()
                 };
@@ -161,10 +171,10 @@ fn variants_converge_under_isolated_losses() {
             .sum::<f64>()
             / seeds.len() as f64
     };
-    let reno = rate(RenoStyle::Reno);
-    let newreno = rate(RenoStyle::NewReno);
-    let sack = rate(RenoStyle::Sack);
-    let tahoe = rate(RenoStyle::Tahoe);
+    let reno = rate(RENO);
+    let newreno = rate(NEWRENO);
+    let sack = rate(SACK);
+    let tahoe = rate(TAHOE);
     for (name, v) in [("NewReno", newreno), ("SACK", sack)] {
         let rel = (v - reno).abs() / reno;
         assert!(
