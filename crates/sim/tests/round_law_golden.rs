@@ -111,8 +111,8 @@ fn rounds_sim_bytes(cc: CcAlgorithm) -> Vec<u8> {
 }
 
 /// Ten cohorts — every variant at a mid-loss and a high-loss operating
-/// point — on one shard, run to a horizon long enough for deep backoffs.
-fn fleet_bytes() -> Vec<u8> {
+/// point — on one shard.
+fn fleet_shard() -> FleetShard {
     let mut cohorts = Vec::new();
     for (i, cc) in CcAlgorithm::ALL.into_iter().enumerate() {
         for config in rounds_configs(cc) {
@@ -127,25 +127,57 @@ fn fleet_bytes() -> Vec<u8> {
         base_seed: 0x000F_1EE7_601D,
         ..FleetSpec::default()
     };
-    let mut shard = FleetShard::new(&spec, 0..spec.total_flows());
-    shard.run_until(SimTime::from_secs_f64(400.0));
-    let mut out = Vec::new();
+    FleetShard::new(&spec, 0..spec.total_flows())
+}
+
+/// Encodes every flow's counters, each cohort's timeout histogram, the
+/// shard clock and its event count.
+fn put_shard(out: &mut Vec<u8>, shard: &FleetShard) {
     for local in 0..shard.flow_count() {
         let f = shard.flow_stats(local);
-        put_u64(&mut out, f.packets_sent);
-        put_u64(&mut out, f.packets_delivered);
-        put_u32(&mut out, f.td_events);
-        put_u32(&mut out, f.to_events);
-        put_u32(&mut out, f.rto_firings);
-        put_u32(&mut out, f.rounds);
+        put_u64(out, f.packets_sent);
+        put_u64(out, f.packets_delivered);
+        put_u32(out, f.td_events);
+        put_u32(out, f.to_events);
+        put_u32(out, f.rto_firings);
+        put_u32(out, f.rounds);
     }
     for cohort in 0..shard.cohort_count() {
         for bucket in shard.to_histogram(cohort) {
-            put_u64(&mut out, bucket);
+            put_u64(out, bucket);
         }
     }
-    put_u64(&mut out, shard.now().as_nanos());
-    put_u64(&mut out, shard.events_processed());
+    put_u64(out, shard.now().as_nanos());
+    put_u64(out, shard.events_processed());
+}
+
+/// The ten-cohort shard run to a horizon long enough for deep backoffs.
+fn fleet_bytes() -> Vec<u8> {
+    let mut shard = fleet_shard();
+    shard.run_until(SimTime::from_secs_f64(400.0));
+    let mut out = Vec::new();
+    put_shard(&mut out, &shard);
+    out
+}
+
+/// The same shard cut into uneven `run_until` slices: horizons inside a
+/// millisecond, mid-millisecond, and past several seconds, then the same
+/// 400 s end. Each slice's event count and clock are encoded before the
+/// final state.
+fn sliced_fleet_bytes() -> Vec<u8> {
+    let mut shard = fleet_shard();
+    let mut out = Vec::new();
+    for secs in [0.0004, 0.7505, 9.0, 27.3, 400.0] {
+        let horizon = SimTime::from_secs_f64(secs);
+        put_u64(&mut out, shard.run_until(horizon));
+        put_u64(&mut out, shard.now().as_nanos());
+        // Repeating a horizon, or asking for one behind the clock, finds
+        // nothing due.
+        assert_eq!(shard.run_until(horizon), 0, "repeat of {secs} s");
+        assert_eq!(shard.run_until(SimTime::ZERO), 0, "rewind after {secs} s");
+        assert_eq!(shard.now(), horizon);
+    }
+    put_shard(&mut out, &shard);
     out
 }
 
@@ -177,4 +209,9 @@ fn rounds_sim_bytes_are_pinned() {
 #[test]
 fn fleet_shard_bytes_are_pinned() {
     assert_pin("fleet", &fleet_bytes(), 3376, 0x3e45_48dc);
+}
+
+#[test]
+fn sliced_fleet_shard_bytes_are_pinned() {
+    assert_pin("sliced fleet", &sliced_fleet_bytes(), 3456, 0x779c_a43f);
 }

@@ -663,6 +663,60 @@ mod tests {
         assert_eq!(reference, chaotic, "schedule chaos diverged");
     }
 
+    /// Pins the serialized report of a campaign that spans three blocks,
+    /// runs every law at a mid-loss point, and has a deep-backoff cohort
+    /// whose timeout gaps reach 64 · T0, at one and two workers.
+    #[test]
+    fn multi_block_report_bytes_are_pinned() {
+        let mut cohorts = Vec::new();
+        for cc in tcp_sim::cc::CcAlgorithm::ALL {
+            cohorts.push(FleetCohortSpec {
+                label: format!("p=0.03 cc={}", cc.label()),
+                config: RoundsConfig {
+                    p: 0.03,
+                    rtt: 0.08,
+                    t0: 0.4,
+                    wmax: 48,
+                    cc,
+                    ..RoundsConfig::default()
+                },
+                flows: 1700,
+            });
+        }
+        cohorts.push(FleetCohortSpec {
+            label: "deep backoff".into(),
+            config: RoundsConfig {
+                p: 0.3,
+                rtt: 0.2,
+                t0: 0.5,
+                wmax: 8,
+                backoff_cap_exp: 6,
+                ..RoundsConfig::default()
+            },
+            flows: 300,
+        });
+        let spec = FleetCampaignSpec {
+            cohorts,
+            base_seed: 0x0000_B10C_5EED,
+            horizon_secs: 45.0,
+            ..FleetCampaignSpec::default()
+        };
+        assert_eq!(block_ranges(spec.total_flows()).len(), 3);
+        for shards in [1usize, 2] {
+            let report = run_fleet(&spec, shards);
+            assert!(report.cohorts[5].to_histogram[5] > 0, "no deep backoff");
+            let json = serde_json::to_string(&report).unwrap();
+            let got = (json.len(), pftk_snap::crc32(json.as_bytes()));
+            assert_eq!(
+                got,
+                (2767, 0x662d_9c5d),
+                "{shards} workers: report bytes changed (len, crc32) = ({}, {:#010x})",
+                got.0,
+                got.1
+            );
+        }
+    }
+
     #[test]
     fn population_mean_tracks_the_model() {
         // Distributional validation in miniature: at a comfortable grid
