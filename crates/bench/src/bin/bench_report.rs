@@ -13,7 +13,6 @@
 use std::time::Instant;
 
 use tcp_sim::connection::Connection;
-use tcp_sim::fleet::WheelConfig;
 use tcp_sim::loss::Bernoulli;
 use tcp_sim::rounds::{RoundsConfig, RoundsSim};
 use tcp_sim::time::{SimDuration, SimTime};
@@ -192,8 +191,8 @@ fn fleet_spec(flows: u64) -> FleetCampaignSpec {
         ],
         base_seed: 0xF1EE7,
         horizon_secs: 30.0,
-        wheel: WheelConfig::default(),
         audit_flows_per_cohort: 0,
+        ..FleetCampaignSpec::default()
     }
 }
 

@@ -4,9 +4,10 @@
 //! The arena executes the §II rounds model as an event-per-round state
 //! machine: each event is one [`RoundLaw::step`] — the same law
 //! [`crate::rounds::RoundsSim`] runs — folded into the flow's SoA counters
-//! and an integer-nanosecond clock. A single fleet flow therefore
-//! reproduces a `RoundsSim` run counter for counter (pinned by
-//! `single_flow_matches_rounds_sim`).
+//! and its pending time, an integer-nanosecond clock.
+//! [`FlowArena::run_flow`] runs one flow through every event due by a
+//! horizon. A single fleet flow therefore reproduces a `RoundsSim` run
+//! counter for counter (pinned by `single_flow_matches_rounds_sim`).
 
 use super::FleetCohort;
 use crate::cc::RoundCc;
@@ -55,6 +56,9 @@ pub(crate) struct FlowArena {
     /// Per-flow round-level congestion controller (`Copy`, SoA-friendly):
     /// the variant's window laws; never draws from `rng`.
     cc: Vec<RoundCc>,
+    /// Per-flow pending time: the absolute nanosecond time of the flow's
+    /// next event. Every flow's first round is due at time zero.
+    next_at: Vec<u64>,
     packets_sent: Vec<u64>,
     packets_delivered: Vec<u64>,
     td_events: Vec<u32>,
@@ -77,6 +81,7 @@ impl FlowArena {
             cohort_of: Vec::with_capacity(n),
             rng: Vec::with_capacity(n),
             cc: Vec::with_capacity(n),
+            next_at: vec![0; n],
             packets_sent: vec![0; n],
             packets_delivered: vec![0; n],
             td_events: vec![0; n],
@@ -138,33 +143,61 @@ impl FlowArena {
         self.to_hist[cohort]
     }
 
-    /// Advances flow `f` through one event — a round of the §II model, or
+    /// Pending time of flow `f`: the absolute nanosecond time of its next
+    /// event.
+    #[cfg(test)]
+    pub(crate) fn next_at(&self, f: usize) -> u64 {
+        self.next_at[f]
+    }
+
+    /// Runs flow `f` through every event due at or before `until_ns` and
+    /// stores its next pending time; returns the number of events run.
+    /// Each event is one [`RoundLaw::step`]: a round of the §II model, or
     /// a loss round together with its Fig. 4 last round, any recovery
-    /// rounds and (for a TO) the whole timeout sequence — and returns the
-    /// absolute nanosecond time of the flow's next event.
-    pub(crate) fn step(&mut self, f: u32, now_ns: u64) -> u64 {
-        let fi = f as usize; //~ allow(cast): u32 flow index widens losslessly
-        let cohort = self.cohort_of[fi] as usize; //~ allow(cast): u32 cohort index widens losslessly
+    /// rounds and (for a TO) the whole timeout sequence.
+    pub(crate) fn run_flow(&mut self, f: usize, until_ns: u64) -> u64 {
+        let mut at = self.next_at[f];
+        if at > until_ns {
+            return 0;
+        }
+        let cohort = self.cohort_of[f] as usize; //~ allow(cast): u32 cohort index widens losslessly
         let law = &self.cohorts[cohort];
-        let s = law.step(&mut self.cc[fi], &mut self.rng[fi]);
-        self.packets_sent[fi] += s.new_data() + s.retransmissions();
-        self.packets_delivered[fi] += s.delivered();
-        if !s.is_loss() {
-            self.rounds[fi] = self.rounds[fi].wrapping_add(1);
-            return now_ns + law.rtt_ns;
+        let hist = &mut self.to_hist[cohort];
+        let rng = &mut self.rng[f];
+        let mut cc = self.cc[f];
+        let (mut sent, mut delivered, mut events) = (0u64, 0u64, 0u64);
+        let (mut td, mut to, mut rto, mut rounds) = (0u32, 0u32, 0u32, 0u32);
+        while at <= until_ns {
+            let s = law.step(&mut cc, rng);
+            events += 1;
+            sent += s.new_data() + s.retransmissions();
+            delivered += s.delivered();
+            if !s.is_loss() {
+                rounds = rounds.wrapping_add(1);
+                at += law.rtt_ns;
+                continue;
+            }
+            // Loss round, last round, recovery rounds; then the timeout gaps.
+            rounds = rounds.wrapping_add(2 + s.recovery_rounds);
+            td += u32::from(s.td);
+            at += (2 + u64::from(s.recovery_rounds)) * law.rtt_ns;
+            if s.to_len > 0 {
+                to += 1;
+                rto += s.to_len;
+                let bucket = (s.to_len as usize - 1).min(5); //~ allow(cast): u32 sequence length widens losslessly
+                hist[bucket] += 1;
+                at += law.timeout_gap_ns(s.to_len);
+            }
         }
-        // Loss round, last round, recovery rounds; then the timeout gaps.
-        self.rounds[fi] = self.rounds[fi].wrapping_add(2 + s.recovery_rounds);
-        self.td_events[fi] += u32::from(s.td);
-        let next = now_ns + (2 + u64::from(s.recovery_rounds)) * law.rtt_ns;
-        if s.to_len == 0 {
-            return next;
-        }
-        self.to_events[fi] += 1;
-        self.rto_firings[fi] += s.to_len;
-        let bucket = (s.to_len as usize - 1).min(5); //~ allow(cast): u32 sequence length widens losslessly
-        self.to_hist[cohort][bucket] += 1;
-        next + law.timeout_gap_ns(s.to_len)
+        self.next_at[f] = at;
+        self.cc[f] = cc;
+        self.packets_sent[f] += sent;
+        self.packets_delivered[f] += delivered;
+        self.td_events[f] += td;
+        self.to_events[f] += to;
+        self.rto_firings[f] += rto;
+        self.rounds[f] = self.rounds[f].wrapping_add(rounds);
+        events
     }
 }
 
@@ -172,6 +205,14 @@ impl FlowArena {
 mod tests {
     use super::*;
     use crate::rounds::{RoundsConfig, RoundsSim};
+
+    /// Runs exactly one event of flow `f` (the horizon is the flow's own
+    /// pending time) and returns its next pending time.
+    fn step(arena: &mut FlowArena, f: usize) -> u64 {
+        let at = arena.next_at(f);
+        assert_eq!(arena.run_flow(f, at), 1);
+        arena.next_at(f)
+    }
 
     fn cohort(p: f64, wmax: u32) -> FleetCohort {
         FleetCohort {
@@ -203,7 +244,7 @@ mod tests {
             let mut arena = FlowArena::new(std::slice::from_ref(&c), seed, 0..1);
             let mut t = 0u64;
             while arena.flow_stats(0).loss_indications() < indications {
-                t = arena.step(0, t);
+                t = step(&mut arena, 0);
             }
             let fleet = arena.flow_stats(0);
             assert_eq!(fleet.packets_sent, ref_stats.packets_sent, "p={p}");
@@ -240,7 +281,7 @@ mod tests {
             let mut arena = FlowArena::new(std::slice::from_ref(&c), 11, 0..1);
             let mut t = 0u64;
             while arena.flow_stats(0).loss_indications() < indications {
-                t = arena.step(0, t);
+                t = step(&mut arena, 0);
             }
             let fleet = arena.flow_stats(0);
             assert_eq!(fleet.packets_sent, ref_stats.packets_sent, "{algo:?}");
@@ -275,8 +316,8 @@ mod tests {
         let mut tn = 0u64;
         let mut tw = 0u64;
         for _ in 0..5_000 {
-            tn = narrow.step(0, tn);
-            tw = wide.step(2, tw);
+            tn = step(&mut narrow, 0);
+            tw = step(&mut wide, 2);
         }
         assert_eq!(tn, tw);
         assert_eq!(narrow.flow_stats(0), wide.flow_stats(2));

@@ -14,11 +14,10 @@
 //!   walks cache-line-friendly memory instead of pointer-chasing boxed
 //!   connections. Cold per-cohort configuration (loss rate, RTT, `T0`,
 //!   quirk knobs) is shared in a small cohort table.
-//! * **Per-shard event wheels** ([`ShardWheel`]): a calendar wheel keyed
-//!   by `(slot, flow)` with per-flow generation counters, so scheduling
-//!   the flow's next event — which *supersedes* its previous one, exactly
-//!   like the single-slot RTO lane of `HybridQueue` — is O(1), and the
-//!   wheel never rebalances.
+//! * **Flow-major execution** ([`FleetShard::run_until`]): flows are
+//!   mutually independent, so a shard needs no event scheduler. It walks
+//!   its flows in order and runs each through every round due by the
+//!   horizon, keeping one pending time per flow in the arena.
 //! * **Deterministic flow seeding** ([`crate::rng::flow_seed`]): a flow's
 //!   random stream is a pure function of `(campaign seed, global flow
 //!   id)`, so partitioning the flow space across 1, 2 or 8 shards cannot
@@ -96,7 +95,9 @@ pub struct FleetSpec {
     /// Campaign seed; flow `g` draws from
     /// [`crate::rng::flow_seed`]`(base_seed, g)`.
     pub base_seed: u64,
-    /// Event-wheel geometry shared by every shard.
+    /// Unused by the engine, which schedules no events; kept only while
+    /// the benchmark compiles against it, and to be deleted with
+    /// [`ShardWheel`].
     pub wheel: WheelConfig,
 }
 

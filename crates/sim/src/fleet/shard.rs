@@ -1,13 +1,13 @@
-//! The shard executor: one SoA arena plus one event wheel, advanced by a
-//! tight pull loop. [`FleetShard::run_until`] is the fleet's hot path
-//! (registered as a `[[hotpath]]` root in `specs/pftk-spec.toml`): it
-//! performs zero heap allocation per event — the arena and the wheel's
-//! intrusive ring are fixed arrays sized at construction, and the
-//! overflow heap is pre-reserved (pinned by
+//! The shard executor: one SoA arena, advanced flow by flow.
+//! [`FleetShard::run_until`] is the fleet's hot path (registered as a
+//! `[[hotpath]]` root in `specs/pftk-spec.toml`): it walks the shard's
+//! flows in local order and runs each through every event due by the
+//! horizon. Flows are mutually independent, so no scheduler orders events
+//! across them, and the walk performs zero heap allocation — the arena is
+//! a set of fixed arrays sized at construction (pinned by
 //! `tests/alloc_steady_state.rs`).
 
 use super::arena::{FlowArena, FlowStats};
-use super::wheel::ShardWheel;
 use super::FleetSpec;
 use crate::time::SimTime;
 use std::ops::Range;
@@ -17,31 +17,22 @@ use std::ops::Range;
 #[derive(Debug)]
 pub struct FleetShard {
     arena: FlowArena,
-    wheel: ShardWheel,
     first_flow: u64,
     now: SimTime,
     events: u64,
 }
 
 impl FleetShard {
-    /// Builds the shard owning global flows `flows` of `spec`'s fleet and
-    /// schedules every flow's first round at time zero.
+    /// Builds the shard owning global flows `flows` of `spec`'s fleet,
+    /// with every flow's first round due at time zero.
     ///
     /// # Panics
     /// If `flows` exceeds the fleet's flow space or a cohort's parameters
     /// are outside the model's domain.
     pub fn new(spec: &FleetSpec, flows: Range<u64>) -> Self {
-        let first_flow = flows.start;
-        let arena = FlowArena::new(&spec.cohorts, spec.base_seed, flows);
-        let n = arena.flow_count();
-        let mut wheel = ShardWheel::new(spec.wheel, n);
-        for local in 0..n {
-            wheel.schedule(local as u32, SimTime::ZERO); //~ allow(cast): flow count capped at u32 by arena construction
-        }
         FleetShard {
-            arena,
-            wheel,
-            first_flow,
+            arena: FlowArena::new(&spec.cohorts, spec.base_seed, flows.clone()),
+            first_flow: flows.start,
             now: SimTime::ZERO,
             events: 0,
         }
@@ -52,14 +43,17 @@ impl FleetShard {
     /// (or a loss round with its recovery — see
     /// [`crate::fleet::FlowStats::rounds`]). Safe to call repeatedly with
     /// growing horizons; events due after `horizon` stay pending.
+    ///
+    /// A flow's trajectory depends only on its seed, never on when other
+    /// flows run, so the flows run one after another, each to the
+    /// horizon. A fleet whose flows interact (a shared bottleneck setting
+    /// every cohort's loss rate each tick, say) would advance by calling
+    /// this once per tick and updating the shared state between calls.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let until = horizon.as_nanos();
         let mut n = 0;
-        self.wheel.begin_pass();
-        while let Some((flow, at)) = self.wheel.pop_due(until) {
-            let next = self.arena.step(flow, at);
-            self.wheel.schedule(flow, SimTime::from_nanos(next));
-            n += 1;
+        for flow in 0..self.arena.flow_count() {
+            n += self.arena.run_flow(flow, until);
         }
         if horizon > self.now {
             self.now = horizon;

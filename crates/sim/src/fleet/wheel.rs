@@ -1,41 +1,23 @@
-//! The per-shard event wheel: an intrusive calendar wheel keyed by
-//! `(slot, flow)`.
+//! A calendar wheel keyed by `(slot, flow)`, kept only for the
+//! benchmark's `sim.fleet.wheel.schedule_ns` ledger row.
 //!
-//! Derived from the `HybridQueue` observation that drove DESIGN.md §9:
-//! almost every event a TCP flow schedules *supersedes* the one before it
-//! (the next round replaces the previous round's continuation, a new RTO
-//! replaces the pending one). `HybridQueue` exploits that with
-//! single-slot timer lanes per connection; at fleet scale the same idea
-//! becomes **one pending event per flow**, held in fixed SoA arrays:
+//! The fleet engine does not use it: flows are independent, so
+//! [`crate::fleet::FleetShard::run_until`] runs each flow to the horizon
+//! in turn and keeps one pending time per flow in the arena. The wheel,
+//! [`WheelConfig`] and the `wheel` fields of the fleet specs stay until
+//! the benchmark, which compiles against them, drops that row; they are
+//! to be deleted then.
 //!
-//! * each flow owns one intrusive list node (`prev`/`next` indices in
-//!   flow-indexed arrays) that is linked into at most one ring slot;
-//! * [`ShardWheel::schedule`] is O(1): unlink the node from wherever it
-//!   is and relink it at the tail of the new slot (or park the event in
-//!   the far-future overflow heap);
-//! * draining unlinks each fired node eagerly, so slots never accumulate
-//!   stale entries and the warm inner loop performs **zero heap
-//!   allocation per event** — the only allocations ever are the arrays
-//!   at construction and (rare, amortized, pre-reserved) overflow-heap
-//!   growth. `tests/alloc_steady_state.rs` pins this.
-//!
-//! ## Ordering contract (determinism)
-//!
-//! Every flow's own events fire at exact nanosecond times in its own
-//! causal order (a flow has at most one pending event). *Cross-flow*
-//! order inside one slot is link order (insertion order), not time order
-//! — sound for the fleet because flows are mutually independent, and
-//! deterministic because link order is itself deterministic. The fleet's
-//! shard-count equivalence gate rests on per-flow exactness, not on
-//! cross-flow interleaving.
+//! [`ShardWheel::schedule`] holds one pending event per flow: it unlinks
+//! the flow's intrusive list node from its ring slot and relinks it at
+//! the tail of the new slot. An event beyond the ring horizon keeps only
+//! its due time; nothing drains the wheel, so nothing would read it.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Wheel geometry: `slots` ring positions of `granularity` each, giving a
-/// `slots × granularity` horizon; events due beyond the horizon park in
-/// an overflow heap until the wheel turns within range.
+/// `slots × granularity` horizon. Unused by the fleet engine; see the
+/// module docs.
 #[derive(Debug, Clone, Copy)]
 pub struct WheelConfig {
     /// Width of one slot.
@@ -46,8 +28,7 @@ pub struct WheelConfig {
 
 impl Default for WheelConfig {
     fn default() -> Self {
-        // 1 ms × 8192 ≈ an 8.2 s horizon: rounds (one RTT out) always land
-        // in the ring; only deep timeout backoffs (up to 64 · T0) overflow.
+        // 1 ms × 8192 ≈ an 8.2 s horizon.
         WheelConfig {
             granularity: SimDuration::from_millis(1),
             slots: 8192,
@@ -59,35 +40,20 @@ impl Default for WheelConfig {
 /// per-flow slot map.
 const NIL: u32 = u32::MAX;
 
-/// The per-shard event wheel. See the module docs for the design and the
-/// ordering contract.
+/// The calendar wheel. Unused by the fleet engine; see the module docs.
 #[derive(Debug)]
 pub struct ShardWheel {
     granularity_ns: u64,
     /// Head node (flow index) of each ring slot's intrusive list.
     head: Vec<u32>,
-    /// Tail node of each ring slot's list (tail insertion keeps link
-    /// order = schedule order, so chained same-slot events fire in the
-    /// order they were produced).
+    /// Tail node of each ring slot's list.
     tail: Vec<u32>,
     /// Intrusive list links, flow-indexed.
     prev: Vec<u32>,
     next: Vec<u32>,
     /// Ring slot index each flow's node is linked in; `NIL` when the flow
-    /// is idle or parked in the overflow heap.
+    /// is idle or due beyond the ring horizon.
     in_slot: Vec<u32>,
-    /// Absolute slot number the drain cursor is positioned on.
-    cursor_slot: u64,
-    /// Last *deferred* (still-linked) node scanned in the cursor slot;
-    /// `NIL` = scan from the slot head. Fired nodes are unlinked eagerly,
-    /// so this always references a live node of the current slot.
-    cursor_prev: u32,
-    /// Events due beyond the ring horizon: `(due_ns, flow, generation)`.
-    overflow: BinaryHeap<Reverse<(u64, u32, u32)>>,
-    /// Per-flow schedule generation; a parked overflow entry is valid
-    /// only if its generation still matches (superseding a parked event
-    /// cannot remove it from the heap, so staleness is checked on pull).
-    gen: Vec<u32>,
     /// Due time per flow; `u64::MAX` = no pending event.
     next_at: Vec<u64>,
     /// Number of flows with a pending event.
@@ -110,15 +76,6 @@ impl ShardWheel {
             prev: vec![NIL; flows],
             next: vec![NIL; flows],
             in_slot: vec![NIL; flows],
-            cursor_slot: 0,
-            cursor_prev: NIL,
-            // Pre-reserved so a first-ever burst of deep backoffs cannot
-            // allocate mid-measurement; one entry per flow covers even a
-            // fleet where every flow parks at once (plus stale entries,
-            // which are rare — superseding a *parked* event needs a
-            // timeout gap beyond the ring horizon to be re-planned).
-            overflow: BinaryHeap::with_capacity(flows.max(64)),
-            gen: vec![0; flows],
             next_at: vec![u64::MAX; flows],
             live: 0,
         }
@@ -129,25 +86,12 @@ impl ShardWheel {
         self.live
     }
 
-    /// The pending due time of `flow`, if any.
-    pub fn pending(&self, flow: u32) -> Option<SimTime> {
-        //~ allow(cast): u32 flow index widens losslessly
-        match self.next_at[flow as usize] {
-            u64::MAX => None,
-            ns => Some(SimTime::from_nanos(ns)),
-        }
-    }
-
-    /// Unlinks `flow`'s node from its ring slot, if linked. O(1); keeps
-    /// the scan cursor valid by stepping it back over the removed node.
+    /// Unlinks `flow`'s node from its ring slot, if linked. O(1).
     fn unlink(&mut self, flow: u32) {
         let fi = flow as usize; //~ allow(cast): u32 flow index widens losslessly
         let s = self.in_slot[fi];
         if s == NIL {
             return;
-        }
-        if self.cursor_prev == flow {
-            self.cursor_prev = self.prev[fi];
         }
         let (p, n) = (self.prev[fi], self.next[fi]);
         if p == NIL {
@@ -166,7 +110,6 @@ impl ShardWheel {
     /// Links `flow`'s node at the tail of ring slot `idx`. O(1).
     fn link_tail(&mut self, flow: u32, idx: usize) {
         let fi = flow as usize; //~ allow(cast): u32 flow index widens losslessly
-        debug_assert_eq!(self.in_slot[fi], NIL, "linking an already-linked node");
         let t = self.tail[idx];
         self.prev[fi] = t;
         self.next[fi] = NIL;
@@ -180,110 +123,18 @@ impl ShardWheel {
     }
 
     /// Schedules (or — O(1) — *supersedes*) the pending event of `flow`
-    /// to fire at `at`. `at` must not lie before the drain cursor.
+    /// to fire at `at`.
     pub fn schedule(&mut self, flow: u32, at: SimTime) {
         let at_ns = at.as_nanos();
         let slot = at_ns / self.granularity_ns;
-        debug_assert!(slot >= self.cursor_slot, "scheduling into the past");
         let fi = flow as usize; //~ allow(cast): u32 flow index widens losslessly
         if self.next_at[fi] == u64::MAX {
             self.live += 1;
         }
-        self.gen[fi] = self.gen[fi].wrapping_add(1);
         self.next_at[fi] = at_ns;
         self.unlink(flow);
         //~ allow(cast): slot count (usize) widens losslessly to u64
-        if slot < self.cursor_slot + self.head.len() as u64 {
-            let idx = (slot as usize) & (self.head.len() - 1); //~ allow(cast): slot masked into ring range
-            self.link_tail(flow, idx);
-        } else {
-            self.overflow.push(Reverse((at_ns, flow, self.gen[fi]))); //~ allow(hot_alloc): pre-reserved one-entry-per-flow heap; growth past it is a rare amortized resize
-        }
-    }
-
-    /// Cancels the pending event of `flow`, if any.
-    pub fn cancel(&mut self, flow: u32) {
-        let fi = flow as usize; //~ allow(cast): u32 flow index widens losslessly
-        if self.next_at[fi] != u64::MAX {
-            self.gen[fi] = self.gen[fi].wrapping_add(1);
-            self.next_at[fi] = u64::MAX;
-            self.live -= 1;
-            self.unlink(flow);
-        }
-    }
-
-    /// Starts a drain pass: rewinds the scan cursor so events deferred by
-    /// an earlier, shorter `pop_due` horizon are reconsidered.
-    pub fn begin_pass(&mut self) {
-        self.cursor_prev = NIL;
-    }
-
-    /// Pops — and *consumes* — the next due event with `due ≤ until`,
-    /// advancing the cursor over drained slots. Returns `(flow, due_ns)`;
-    /// the flow is idle afterwards until rescheduled.
-    pub(crate) fn pop_due(&mut self, until_ns: u64) -> Option<(u32, u64)> {
-        if self.live == 0 {
-            return None;
-        }
-        loop {
-            let slot_start = self.cursor_slot * self.granularity_ns;
-            if slot_start > until_ns {
-                return None;
-            }
-            self.pull_overflow();
-            let idx = (self.cursor_slot as usize) & (self.head.len() - 1); //~ allow(cast): slot masked into ring range
-            loop {
-                let cur = if self.cursor_prev == NIL {
-                    self.head[idx]
-                } else {
-                    self.next[self.cursor_prev as usize] //~ allow(cast): u32 flow index widens losslessly
-                };
-                if cur == NIL {
-                    break;
-                }
-                let fi = cur as usize; //~ allow(cast): u32 flow index widens losslessly
-                let at = self.next_at[fi];
-                debug_assert_eq!(at / self.granularity_ns, self.cursor_slot);
-                if at > until_ns {
-                    // Due later within this partially-drained slot: leave
-                    // it linked, scan past it.
-                    self.cursor_prev = cur;
-                    continue;
-                }
-                self.unlink(cur);
-                self.next_at[fi] = u64::MAX;
-                self.live -= 1;
-                return Some((cur, at));
-            }
-            let slot_end = slot_start + self.granularity_ns;
-            if until_ns >= slot_end {
-                // Every node in this slot was due (deferral needs
-                // `at > until ≥ slot_end`, impossible within the slot),
-                // hence consumed; the slot is empty. Advance.
-                debug_assert_eq!(self.head[idx], NIL);
-                self.cursor_slot += 1;
-                self.cursor_prev = NIL;
-            } else {
-                return None; // partial slot; a later pass rescans it
-            }
-        }
-    }
-
-    /// Moves overflow events whose due slot has come within the ring
-    /// horizon into their slots, dropping entries superseded while parked.
-    fn pull_overflow(&mut self) {
-        let horizon = self.head.len() as u64; //~ allow(cast): slot count widens losslessly
-        while let Some(&Reverse((at, flow, gen))) = self.overflow.peek() {
-            let slot = at / self.granularity_ns;
-            if slot >= self.cursor_slot + horizon {
-                break;
-            }
-            self.overflow.pop();
-            //~ allow(cast): u32 flow index widens losslessly
-            if self.gen[flow as usize] != gen {
-                continue; // superseded or cancelled while parked
-            }
-            debug_assert!(slot >= self.cursor_slot);
+        if slot < self.head.len() as u64 {
             let idx = (slot as usize) & (self.head.len() - 1); //~ allow(cast): slot masked into ring range
             self.link_tail(flow, idx);
         }
@@ -294,160 +145,16 @@ impl ShardWheel {
 mod tests {
     use super::*;
 
-    fn wheel(flows: usize) -> ShardWheel {
-        ShardWheel::new(WheelConfig::default(), flows)
-    }
-
-    fn drain(w: &mut ShardWheel, until_secs: f64) -> Vec<(u32, u64)> {
-        let until = SimTime::from_secs_f64(until_secs).as_nanos();
-        let mut out = Vec::new();
-        w.begin_pass();
-        while let Some((flow, at)) = w.pop_due(until) {
-            out.push((flow, at));
-        }
-        out
-    }
-
     #[test]
-    fn fires_in_slot_order_with_exact_times() {
-        let mut w = wheel(4);
-        w.schedule(0, SimTime::from_secs_f64(0.0301));
-        w.schedule(1, SimTime::from_secs_f64(0.0105));
-        w.schedule(2, SimTime::from_secs_f64(0.0202));
-        let fired = drain(&mut w, 1.0);
-        assert_eq!(fired.len(), 3);
-        // Different slots: global time order holds.
-        assert_eq!(
-            fired,
-            vec![(1, 10_500_000), (2, 20_200_000), (0, 30_100_000)]
-        );
-        assert_eq!(w.live(), 0);
-    }
-
-    #[test]
-    fn superseding_is_last_write_wins() {
-        let mut w = wheel(2);
+    fn superseding_keeps_one_pending_event_per_flow() {
+        let mut w = ShardWheel::new(WheelConfig::default(), 3);
         w.schedule(0, SimTime::from_secs_f64(0.5));
-        w.schedule(0, SimTime::from_secs_f64(0.25)); // supersedes
+        w.schedule(0, SimTime::from_secs_f64(0.25));
+        w.schedule(1, SimTime::from_secs_f64(64.0)); // beyond the ring
         w.schedule(1, SimTime::from_secs_f64(0.1));
-        let fired = drain(&mut w, 1.0);
-        assert_eq!(fired, vec![(1, 100_000_000), (0, 250_000_000)]);
-    }
-
-    #[test]
-    fn far_future_events_park_in_overflow_and_return() {
-        let mut w = wheel(2);
-        // Default horizon is 8.192 s; 64 s must park.
-        w.schedule(0, SimTime::from_secs_f64(64.0));
-        w.schedule(1, SimTime::from_secs_f64(0.05));
-        assert_eq!(drain(&mut w, 1.0), vec![(1, 50_000_000)]);
-        assert_eq!(w.live(), 1);
-        assert_eq!(drain(&mut w, 100.0), vec![(0, 64_000_000_000)]);
-    }
-
-    #[test]
-    fn superseded_overflow_entries_never_fire() {
-        let mut w = wheel(1);
-        w.schedule(0, SimTime::from_secs_f64(64.0));
-        w.schedule(0, SimTime::from_secs_f64(32.0));
-        let fired = drain(&mut w, 100.0);
-        assert_eq!(fired, vec![(0, 32_000_000_000)]);
-    }
-
-    #[test]
-    fn overflow_event_superseded_into_the_ring_fires_once() {
-        let mut w = wheel(2);
-        w.schedule(0, SimTime::from_secs_f64(64.0)); // parks
-        w.schedule(0, SimTime::from_secs_f64(0.5)); // supersedes into ring
-        assert_eq!(drain(&mut w, 1.0), vec![(0, 500_000_000)]);
-        // The stale parked entry must not resurrect the flow.
-        assert!(drain(&mut w, 200.0).is_empty());
-        assert_eq!(w.live(), 0);
-    }
-
-    #[test]
-    fn partial_slot_defers_until_horizon_reaches_event() {
-        let mut w = ShardWheel::new(
-            WheelConfig {
-                granularity: SimDuration::from_secs_f64(1.0),
-                slots: 16,
-            },
-            2,
-        );
-        w.schedule(0, SimTime::from_secs_f64(0.2));
-        w.schedule(1, SimTime::from_secs_f64(0.7));
-        // A 0.4 s horizon fires only flow 0; flow 1 stays pending.
-        assert_eq!(drain(&mut w, 0.4), vec![(0, 200_000_000)]);
-        assert_eq!(w.pending(1), Some(SimTime::from_secs_f64(0.7)));
-        // The next pass rescans the same slot and fires it.
-        assert_eq!(drain(&mut w, 0.9), vec![(1, 700_000_000)]);
-    }
-
-    #[test]
-    fn rescheduling_into_current_slot_fires_same_pass() {
-        let mut w = wheel(1);
-        w.schedule(0, SimTime::from_secs_f64(0.0002));
-        let until = SimTime::from_secs_f64(0.0009).as_nanos();
-        w.begin_pass();
-        let (flow, at) = w.pop_due(until).unwrap();
-        assert_eq!((flow, at), (0, 200_000));
-        // Chain the next event into the same (1 ms) slot.
-        w.schedule(0, SimTime::from_nanos(at + 300_000));
-        let (flow2, at2) = w.pop_due(until).unwrap();
-        assert_eq!((flow2, at2), (0, 500_000));
-        assert!(w.pop_due(until).is_none());
-    }
-
-    #[test]
-    fn superseding_a_deferred_event_keeps_the_scan_cursor_sound() {
-        let mut w = ShardWheel::new(
-            WheelConfig {
-                granularity: SimDuration::from_secs_f64(1.0),
-                slots: 16,
-            },
-            3,
-        );
-        // All three in slot 0; horizon 0.35 defers flows 1 and 2.
-        w.schedule(0, SimTime::from_secs_f64(0.1));
-        w.schedule(1, SimTime::from_secs_f64(0.6));
-        w.schedule(2, SimTime::from_secs_f64(0.8));
-        assert_eq!(drain(&mut w, 0.35), vec![(0, 100_000_000)]);
-        // Supersede the deferred flow the cursor rests on (flow 2, the
-        // last one scanned) and the one before it.
-        w.schedule(2, SimTime::from_secs_f64(0.4));
-        w.schedule(1, SimTime::from_secs_f64(0.9));
-        assert_eq!(drain(&mut w, 1.0), vec![(2, 400_000_000), (1, 900_000_000)]);
-    }
-
-    #[test]
-    fn cancel_removes_pending() {
-        let mut w = wheel(1);
-        w.schedule(0, SimTime::from_secs_f64(0.5));
-        assert_eq!(w.live(), 1);
-        w.cancel(0);
-        assert_eq!(w.live(), 0);
-        assert!(drain(&mut w, 1.0).is_empty());
-    }
-
-    #[test]
-    fn cancel_of_deferred_node_mid_pass_is_sound() {
-        let mut w = ShardWheel::new(
-            WheelConfig {
-                granularity: SimDuration::from_secs_f64(1.0),
-                slots: 16,
-            },
-            3,
-        );
-        w.schedule(0, SimTime::from_secs_f64(0.1));
-        w.schedule(1, SimTime::from_secs_f64(0.6));
-        w.schedule(2, SimTime::from_secs_f64(0.7));
-        let until = SimTime::from_secs_f64(0.35).as_nanos();
-        w.begin_pass();
-        assert_eq!(w.pop_due(until), Some((0, 100_000_000)));
-        assert!(w.pop_due(until).is_none()); // cursor now rests on flow 2
-        w.cancel(2);
-        w.cancel(1);
-        assert!(drain(&mut w, 2.0).is_empty());
-        assert_eq!(w.live(), 0);
+        assert_eq!(w.live(), 2);
+        assert_eq!(w.in_slot[0], 250);
+        assert_eq!(w.in_slot[1], 100);
+        assert_eq!(w.in_slot[2], NIL);
     }
 }

@@ -20,8 +20,8 @@
 //!   its long-run send rate converges to Eq. (32) and its sample paths
 //!   regenerate the paper's Figs. 1/3/5/6.
 //!
-//! [`fleet`] scales the rounds model to populations: SoA flow arenas and
-//! per-shard event wheels run 10^5–10^6 concurrent flows with
+//! [`fleet`] scales the rounds model to populations: SoA flow arenas,
+//! advanced flow by flow, run 10^5–10^6 concurrent flows with
 //! deterministic, shard-count-independent per-flow seeding, for
 //! distributional validation of Eq. (32) at each `(p, RTT, T0, W_m)`
 //! grid point.
@@ -71,7 +71,7 @@ pub mod time;
 pub use cc::{CcAlgorithm, CcState, CongestionController, Quirks, RoundCc};
 pub use connection::{Connection, Observer};
 pub use fault::{FaultPlan, Impairment};
-pub use fleet::{FleetCohort, FleetShard, FleetSpec, FlowStats, WheelConfig};
+pub use fleet::{FleetCohort, FleetShard, FleetSpec, FlowStats};
 pub use rounds::{RoundsConfig, RoundsSim};
 pub use stats::ConnStats;
 pub use time::{SimDuration, SimTime};

@@ -25,12 +25,12 @@
 //! ## Blocks
 //!
 //! `shards` counts workers, not partitions. The flow space is cut into
-//! contiguous blocks of at most 4096 flows (~0.9 MB of arena and wheel
-//! state, a quarter of a 4 MiB L2), each run as its own
-//! [`FleetShard`]. One range per worker would walk ~11 MB per event
-//! pass at 10^5 flows and leave the halves unevenly loaded; small blocks
-//! stay cache-resident and let work stealing even out the cohorts'
-//! unequal costs.
+//! contiguous blocks of at most 4096 flows, each run as its own
+//! [`FleetShard`]. A shard runs its flows one after another, each to the
+//! horizon, so its cost per event barely depends on its size; the blocks
+//! are there for balance. One range per worker would leave the halves
+//! unevenly loaded, because cohorts differ in cost per flow, while many
+//! small blocks let work stealing even those costs out.
 //!
 //! ## Wire audit
 //!
@@ -76,7 +76,7 @@ pub struct FleetCohortSpec {
 }
 
 /// A fleet campaign: the full cohort grid plus the execution-independent
-/// inputs (seed, horizon, wheel geometry, audit sampling).
+/// inputs (seed, horizon, audit sampling).
 #[derive(Debug, Clone)]
 pub struct FleetCampaignSpec {
     /// Cohorts in grid order; global flow ids are assigned by
@@ -87,7 +87,9 @@ pub struct FleetCampaignSpec {
     pub base_seed: u64,
     /// Simulated horizon every flow runs to, seconds.
     pub horizon_secs: f64,
-    /// Event-wheel geometry for every block.
+    /// Unused by the engine, which schedules no events; kept only while
+    /// the benchmark compiles against it, and to be deleted with
+    /// [`tcp_sim::fleet::ShardWheel`].
     pub wheel: WheelConfig,
     /// Packet-level audit connections per cohort (0 disables the audit).
     pub audit_flows_per_cohort: u32,
@@ -246,7 +248,7 @@ pub fn run_fleet_with(
     report
 }
 
-/// The simulator's view of `spec`: cohort grid, seed and wheel geometry.
+/// The simulator's view of `spec`: cohort grid and seed.
 fn sim_spec(spec: &FleetCampaignSpec) -> FleetSpec {
     FleetSpec {
         cohorts: spec
@@ -258,15 +260,15 @@ fn sim_spec(spec: &FleetCampaignSpec) -> FleetSpec {
             })
             .collect(),
         base_seed: spec.base_seed,
-        wheel: spec.wheel,
+        ..FleetSpec::default()
     }
 }
 
-/// Most flows one block may hold. A flow carries ~220 B of arena and
-/// wheel state (120 B `SimRng`, 40 B `RoundCc`, counters, wheel links),
-/// so a full block is ~0.9 MB: it stays resident in a 4 MiB L2 while
-/// its wheel drains. Block sizes from 1024 to 8192 flows run within a
-/// few percent of each other; 16 384 already spills.
+/// Most flows one block may hold. Blocks serve load balance only: a
+/// shard runs each flow to the horizon in turn, so its per-event cost
+/// barely moves between 1024-flow blocks and one 100k range (DESIGN.md
+/// §14.3), and ~25 blocks at 10^5 flows give two workers' work stealing
+/// room to even out the cohorts' unequal costs.
 const BLOCK_FLOWS: u64 = 4096;
 
 /// Cuts `0..total` into the fewest contiguous, near-equal blocks of at
@@ -407,9 +409,9 @@ fn ratio_bucket(ratio: f64) -> usize {
     }
 }
 
-/// Global-flow-id offset of the audit seed space: far above any real
-/// fleet (which is capped at `u32::MAX` flows per shard), so audit
-/// streams can never collide with fleet streams.
+/// Global-flow-id offset of the audit seed space: 2^48, far above the
+/// global id of any real fleet flow, so audit streams can never collide
+/// with fleet streams.
 const AUDIT_ID_OFFSET: u64 = 1 << 48;
 
 /// Runs the serial packet-level wire audit: `audit_flows_per_cohort`
@@ -541,8 +543,8 @@ mod tests {
             ],
             base_seed: 0x000F_1EE7_CA3D,
             horizon_secs: 30.0,
-            wheel: WheelConfig::default(),
             audit_flows_per_cohort: 2,
+            ..FleetCampaignSpec::default()
         }
     }
 
@@ -646,8 +648,8 @@ mod tests {
             ],
             base_seed: 0xB10C,
             horizon_secs: 3.0,
-            wheel: WheelConfig::default(),
             audit_flows_per_cohort: 0,
+            ..FleetCampaignSpec::default()
         };
         let total = spec.total_flows();
         assert_eq!(block_ranges(total).len(), 3);
@@ -735,8 +737,8 @@ mod tests {
             }],
             base_seed: 7,
             horizon_secs: 120.0,
-            wheel: WheelConfig::default(),
             audit_flows_per_cohort: 0,
+            ..FleetCampaignSpec::default()
         };
         let report = run_fleet(&spec, 4);
         let cr = &report.cohorts[0];

@@ -18,9 +18,8 @@
 //!
 //! The same harness pins the fleet shard loop: after warm-up, a
 //! `FleetShard::run_until` window over hundreds of flows must be
-//! allocation-free too (SoA arenas are fixed at construction; the event
-//! wheel's ring slots and overflow heap recycle their high-water
-//! capacity).
+//! allocation-free too (SoA arenas, pending times included, are fixed
+//! arrays sized at construction).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -183,7 +182,7 @@ fn warm_streaming_analyzer_allocates_only_sample_growth() {
 fn warm_fleet_shard_does_not_allocate() {
     // Two cohorts so the shard's inner loop exercises both the TD-heavy
     // regime (large window) and the timeout-heavy one (small window,
-    // higher p — deep backoffs park events in the wheel's overflow heap).
+    // higher p — deep backoffs push a flow's pending time far ahead).
     let spec = FleetSpec {
         cohorts: vec![
             FleetCohort {
@@ -214,10 +213,9 @@ fn warm_fleet_shard_does_not_allocate() {
     };
     let mut shard = FleetShard::new(&spec, 0..spec.total_flows());
 
-    // Warm-up: long enough that every ring slot and the overflow heap
-    // reach their high-water capacity (flows start maximally bunched in
-    // one slot and only spread out from there, so slot maxima occur
-    // early; the overflow heap is pre-reserved for fleets this size).
+    // Warm-up: run every flow well past its start, so the measured window
+    // is steady state (the arena's arrays, pending times included, are
+    // sized at construction and never grow).
     let warmed = shard.run_until(SimTime::from_secs_f64(240.0));
     assert!(warmed > 10_000, "degenerate warm-up: {warmed} events");
 
@@ -237,7 +235,7 @@ fn warm_fleet_shard_does_not_allocate() {
         after - before,
         0,
         "warm fleet shard allocated {} times over {} events; the sharded \
-         inner loop must be allocation-free once arenas and wheel are warm",
+         inner loop must be allocation-free once the arena is built",
         after - before,
         in_window
     );

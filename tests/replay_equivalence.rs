@@ -27,7 +27,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use padhye_tcp_repro::sim::fleet::WheelConfig;
 use padhye_tcp_repro::sim::rounds::RoundsConfig;
 use padhye_tcp_repro::testbed::{
     run_campaign, run_fleet, run_fleet_with, run_hour_budgeted_with, CampaignReport,
@@ -250,8 +249,8 @@ fn fleet_campaign() -> FleetCampaignSpec {
         ],
         base_seed: BASE_SEED ^ 0xF1EE7,
         horizon_secs: 30.0,
-        wheel: WheelConfig::default(),
         audit_flows_per_cohort: 2,
+        ..FleetCampaignSpec::default()
     }
 }
 
@@ -318,8 +317,8 @@ fn mixed_variant_campaign() -> FleetCampaignSpec {
         cohorts,
         base_seed: BASE_SEED ^ 0xCC_A11,
         horizon_secs: 25.0,
-        wheel: WheelConfig::default(),
         audit_flows_per_cohort: 1,
+        ..FleetCampaignSpec::default()
     }
 }
 
@@ -362,8 +361,8 @@ fn fleet_chaos_seed_never_leaks_into_reports() {
         }],
         base_seed: BASE_SEED ^ 0xC4A05,
         horizon_secs: 20.0,
-        wheel: WheelConfig::default(),
         audit_flows_per_cohort: 0,
+        ..FleetCampaignSpec::default()
     };
     let a = run_fleet_with(&spec, 4, Some(1));
     let b = run_fleet_with(&spec, 4, Some(2));
