@@ -13,7 +13,12 @@
 //! Primitive values are little-endian fixed-width integers; `f64` travels
 //! as its IEEE-754 bit pattern via [`f64::to_bits`] so NaN payloads and
 //! signed zeros survive a round trip bit-identically. Variable-length byte
-//! strings carry a `u64` length prefix. Composite snapshots are framed by
+//! strings carry a `u64` length prefix. Long append-only logs may use
+//! LEB128 varints instead ([`SnapWriter::put_varints`]), and a float that
+//! is an integer over a fixed scale — an RTT in nanoseconds over 1e9 — can
+//! travel as that integer ([`SnapWriter::put_scaled_f64s`]), which falls
+//! back to the raw bits whenever the integer would not decode to the
+//! identical `f64`. Composite snapshots are framed by
 //! [`frame`]/[`unframe`]: an 8-byte magic, a `u32` kind, a `u32` version,
 //! a `u64` payload length, a CRC-32 of the payload, then the payload.
 //!
@@ -170,6 +175,58 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The longest varint: ten bytes carry 64 bits.
+const SLOT: usize = 10;
+
+/// Writes `v` as an LEB128 varint at the start of `slot`; returns its
+/// length. Below 2^56 (every count and nanosecond RTT in practice) the
+/// groups are packed into one word without a branch per byte.
+#[inline]
+fn varint_to(v: u64, slot: &mut [u8; SLOT]) -> usize {
+    let len = (64 - (v | 1).leading_zeros() as usize).div_ceil(7);
+    if len <= 8 {
+        let mut word = 0u64;
+        for group in 0..8 {
+            word |= (v << group) & (0x7F << (8 * group));
+        }
+        // Continuation bits on every byte but the last.
+        word |= 0x8080_8080_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
+        slot[..8].copy_from_slice(&word.to_le_bytes());
+    } else {
+        for (group, byte) in slot.iter_mut().enumerate() {
+            *byte = (v >> (7 * group)) as u8 | 0x80;
+        }
+        slot[len - 1] &= 0x7F;
+    }
+    len
+}
+
+/// Writes `v` in the [`SnapWriter::put_scaled_f64s`] form at the start of
+/// `slot`; returns its length.
+#[inline]
+fn scaled_to(v: f64, scale: f64, slot: &mut [u8; SLOT]) -> usize {
+    match scaled_integer(v, scale) {
+        Some(n) => varint_to(n << 1, slot),
+        None => {
+            slot[0] = 1;
+            slot[1..9].copy_from_slice(&v.to_bits().to_le_bytes());
+            9
+        }
+    }
+}
+
+/// The integer `n < 2^63` with `n as f64 / scale` bit-identical to `v`,
+/// if there is one: the compact form of [`SnapWriter::put_scaled_f64s`].
+#[inline]
+fn scaled_integer(v: f64, scale: f64) -> Option<u64> {
+    // The nearest integer for non-negative `v · scale`. The cast saturates
+    // (NaN to 0), and whatever it yields the exactness check decides: a
+    // wrong candidate only costs the compact form. Signed conversions are
+    // single instructions where unsigned ones are not.
+    let n = (v * scale + 0.5) as i64;
+    (n >= 0 && (n as f64 / scale).to_bits() == v.to_bits()).then_some(n as u64)
+}
+
 /// Append-only encoder for snapshot payloads.
 ///
 /// All writes are infallible; the buffer grows as needed. Finish with
@@ -253,6 +310,61 @@ impl SnapWriter {
     #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Writes an optional `f64`: a presence byte, then the bits.
+    #[inline]
+    pub fn put_opt_f64(&mut self, v: Option<f64>) {
+        match v {
+            Some(x) => {
+                self.put_bool(true);
+                self.put_f64(x);
+            }
+            None => self.put_bool(false),
+        }
+    }
+
+    /// Writes `value(item)` for every item, in order, as an LEB128
+    /// varint: seven bits per byte, low groups first, high bit set on
+    /// every byte but the last. One byte below 128, ten at most. The
+    /// varints are built in a staging block and appended a block at a
+    /// time, so long sample logs encode without per-value `Vec` pushes.
+    pub fn put_varints<T: Copy>(&mut self, items: &[T], value: impl Fn(T) -> u64) {
+        self.put_slots(items, |item, slot| varint_to(value(item), slot));
+    }
+
+    /// Writes `value(item)` for every item, in order, staged like
+    /// [`SnapWriter::put_varints`]. Each value is usually an exact integer
+    /// `n` divided by `scale` (an RTT of `n` nanoseconds at `scale = 1e9`,
+    /// a packet count at `scale = 1.0`) and is then written as the varint
+    /// `2n`. Before choosing that form the writer checks that
+    /// `n as f64 / scale` gives back the identical bits; when it would not
+    /// (a value off the integer grid, a NaN, −0.0, an infinity, anything
+    /// past 2^63) it writes the varint `1` and the raw bits instead.
+    /// [`SnapReader::get_scaled_f64`] at the same `scale` returns each
+    /// value bit for bit either way.
+    pub fn put_scaled_f64s<T: Copy>(&mut self, items: &[T], scale: f64, value: impl Fn(T) -> f64) {
+        self.put_slots(items, |item, slot| scaled_to(value(item), scale, slot));
+    }
+
+    /// Encodes each item into the next `SLOT` bytes of a stack staging
+    /// block and appends the block's used bytes once per `STAGE` items,
+    /// so the per-item work never touches the `Vec`.
+    fn put_slots<T: Copy>(&mut self, items: &[T], encode: impl Fn(T, &mut [u8; SLOT]) -> usize) {
+        const STAGE: usize = 256;
+        let mut stage = [0u8; STAGE * SLOT];
+        for chunk in items.chunks(STAGE) {
+            let mut used = 0;
+            for &item in chunk {
+                // Each item uses at most `SLOT` bytes, so a chunk of
+                // `STAGE` items always finds its slot in the block.
+                let Some(slot) = stage.get_mut(used..).and_then(<[u8]>::first_chunk_mut) else {
+                    break;
+                };
+                used += encode(item, slot);
+            }
+            self.put_raw(&stage[..used]);
+        }
     }
 
     /// Writes a length-prefixed byte string (`u64` length, then bytes).
@@ -382,6 +494,71 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Reads an optional `f64` written by [`SnapWriter::put_opt_f64`].
+    #[inline]
+    pub fn get_opt_f64(&mut self) -> SnapResult<Option<f64>> {
+        Ok(if self.get_bool()? {
+            Some(self.get_f64()?)
+        } else {
+            None
+        })
+    }
+
+    /// Reads an LEB128 varint written by [`SnapWriter::put_varints`].
+    /// Only the shortest encoding of a value is accepted: a trailing zero
+    /// group, or an eleventh byte or bits past 64, is
+    /// [`SnapError::Invalid`].
+    #[inline]
+    pub fn get_varint(&mut self) -> SnapResult<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.get_u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                return Err(SnapError::Invalid("varint overflows u64"));
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(SnapError::Invalid("varint not in shortest form"));
+                }
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(SnapError::Invalid("varint overflows u64"));
+            }
+        }
+    }
+
+    /// Reads a varint as a `usize`; [`SnapError::Invalid`] if the value
+    /// does not fit this platform's `usize`.
+    #[inline]
+    pub fn get_varint_usize(&mut self) -> SnapResult<usize> {
+        let v = self.get_varint()?;
+        usize::try_from(v).map_err(|_| SnapError::Invalid("usize overflow"))
+    }
+
+    /// Reads an `f64` written by [`SnapWriter::put_scaled_f64s`] at the
+    /// same `scale`. Raw bits that the integer form could have carried
+    /// are [`SnapError::Invalid`], as is any odd varint but `1`.
+    #[inline]
+    pub fn get_scaled_f64(&mut self, scale: f64) -> SnapResult<f64> {
+        match self.get_varint()? {
+            1 => {
+                let v = self.get_f64()?;
+                if scaled_integer(v, scale).is_some() {
+                    return Err(SnapError::Invalid("scaled f64 not in integer form"));
+                }
+                Ok(v)
+            }
+            // `n >> 1` is below 2^63, so the signed conversion is exact.
+            n if n & 1 == 0 => Ok((n >> 1) as i64 as f64 / scale),
+            _ => Err(SnapError::Invalid("scaled f64 form")),
+        }
+    }
+
     /// Reads a length-prefixed byte string.
     ///
     /// The length is validated against the remaining input *before* any
@@ -436,18 +613,41 @@ pub struct Framed<'a> {
     pub payload: &'a [u8],
 }
 
+/// Bytes of the [`frame`] header: magic, kind, version, length, CRC-32.
+const FRAME_HEADER: usize = MAGIC.len() + 4 + 4 + 8 + 4;
+
 /// Wraps `payload` in the snapshot frame: magic, kind, version, length,
 /// CRC-32, payload.
 //= pftk#snapshot-codec
 #[must_use]
 pub fn frame(kind: u32, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + 4 + 8 + 4 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_with(kind, version, payload.len(), |w| w.put_raw(payload))
+}
+
+/// Builds a frame in place: `write` encodes the payload straight into
+/// the buffer that is returned, after a header whose length and CRC are
+/// filled in afterwards, so the payload is never copied. `capacity` is a
+/// hint for the payload size. The bytes equal
+/// `frame(kind, version, &payload)`.
+#[must_use]
+pub fn frame_with(
+    kind: u32,
+    version: u32,
+    capacity: usize,
+    write: impl FnOnce(&mut SnapWriter),
+) -> Vec<u8> {
+    let mut w = SnapWriter::with_capacity(FRAME_HEADER + capacity);
+    w.put_raw(&MAGIC);
+    w.put_u32(kind);
+    w.put_u32(version);
+    w.put_u64(0);
+    w.put_u32(0);
+    write(&mut w);
+    let mut out = w.into_bytes();
+    let (header, payload) = out.split_at_mut(FRAME_HEADER);
+    header[MAGIC.len() + 8..MAGIC.len() + 16]
+        .copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[MAGIC.len() + 16..].copy_from_slice(&crc32(payload).to_le_bytes());
     out
 }
 
@@ -608,6 +808,102 @@ mod tests {
         let mut long = framed;
         long.push(0);
         assert_eq!(unframe(&long, 1), Err(SnapError::TrailingBytes));
+    }
+
+    #[test]
+    fn varints_round_trip_in_shortest_form_only() {
+        let values = [0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX];
+        let mut w = SnapWriter::new();
+        w.put_varints(&values, |v| v);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 1 + 1 + 2 + 2 + 6 + 10 + 10);
+        let mut r = SnapReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.get_varint(), Ok(v));
+        }
+        assert_eq!(r.finish(), Ok(()));
+
+        let invalid: [&[u8]; 4] = [
+            &[0x80, 0x00],                                                 // trailing zero group
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02], // past 64 bits
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+            ], // eleven bytes
+            &[0x80],                                                       // truncated
+        ];
+        for bytes in invalid {
+            assert!(SnapReader::new(bytes).get_varint().is_err(), "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn scaled_floats_round_trip_bit_for_bit() {
+        let rtts = [0.0, 1e-9, 0.1, 0.087_654_321, 3.5, 1e3];
+        let odd = [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1 + 1e-13,
+            -2.0,
+            1e300,
+        ];
+        let flights = [0.0f64, 1.0, 44.0, 1e15];
+        let mut w = SnapWriter::new();
+        w.put_scaled_f64s(&rtts, 1e9, |v| v);
+        w.put_scaled_f64s(&odd, 1e9, |v| v);
+        w.put_scaled_f64s(&flights, 1.0, |v| v);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        for v in rtts.iter().chain(&odd) {
+            assert_eq!(r.get_scaled_f64(1e9).map(f64::to_bits), Ok(v.to_bits()));
+        }
+        for flight in flights {
+            assert_eq!(
+                r.get_scaled_f64(1.0).map(f64::to_bits),
+                Ok(flight.to_bits())
+            );
+        }
+        assert_eq!(r.finish(), Ok(()));
+        // On the grid, an RTT costs a varint of twice its nanoseconds:
+        // four bytes for 100 ms. Off it, one marker byte and the bits.
+        let mut w = SnapWriter::new();
+        w.put_scaled_f64s(&[0.1, f64::NAN], 1e9, |v| v);
+        assert_eq!(w.len(), 4 + 9);
+
+        // Raw bits the integer form could carry, and odd forms other than
+        // the raw-bits marker, are rejected.
+        let mut w = SnapWriter::new();
+        w.put_varints(&[1], |v| v);
+        w.put_f64(0.5);
+        assert!(SnapReader::new(&w.into_bytes())
+            .get_scaled_f64(1e9)
+            .is_err());
+        assert!(SnapReader::new(&[3]).get_scaled_f64(1e9).is_err());
+    }
+
+    #[test]
+    fn staged_writes_span_many_blocks() {
+        // Values of every varint length, well past one staging block.
+        let values: Vec<u64> = (0..3000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64))
+            .collect();
+        let mut w = SnapWriter::new();
+        w.put_varints(&values, |v| v);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        for v in &values {
+            assert_eq!(r.get_varint(), Ok(*v));
+        }
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn frame_with_equals_frame() {
+        let payload = b"written in place".to_vec();
+        let framed = frame_with(4, 2, 0, |w| w.put_raw(&payload));
+        assert_eq!(framed, frame(4, 2, &payload));
+        assert_eq!(unframe(&framed, 2).map(|f| f.payload), Ok(&payload[..]));
     }
 
     #[test]

@@ -22,6 +22,9 @@ enum Op {
     Bytes(u64),
     Str(u64),
     Tag(u64),
+    Varint(u64),
+    /// A scaled float (`put_scaled_f64s` at 1e9), as raw bits.
+    Scaled(u64),
 }
 
 /// Deterministic filler: expands a seed into `len` bytes.
@@ -40,7 +43,7 @@ fn fill_str(seed: u64, len: usize) -> String {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..10, 0u64..=u64::MAX).prop_map(|(kind, v)| match kind {
+    (0u8..12, 0u64..=u64::MAX).prop_map(|(kind, v)| match kind {
         0 => Op::U8(v as u8),
         1 => Op::U32(v as u32),
         2 => Op::U64(v),
@@ -51,7 +54,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         6 => Op::F64(v),
         7 => Op::Bytes(v),
         8 => Op::Str(v),
-        _ => Op::Tag(v),
+        9 => Op::Tag(v),
+        10 => Op::Varint(v >> (v % 64)),
+        // Half the draws on the nanosecond grid (the compact form), half
+        // raw bits (mostly the fallback).
+        _ if v & 1 == 0 => Op::Scaled(((v >> 24) as f64 / 1e9).to_bits()),
+        _ => Op::Scaled(v),
     })
 }
 
@@ -73,6 +81,8 @@ fn encode(script: &[Op]) -> Vec<u8> {
             Op::Bytes(seed) => w.put_bytes(&fill_bytes(seed, (seed % 23) as usize)),
             Op::Str(seed) => w.put_str(&fill_str(seed, (seed % 17) as usize)),
             Op::Tag(v) => w.put_tag(v),
+            Op::Varint(v) => w.put_varints(&[v], |v| v),
+            Op::Scaled(bits) => w.put_scaled_f64s(&[f64::from_bits(bits)], 1e9, |v| v),
         }
     }
     w.into_bytes()
@@ -94,6 +104,8 @@ fn decode_and_check(script: &[Op], bytes: &[u8]) -> Result<(), String> {
             Op::Bytes(seed) => r.get_bytes() == Ok(&fill_bytes(seed, (seed % 23) as usize)[..]),
             Op::Str(seed) => r.get_str() == Ok(fill_str(seed, (seed % 17) as usize)),
             Op::Tag(v) => r.expect_tag("prop", v).is_ok(),
+            Op::Varint(v) => r.get_varint() == Ok(v),
+            Op::Scaled(bits) => r.get_scaled_f64(1e9).map(f64::to_bits) == Ok(bits),
         };
         if !ok {
             return Err(format!("op {i} ({op:?}) did not round-trip"));
@@ -193,7 +205,7 @@ proptest! {
         // Walk the buffer with every accessor in rotation until it errors.
         let mut i = 0u32;
         loop {
-            let step: Result<(), pftk_snap::SnapError> = match i % 8 {
+            let step: Result<(), pftk_snap::SnapError> = match i % 10 {
                 0 => r.get_u8().map(|_| ()),
                 1 => r.get_u32().map(|_| ()),
                 2 => r.get_bool().map(|_| ()),
@@ -201,6 +213,8 @@ proptest! {
                 4 => r.get_bytes().map(|_| ()),
                 5 => r.get_str().map(|_| ()),
                 6 => r.get_i64().map(|_| ()),
+                7 => r.get_varint().map(|_| ()),
+                8 => r.get_scaled_f64(1e9).map(|_| ()),
                 _ => r.expect_tag("garbage", 0),
             };
             if step.is_err() {

@@ -18,13 +18,13 @@
 //! — a partial Table II with explicit holes when paths fail, instead of a
 //! poisoned join killing all 24 measurements.
 
-use crate::journal::{self, CampaignRecord, Checkpoint, CrashPoint, Journal};
+use crate::journal::{self, CampaignRecord, Checkpoint, CrashPoint, Journal, ResultPayload};
 use crate::paths::{ModemSpec, PathSpec};
 use crate::pool;
 use crate::supervisor::{
     run_campaign, CampaignReport, CampaignRow, JobSpec, Outcome, SupervisorConfig,
 };
-use pftk_snap::{SnapError, SnapResult};
+use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path as FsPath;
@@ -266,10 +266,12 @@ impl ExperimentOptions {
 
 /// Result of one simulated connection.
 ///
-/// Serializable so the campaign journal can record completed attempts
-/// durably; `serde_json` round-trips every finite `f64` exactly, which is
-/// what lets a journal-replayed row stay bit-identical to the live one
-/// (the resume-equivalence gate checks this).
+/// The campaign journal records completed attempts in the `pftk-snap`
+/// codec ([`ExperimentResult::encode`]), which carries every `f64` as its
+/// bits; that is what lets a journal-replayed row stay bit-identical to
+/// the live one (the resume-equivalence gate checks this). The serde
+/// derives remain for JSON output and for journals of older builds, which
+/// stored results as JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentResult {
     /// The streamed analysis: loss indications, Karn timing, interval
@@ -320,6 +322,51 @@ impl ExperimentResult {
     /// The streamed RTT-vs-flight correlation (Fig. 11 diagnostic).
     pub fn rtt_window_corr(&self) -> Option<f64> {
         self.stream.rtt_window_corr
+    }
+
+    /// Encodes the result with the `pftk-snap` codec: every field, every
+    /// `f64` as its bits (NaN, the infinities and −0.0 included).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.stream.encode_into(&mut w);
+        match &self.trace {
+            Some(trace) => {
+                w.put_bool(true);
+                trace.encode_into(&mut w);
+            }
+            None => w.put_bool(false),
+        }
+        self.stats.snapshot_into(&mut w);
+        w.put_opt_f64(self.ground_rtt);
+        w.put_opt_f64(self.ground_t0);
+        w.put_f64(self.duration_secs);
+        w.put_bool(self.event_budget_hit);
+        w.into_bytes()
+    }
+
+    /// Decodes bytes written by [`ExperimentResult::encode`]. Truncated,
+    /// malformed or over-long input is an `Err`, never a panic.
+    pub fn decode(bytes: &[u8]) -> SnapResult<ExperimentResult> {
+        let mut r = SnapReader::new(bytes);
+        let stream = StreamAnalysis::decode_from(&mut r)?;
+        let trace = if r.get_bool()? {
+            Some(Trace::decode_from(&mut r)?)
+        } else {
+            None
+        };
+        let mut stats = ConnStats::default();
+        stats.restore_from(&mut r)?;
+        let result = ExperimentResult {
+            stream,
+            trace,
+            stats,
+            ground_rtt: r.get_opt_f64()?,
+            ground_t0: r.get_opt_f64()?,
+            duration_secs: r.get_f64()?,
+            event_budget_hit: r.get_bool()?,
+        };
+        r.finish()?;
+        Ok(result)
     }
 }
 
@@ -826,8 +873,8 @@ fn run_connection_checkpointed(
             (conn.snapshot(), conn.observer().stream_snapshot_since(mark))
         {
             mark = next_mark;
-            ctx.journal.append(
-                CampaignRecord::Checkpoint(Checkpoint {
+            ctx.journal
+                .append_record(&CampaignRecord::Checkpoint(Checkpoint {
                     job_index: ctx.job_index,
                     seed,
                     wire_bits: wire.to_bits(),
@@ -836,9 +883,7 @@ fn run_connection_checkpointed(
                     next_boundary: next_boundary + 1,
                     conn: conn_bytes,
                     stream,
-                })
-                .encode(),
-            );
+                }));
         } else {
             // No record for this boundary breaks the chain, so the next
             // checkpoint starts a new one and must carry the full state.
@@ -887,10 +932,7 @@ pub fn run_table2_journaled(
         let job_index = i as u64;
         let first_seed = base_seed.wrapping_add(job_index);
         if let Some(done) = state.done.get(&job_index) {
-            if let Ok(result) = std::str::from_utf8(&done.result_json)
-                .map_err(|_| ())
-                .and_then(|s| serde_json::from_str::<ExperimentResult>(s).map_err(|_| ()))
-            {
+            if let Some(result) = done.result.decode() {
                 let outcome = if done.resumed {
                     Outcome::Resumed
                 } else if done.seed == first_seed {
@@ -959,18 +1001,13 @@ pub fn run_table2_journaled(
                 );
                 // Durable completion record *before* the supervisor sees
                 // the row: once a row is reported, it is never recomputed.
-                if let Ok(json) = serde_json::to_string(&result) {
-                    let _ = journal.append_sync(
-                        CampaignRecord::AttemptDone {
-                            job_index,
-                            label: label.clone(),
-                            seed,
-                            resumed,
-                            result_json: json.into_bytes(),
-                        }
-                        .encode(),
-                    );
-                }
+                let _ = journal.append_record_sync(&CampaignRecord::AttemptDone {
+                    job_index,
+                    label: label.clone(),
+                    seed,
+                    resumed,
+                    result: ResultPayload::Snap(result.encode()),
+                });
                 resumed_flag.store(resumed, Ordering::Release);
                 result
             }),
@@ -1343,5 +1380,241 @@ mod tests {
         // No random loss was configured, yet the connection must experience
         // loss indications (buffer overflow).
         assert!(r.stats.loss_indications() > 0);
+    }
+
+    /// The completion-record codec: a round trip returns every field, each
+    /// `f64` compared by its bits, and damaged bytes decode to an `Err` or
+    /// some result, never a panic or a hang.
+    mod result_codec {
+        use super::*;
+        use proptest::prelude::*;
+        use tcp_trace::analyzer::{IndicationKind, LossIndication};
+        use tcp_trace::intervals::IntervalCategory;
+        use tcp_trace::karn::TimingEstimates;
+        use tcp_trace::record::{TraceEvent, TraceRecord};
+
+        /// SplitMix64 draws.
+        struct Draws(u64);
+
+        impl Draws {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut x = self.0;
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                x ^ (x >> 31)
+            }
+
+            /// Mostly the awkward floats: NaN with a payload, both
+            /// infinities, both zeros, a subnormal, raw bits.
+            fn float(&mut self) -> f64 {
+                match self.next() % 8 {
+                    0 => f64::from_bits(0x7FF8_0000_0000_0000 | (self.next() >> 13)),
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    5 => f64::from_bits(1),
+                    6 => f64::from_bits(self.next()),
+                    _ => (self.next() % 1_000_000) as f64 / 1e3,
+                }
+            }
+
+            fn opt_float(&mut self) -> Option<f64> {
+                (!self.next().is_multiple_of(4)).then(|| self.float())
+            }
+        }
+
+        /// A result with every field drawn from `seed`: `indications`
+        /// loss indications, an optional retained trace, and the flags.
+        fn result(seed: u64, indications: usize, with_trace: bool) -> ExperimentResult {
+            let mut d = Draws(seed);
+            let indications = (0..indications)
+                .map(|i| LossIndication {
+                    time_ns: i as u64 * 1000 + d.next() % 1000,
+                    kind: match d.next() % 3 {
+                        0 => IndicationKind::TripleDuplicate,
+                        _ => IndicationKind::Timeout {
+                            sequence_len: (d.next() % 9) as u32,
+                        },
+                    },
+                })
+                .collect();
+            let intervals = (!d.next().is_multiple_of(3)).then(|| {
+                (0..d.next() % 40)
+                    .map(|index| tcp_trace::intervals::IntervalStats {
+                        index: index as usize,
+                        packets_sent: d.next(),
+                        loss_indications: d.next() % 100,
+                        loss_rate: d.float(),
+                        category: match d.next() % 3 {
+                            0 => IntervalCategory::NoLoss,
+                            1 => IntervalCategory::TdOnly,
+                            _ => IntervalCategory::Timeout(d.next() as u8),
+                        },
+                    })
+                    .collect()
+            });
+            let trace = with_trace.then(|| {
+                let mut trace = Trace::new();
+                let mut t = 0;
+                for _ in 0..d.next() % 200 {
+                    t += d.next() % 5_000_000;
+                    let event = match d.next() % 3 {
+                        0 => TraceEvent::AckIn { ack: d.next() },
+                        n => TraceEvent::Send {
+                            seq: d.next(),
+                            retx: n == 2,
+                        },
+                    };
+                    trace.push(TraceRecord { time_ns: t, event });
+                }
+                trace
+            });
+            ExperimentResult {
+                stream: StreamAnalysis {
+                    analysis: Analysis {
+                        indications,
+                        packets_sent: d.next(),
+                        retransmissions: d.next(),
+                        acks_seen: d.next(),
+                    },
+                    timing: (!d.next().is_multiple_of(3)).then(|| TimingEstimates {
+                        mean_rtt: d.opt_float(),
+                        rtt_samples: d.next(),
+                        mean_t0: d.opt_float(),
+                        t0_samples: d.next(),
+                    }),
+                    intervals,
+                    rtt_window_corr: d.opt_float(),
+                    interval_secs: d.opt_float(),
+                    events: d.next(),
+                    peak_state_bytes: d.next(),
+                },
+                trace,
+                stats: ConnStats {
+                    packets_sent: d.next(),
+                    to_sequences: [d.next(), 0, 1, 2, d.next(), u64::MAX],
+                    rto_firings: d.next(),
+                    ..ConnStats::default()
+                },
+                ground_rtt: d.opt_float(),
+                ground_t0: d.opt_float(),
+                duration_secs: d.float(),
+                event_budget_hit: d.next().is_multiple_of(2),
+            }
+        }
+
+        /// The bits of every `f64` in `r`, in field order.
+        fn float_bits(r: &ExperimentResult) -> Vec<Option<u64>> {
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            let mut out = vec![
+                bits(r.stream.rtt_window_corr),
+                bits(r.stream.interval_secs),
+                bits(r.ground_rtt),
+                bits(r.ground_t0),
+                Some(r.duration_secs.to_bits()),
+            ];
+            if let Some(t) = &r.stream.timing {
+                out.extend([bits(t.mean_rtt), bits(t.mean_t0)]);
+            }
+            for row in r.stream.intervals.iter().flatten() {
+                out.push(Some(row.loss_rate.to_bits()));
+            }
+            out
+        }
+
+        /// `r` with every `f64` zeroed, so `PartialEq` compares the rest.
+        fn without_floats(mut r: ExperimentResult) -> ExperimentResult {
+            let zero = |v: &mut Option<f64>| *v = v.map(|_| 0.0);
+            zero(&mut r.stream.rtt_window_corr);
+            zero(&mut r.stream.interval_secs);
+            zero(&mut r.ground_rtt);
+            zero(&mut r.ground_t0);
+            r.duration_secs = 0.0;
+            if let Some(t) = &mut r.stream.timing {
+                zero(&mut t.mean_rtt);
+                zero(&mut t.mean_t0);
+            }
+            for row in r.stream.intervals.iter_mut().flatten() {
+                row.loss_rate = 0.0;
+            }
+            r
+        }
+
+        fn indication_count(shape: u8, n: u64) -> usize {
+            match shape {
+                0 => 0,
+                1 => (n % 8) as usize,
+                _ => 1000 + (n % 3000) as usize,
+            }
+        }
+
+        #[test]
+        fn a_real_run_round_trips_and_is_smaller_than_its_json() {
+            let r = run_hour_budgeted(&TABLE2_PATHS[0], 9, 4_000_000);
+            let bytes = r.encode();
+            assert_eq!(ExperimentResult::decode(&bytes), Ok(r.clone()));
+            let json = serde_json::to_string(&r).unwrap();
+            assert!(
+                bytes.len() * 3 < json.len(),
+                "{} vs {}",
+                bytes.len(),
+                json.len()
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn results_round_trip_bit_for_bit(
+                seed in 0u64..=u64::MAX,
+                shape in 0u8..3,
+                n in 0u64..=u64::MAX,
+                with_trace in 0u8..2,
+            ) {
+                let r = result(seed, indication_count(shape, n), with_trace == 1);
+                let bytes = r.encode();
+                let back = ExperimentResult::decode(&bytes)
+                    .map_err(|e| TestCaseError::Fail(format!("decode: {e}")))?;
+                prop_assert_eq!(float_bits(&back), float_bits(&r));
+                prop_assert_eq!(without_floats(back.clone()), without_floats(r));
+                prop_assert_eq!(back.encode(), bytes);
+            }
+
+            #[test]
+            fn truncated_results_are_rejected(seed in 0u64..=u64::MAX, cut in 0u64..=u64::MAX) {
+                let bytes = result(seed, (seed % 50) as usize, seed.is_multiple_of(2)).encode();
+                let cut = (cut % bytes.len() as u64) as usize;
+                prop_assert!(ExperimentResult::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+            }
+
+            #[test]
+            fn bit_flipped_results_never_panic(
+                seed in 0u64..=u64::MAX,
+                pos in 0u64..=u64::MAX,
+                bit in 0u8..8,
+            ) {
+                let mut bytes = result(seed, (seed % 50) as usize, seed.is_multiple_of(2)).encode();
+                let pos = (pos % bytes.len() as u64) as usize;
+                bytes[pos] ^= 1 << bit;
+                let _ = ExperimentResult::decode(&bytes);
+            }
+
+            #[test]
+            fn garbage_results_never_panic(
+                seed in 0u64..=u64::MAX,
+                keep in 0u64..=u64::MAX,
+                garbage in proptest::collection::vec(0u8..=255, 0..64),
+            ) {
+                let _ = ExperimentResult::decode(&garbage);
+                let bytes = result(seed, (seed % 50) as usize, seed.is_multiple_of(2)).encode();
+                let keep = (keep % bytes.len() as u64) as usize;
+                let mut spliced = bytes[..keep].to_vec();
+                spliced.extend_from_slice(&garbage);
+                let _ = ExperimentResult::decode(&spliced);
+            }
+        }
     }
 }

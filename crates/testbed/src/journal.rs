@@ -4,9 +4,9 @@
 //! append-only file while it runs:
 //!
 //! * **`AttemptDone`** — a completed experiment (label, seed, and the full
-//!   serialized [`crate::experiment::ExperimentResult`]), written with an
-//!   `fsync` before the supervisor reports the row, so a completed attempt
-//!   is never lost or recomputed;
+//!   [`crate::experiment::ExperimentResult`] in the `pftk-snap` codec),
+//!   written with an `fsync` before the supervisor reports the row, so a
+//!   completed attempt is never lost or recomputed;
 //! * **`Checkpoint`** — periodic in-flight state (the simulator's
 //!   [`Connection::snapshot`](tcp_sim::connection::Connection::snapshot)
 //!   plus an analyzer delta: the streaming analyzer's O(window) head state
@@ -32,14 +32,26 @@
 //! └────────────┴────────────┴────────────────┘
 //! ```
 //!
-//! `crc` is the CRC-32 (IEEE) of the payload. Each record is written with
-//! a single `write_all` of the fully assembled frame, so a crash leaves at
-//! most one torn record — always at the tail.
+//! `crc` is the CRC-32 (IEEE) of the payload. A record is encoded once,
+//! header included, into the buffer the writer thread hands to a single
+//! `write_all` ([`CampaignRecord::framed`]), so a crash leaves at most one
+//! torn record — always at the tail.
 //!
 //! The payload is a [`CampaignRecord`] encoded with the `pftk-snap` codec
 //! (the same writer/reader discipline as the simulator snapshots; see
-//! DESIGN.md §13).
+//! DESIGN.md §13). Its first byte is the record tag:
+//!
+//! | tag | record | body |
+//! |-----|--------|------|
+//! | 1 | `AttemptDone`, older builds | job, label, seed, resumed, the result as JSON |
+//! | 2 | `Checkpoint` | job, seed, wire/horizon/cadence bits, next boundary, connection snapshot, analyzer delta |
+//! | 3 | `AttemptDone` | job, label, seed, resumed, the result in the `pftk-snap` codec ([`ExperimentResult::encode`]) |
+//!
+//! This build writes tags 2 and 3 and reads all three, so journals of
+//! older builds still replay. A completion whose result does not decode
+//! re-runs its attempt; it does not truncate the journal.
 
+use crate::experiment::ExperimentResult;
 use pftk_snap::{crc32, SnapError, SnapReader, SnapResult, SnapWriter};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -69,11 +81,42 @@ pub enum CampaignRecord {
         seed: u64,
         /// True when the attempt itself resumed from a checkpoint.
         resumed: bool,
-        /// `serde_json`-serialized `ExperimentResult`.
-        result_json: Vec<u8>,
+        /// The attempt's `ExperimentResult`, still encoded.
+        result: ResultPayload,
     },
     /// In-flight state of a running attempt at a checkpoint boundary.
     Checkpoint(Checkpoint),
+}
+
+/// A completed attempt's [`ExperimentResult`] as a completion record
+/// holds it. It stays encoded through replay: a payload that does not
+/// decode only re-runs its attempt ([`ResultPayload::decode`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResultPayload {
+    /// `ExperimentResult::encode` bytes (record tag 3).
+    Snap(Vec<u8>),
+    /// JSON, as older builds wrote it (record tag 1). Non-finite floats
+    /// were written as `null` and do not decode.
+    Json(Vec<u8>),
+}
+
+impl ResultPayload {
+    /// Decodes the result; `None` for any malformation.
+    pub fn decode(&self) -> Option<ExperimentResult> {
+        match self {
+            ResultPayload::Snap(bytes) => ExperimentResult::decode(bytes).ok(),
+            ResultPayload::Json(bytes) => {
+                let text = std::str::from_utf8(bytes).ok()?;
+                serde_json::from_str(text).ok()
+            }
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            ResultPayload::Snap(bytes) | ResultPayload::Json(bytes) => bytes,
+        }
+    }
 }
 
 /// The resumable in-flight state of one attempt. Every field a resumer
@@ -122,31 +165,55 @@ impl Checkpoint {
     }
 }
 
-const TAG_ATTEMPT_DONE: u8 = 1;
+const TAG_ATTEMPT_DONE_JSON: u8 = 1;
 const TAG_CHECKPOINT: u8 = 2;
+const TAG_ATTEMPT_DONE: u8 = 3;
+
+/// Bytes of the record header: `len` and `crc`.
+const HEADER: usize = 8;
 
 impl CampaignRecord {
-    /// Encodes the record payload (framing is the writer's concern).
+    /// Encodes the record payload, without the header. The payload of a
+    /// replayed record re-encodes to the bytes it was read from.
     pub fn encode(&self) -> Vec<u8> {
+        let mut w = SnapWriter::with_capacity(self.encoded_len_hint());
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Encodes the whole record — header and payload — into one buffer,
+    /// ready for a single `write_all`. Fails only when the payload is
+    /// over the record size cap.
+    pub fn framed(&self) -> io::Result<Vec<u8>> {
+        frame_record(self.encoded_len_hint(), |w| self.encode_into(w))
+    }
+
+    fn encoded_len_hint(&self) -> usize {
         let blobs = match self {
-            CampaignRecord::AttemptDone { result_json, .. } => result_json.len(),
+            CampaignRecord::AttemptDone { label, result, .. } => label.len() + result.bytes().len(),
             CampaignRecord::Checkpoint(cp) => cp.conn.len() + cp.stream.len(),
         };
-        let mut w = SnapWriter::with_capacity(128 + blobs);
+        128 + blobs
+    }
+
+    fn encode_into(&self, w: &mut SnapWriter) {
         match self {
             CampaignRecord::AttemptDone {
                 job_index,
                 label,
                 seed,
                 resumed,
-                result_json,
+                result,
             } => {
-                w.put_u8(TAG_ATTEMPT_DONE);
+                w.put_u8(match result {
+                    ResultPayload::Snap(_) => TAG_ATTEMPT_DONE,
+                    ResultPayload::Json(_) => TAG_ATTEMPT_DONE_JSON,
+                });
                 w.put_u64(*job_index);
                 w.put_str(label);
                 w.put_u64(*seed);
                 w.put_bool(*resumed);
-                w.put_bytes(result_json);
+                w.put_bytes(result.bytes());
             }
             CampaignRecord::Checkpoint(cp) => {
                 w.put_u8(TAG_CHECKPOINT);
@@ -162,20 +229,24 @@ impl CampaignRecord {
                 w.put_bytes(&cp.stream);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes a record payload. Any malformation is an `Err`, never a
-    /// panic — replay maps it to a clean truncation.
+    /// panic — replay maps it to a clean truncation. The result of a
+    /// completion stays encoded here, so a result that does not decode
+    /// costs only its attempt ([`ResultPayload::decode`]).
     pub fn decode(payload: &[u8]) -> SnapResult<CampaignRecord> {
         let mut r = SnapReader::new(payload);
         let rec = match r.get_u8()? {
-            TAG_ATTEMPT_DONE => CampaignRecord::AttemptDone {
+            tag @ (TAG_ATTEMPT_DONE | TAG_ATTEMPT_DONE_JSON) => CampaignRecord::AttemptDone {
                 job_index: r.get_u64()?,
                 label: r.get_str()?,
                 seed: r.get_u64()?,
                 resumed: r.get_bool()?,
-                result_json: r.get_bytes()?.to_vec(),
+                result: match (tag, r.get_bytes()?.to_vec()) {
+                    (TAG_ATTEMPT_DONE, bytes) => ResultPayload::Snap(bytes),
+                    (_, bytes) => ResultPayload::Json(bytes),
+                },
             },
             TAG_CHECKPOINT => {
                 let job_index = r.get_u64()?;
@@ -197,6 +268,24 @@ impl CampaignRecord {
         r.finish()?;
         Ok(rec)
     }
+}
+
+/// Builds a framed record in place: `write` encodes the payload after an
+/// 8-byte header that is filled in afterwards with the payload's length
+/// and CRC-32.
+fn frame_record(capacity: usize, write: impl FnOnce(&mut SnapWriter)) -> io::Result<Vec<u8>> {
+    let mut w = SnapWriter::with_capacity(HEADER + capacity);
+    w.put_raw(&[0; HEADER]);
+    write(&mut w);
+    let mut buf = w.into_bytes();
+    let (header, payload) = buf.split_at_mut(HEADER);
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|l| *l <= MAX_RECORD_LEN)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "journal record too large"))?;
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(buf)
 }
 
 /// What a journal scan recovered.
@@ -235,8 +324,8 @@ pub struct DoneAttempt {
     pub seed: u64,
     /// Whether that attempt had itself resumed from a checkpoint.
     pub resumed: bool,
-    /// `serde_json`-serialized `ExperimentResult`.
-    pub result_json: Vec<u8>,
+    /// The attempt's result, still encoded.
+    pub result: ResultPayload,
 }
 
 impl JournalReplay {
@@ -252,7 +341,7 @@ impl JournalReplay {
                     label,
                     seed,
                     resumed,
-                    result_json,
+                    result,
                 } => {
                     state.inflight.remove(&job_index);
                     state.done.insert(
@@ -261,7 +350,7 @@ impl JournalReplay {
                             label,
                             seed,
                             resumed,
-                            result_json,
+                            result,
                         },
                     );
                 }
@@ -298,7 +387,7 @@ pub fn replay(path: &Path) -> io::Result<JournalReplay> {
         if rest.is_empty() {
             break;
         }
-        let Some((header, body)) = split_at_checked(rest, 8) else {
+        let Some((header, body)) = split_at_checked(rest, HEADER) else {
             out.torn_tail = true;
             break;
         };
@@ -329,6 +418,11 @@ pub fn replay(path: &Path) -> io::Result<JournalReplay> {
     Ok(out)
 }
 
+/// Frames an already encoded payload.
+fn frame_payload(payload: &[u8]) -> io::Result<Vec<u8>> {
+    frame_record(payload.len(), |w| w.put_raw(payload))
+}
+
 /// `slice::split_at` without the panic branch.
 fn split_at_checked(s: &[u8], mid: usize) -> Option<(&[u8], &[u8])> {
     if mid <= s.len() {
@@ -339,16 +433,17 @@ fn split_at_checked(s: &[u8], mid: usize) -> Option<(&[u8], &[u8])> {
 }
 
 enum Cmd {
-    /// Fire-and-forget append (checkpoints).
+    /// Fire-and-forget append (checkpoints) of a framed record.
     Append(Vec<u8>),
-    /// Append + fsync, acknowledged (attempt boundaries).
+    /// Append + fsync of a framed record, acknowledged (attempt
+    /// boundaries).
     AppendSync(Vec<u8>, mpsc::Sender<io::Result<()>>),
 }
 
 /// Handle to the append-only journal writer: a dedicated thread owns the
-/// file, so simulation workers hand encoded records over a channel and
+/// file, so simulation workers hand framed records over a channel and
 /// never block on disk (except when they explicitly ask for durability
-/// with [`Journal::append_sync`]).
+/// with [`Journal::append_record_sync`]).
 ///
 /// The file is opened in append mode and existing bytes are never
 /// rewritten — a resumed campaign strictly extends the journal, which the
@@ -385,23 +480,44 @@ impl Journal {
         &self.path
     }
 
-    /// Queues a record for appending and returns immediately. Used for
-    /// checkpoints: losing one to a crash only costs re-simulating from
-    /// the previous checkpoint.
+    /// Frames a record on the calling thread and queues it for appending;
+    /// returns immediately. Used for checkpoints: losing one to a crash
+    /// only costs re-simulating from the previous checkpoint.
+    pub fn append_record(&self, record: &CampaignRecord) {
+        self.queue(record.framed());
+    }
+
+    /// Frames a record on the calling thread, appends it and waits until
+    /// it (and everything queued before it) is durable (`fdatasync`).
+    /// Used at attempt boundaries: once this returns, a crash cannot lose
+    /// the completion.
+    pub fn append_record_sync(&self, record: &CampaignRecord) -> io::Result<()> {
+        self.send_sync(record.framed()?)
+    }
+
+    /// [`Journal::append_record`] for an encoded payload
+    /// ([`CampaignRecord::encode`]), which is copied behind a header.
     pub fn append(&self, payload: Vec<u8>) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(Cmd::Append(payload));
+        self.queue(frame_payload(&payload));
+    }
+
+    /// [`Journal::append_record_sync`] for an encoded payload
+    /// ([`CampaignRecord::encode`]), which is copied behind a header.
+    pub fn append_sync(&self, payload: Vec<u8>) -> io::Result<()> {
+        self.send_sync(frame_payload(&payload)?)
+    }
+
+    fn queue(&self, frame: io::Result<Vec<u8>>) {
+        if let (Some(tx), Ok(frame)) = (&self.tx, frame) {
+            let _ = tx.send(Cmd::Append(frame));
         }
     }
 
-    /// Appends a record and waits until it (and everything queued before
-    /// it) is durable (`fdatasync`). Used at attempt boundaries: once this
-    /// returns, a crash cannot lose the completion.
-    pub fn append_sync(&self, payload: Vec<u8>) -> io::Result<()> {
+    fn send_sync(&self, frame: Vec<u8>) -> io::Result<()> {
         let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "journal writer is gone");
         let tx = self.tx.as_ref().ok_or_else(gone)?;
         let (ack_tx, ack_rx) = mpsc::channel();
-        tx.send(Cmd::AppendSync(payload, ack_tx))
+        tx.send(Cmd::AppendSync(frame, ack_tx))
             .map_err(|_| gone())?;
         ack_rx.recv().map_err(|_| gone())?
     }
@@ -428,35 +544,23 @@ impl Drop for Journal {
     }
 }
 
+/// Writes each framed record with a single `write_all`, so a crash can
+/// tear at most the trailing record.
 fn writer_loop(mut file: File, rx: &mpsc::Receiver<Cmd>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Cmd::Append(payload) => {
+            Cmd::Append(frame) => {
                 // Best-effort: a failed checkpoint write degrades crash
                 // recovery granularity, never the campaign itself.
-                let _ = write_record(&mut file, &payload);
+                let _ = file.write_all(&frame);
             }
-            Cmd::AppendSync(payload, ack) => {
-                let res = write_record(&mut file, &payload).and_then(|()| file.sync_data());
+            Cmd::AppendSync(frame, ack) => {
+                let res = file.write_all(&frame).and_then(|()| file.sync_data());
                 let _ = ack.send(res);
             }
         }
     }
     let _ = file.sync_data();
-}
-
-/// Writes one framed record with a single `write_all`, so a crash can tear
-/// at most the trailing record.
-fn write_record(file: &mut File, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|l| *l <= MAX_RECORD_LEN)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "journal record too large"))?;
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    file.write_all(&buf)
 }
 
 /// Test instrumentation for the resume-equivalence gate: a countdown that
@@ -511,7 +615,7 @@ mod tests {
             label: format!("path-{i}"),
             seed: 40 + i,
             resumed: i % 2 == 1,
-            result_json: vec![b'{', b'}'],
+            result: ResultPayload::Snap(vec![5; 24]),
         }
     }
 
@@ -534,9 +638,42 @@ mod tests {
 
     #[test]
     fn record_roundtrip() {
-        for rec in [done(3), ckpt(5, 11)] {
+        let json = CampaignRecord::AttemptDone {
+            job_index: 4,
+            label: "path-4".into(),
+            seed: 44,
+            resumed: false,
+            result: ResultPayload::Json(b"{}".to_vec()),
+        };
+        for (rec, tag) in [(done(3), 3), (json, 1), (ckpt(5, 11), 2)] {
             let enc = rec.encode();
+            assert_eq!(enc[0], tag);
             assert_eq!(CampaignRecord::decode(&enc).unwrap(), rec);
+            // The framed record is the header, then exactly the payload.
+            let framed = rec.framed().unwrap();
+            assert_eq!(&framed[HEADER..], &enc[..]);
+            assert_eq!(framed[..4], (enc.len() as u32).to_le_bytes());
+            assert_eq!(framed[4..8], crc32(&enc).to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn payload_and_record_appends_write_the_same_bytes() {
+        let (by_payload, by_record) = (tmp("by-payload"), tmp("by-record"));
+        let journal = Journal::open(&by_payload).unwrap();
+        journal.append(ckpt(0, 1).encode());
+        journal.append_sync(done(0).encode()).unwrap();
+        journal.close().unwrap();
+        let journal = Journal::open(&by_record).unwrap();
+        journal.append_record(&ckpt(0, 1));
+        journal.append_record_sync(&done(0)).unwrap();
+        journal.close().unwrap();
+        assert_eq!(
+            std::fs::read(&by_payload).unwrap(),
+            std::fs::read(&by_record).unwrap()
+        );
+        for p in [by_payload, by_record] {
+            let _ = std::fs::remove_file(p);
         }
     }
 
@@ -608,7 +745,7 @@ mod tests {
             label: "path-0".into(),
             seed: 40,
             resumed: false,
-            result_json: Vec::new(),
+            result: ResultPayload::Snap(Vec::new()),
         });
         records.push(ckpt(0, 4));
         assert!(chain_of(records).is_empty());
@@ -705,8 +842,8 @@ mod tests {
 
         /// A small journal as a campaign writes it: job 0 in flight with a
         /// chain of three analyzer deltas, job 1 checkpointed twice and
-        /// then completed, and job 2 holding one full analyzer snapshot
-        /// (the format of older builds).
+        /// then completed with a real result, and job 2 holding one full
+        /// analyzer snapshot (the format of older builds).
         fn delta_journal() -> &'static [u8] {
             static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
             BYTES.get_or_init(|| {
@@ -739,7 +876,22 @@ mod tests {
                         records.push(CampaignRecord::Checkpoint(twin));
                     }
                 }
-                records.push(done(1));
+                let result = ExperimentResult {
+                    stream: analyzer.clone().finish(Some(900.0)),
+                    trace: None,
+                    stats: tcp_sim::stats::ConnStats::default(),
+                    ground_rtt: Some(0.1),
+                    ground_t0: None,
+                    duration_secs: 900.0,
+                    event_budget_hit: false,
+                };
+                records.push(CampaignRecord::AttemptDone {
+                    job_index: 1,
+                    label: "path-1".into(),
+                    seed: 41,
+                    resumed: false,
+                    result: ResultPayload::Snap(result.encode()),
+                });
                 let mut full = checkpoint(2, 2);
                 full.stream = analyzer.snapshot();
                 records.push(CampaignRecord::Checkpoint(full));
@@ -756,9 +908,10 @@ mod tests {
             })
         }
 
-        /// Replays `bytes` as a journal file and restores every chain into
-        /// a fresh recorder, stopping a chain at its first error (the
-        /// resume policy). Returns how many chains restored completely.
+        /// Replays `bytes` as a journal file, decodes every completed
+        /// result and restores every chain into a fresh recorder, stopping
+        /// a chain at its first error (the resume policy). Returns how many
+        /// chains restored completely.
         fn replay_and_restore(bytes: &[u8], name: &str) -> usize {
             let path = tmp(name);
             std::fs::write(&path, bytes).unwrap();
@@ -766,6 +919,9 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             assert!(replayed.valid_bytes <= bytes.len() as u64);
             let state = replayed.into_state();
+            for done in state.done.values() {
+                let _ = done.result.decode();
+            }
             state
                 .inflight
                 .values()
@@ -804,6 +960,8 @@ mod tests {
             };
             assert_eq!(state.inflight[&0].len(), 3);
             assert!(state.done.contains_key(&1) && !state.inflight.contains_key(&1));
+            let result = state.done[&1].result.decode().expect("result decodes");
+            assert_eq!(result.stream.analysis.indications.len(), 6);
             assert_eq!(replay_and_restore(bytes, "fuzz-pristine"), 2);
         }
 

@@ -51,7 +51,7 @@ pub use fleet::{
     FleetReport,
 };
 pub use hosts::{host, Host, Os, HOSTS};
-pub use journal::{CampaignRecord, CrashPoint, Journal};
+pub use journal::{CampaignRecord, CrashPoint, Journal, ResultPayload};
 pub use paths::{fig7_paths, fig8_paths, table2_path, ModemSpec, PathSpec, TABLE2_PATHS};
 pub use pool::{TaskHandle, WorkerPool};
 pub use supervisor::{

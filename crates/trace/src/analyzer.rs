@@ -141,6 +141,35 @@ impl Analysis {
             self.indications.len() as f64 / self.packets_sent as f64
         }
     }
+
+    /// Writes the analysis with the `pftk-snap` codec (journal completion
+    /// records; see [`crate::stream::StreamAnalysis::encode_into`]).
+    pub(crate) fn encode_into(&self, w: &mut SnapWriter) {
+        w.put_usize(self.indications.len());
+        for ind in &self.indications {
+            ind.snapshot_into(w);
+        }
+        w.put_u64(self.packets_sent);
+        w.put_u64(self.retransmissions);
+        w.put_u64(self.acks_seen);
+    }
+
+    /// Reads an analysis written by [`Analysis::encode_into`].
+    pub(crate) fn decode_from(r: &mut SnapReader<'_>) -> SnapResult<Analysis> {
+        let n = r.get_usize()?;
+        // Each indication takes at least nine bytes, so a corrupt count
+        // cannot reserve more than the input could hold.
+        let mut indications = Vec::with_capacity(n.min(r.remaining() / 9));
+        for _ in 0..n {
+            indications.push(LossIndication::restore_from(r)?);
+        }
+        Ok(Analysis {
+            indications,
+            packets_sent: r.get_u64()?,
+            retransmissions: r.get_u64()?,
+            acks_seen: r.get_u64()?,
+        })
+    }
 }
 
 /// The incremental TD/TO classification automaton: the streaming core

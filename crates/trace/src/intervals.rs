@@ -11,7 +11,7 @@
 
 use crate::analyzer::{Analysis, IndicationKind, LossIndication};
 use crate::record::{Trace, TraceEvent};
-use pftk_snap::{SnapReader, SnapResult, SnapWriter};
+use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 /// The paper's interval categories (Fig. 7): the deepest loss-indication
@@ -40,6 +40,40 @@ pub struct IntervalStats {
     pub loss_rate: f64,
     /// Deepest indication type in the interval.
     pub category: IntervalCategory,
+}
+
+impl IntervalStats {
+    /// Writes the row with the `pftk-snap` codec.
+    pub(crate) fn encode_into(&self, w: &mut SnapWriter) {
+        w.put_usize(self.index);
+        w.put_u64(self.packets_sent);
+        w.put_u64(self.loss_indications);
+        w.put_f64(self.loss_rate);
+        match self.category {
+            IntervalCategory::NoLoss => w.put_u8(0),
+            IntervalCategory::TdOnly => w.put_u8(1),
+            IntervalCategory::Timeout(level) => {
+                w.put_u8(2);
+                w.put_u8(level);
+            }
+        }
+    }
+
+    /// Reads a row written by [`IntervalStats::encode_into`].
+    pub(crate) fn decode_from(r: &mut SnapReader<'_>) -> SnapResult<IntervalStats> {
+        Ok(IntervalStats {
+            index: r.get_usize()?,
+            packets_sent: r.get_u64()?,
+            loss_indications: r.get_u64()?,
+            loss_rate: r.get_f64()?,
+            category: match r.get_u8()? {
+                0 => IntervalCategory::NoLoss,
+                1 => IntervalCategory::TdOnly,
+                2 => IntervalCategory::Timeout(r.get_u8()?),
+                _ => return Err(SnapError::Invalid("interval category")),
+            },
+        })
+    }
 }
 
 /// Splits a trace plus its analysis into consecutive `interval_secs`-long

@@ -17,6 +17,10 @@ use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
+/// RTT samples are whole nanoseconds over this scale, which is what lets a
+/// snapshot write each one as its integer nanoseconds.
+const NS_PER_SEC: f64 = 1e9;
+
 /// In-flight per-segment state: `(seq, value)` entries in a `VecDeque`
 /// kept sorted by seq, with a `BTreeMap<u64, V>`'s contents after every
 /// operation but shaped for the sender's access pattern. A new send is
@@ -122,6 +126,26 @@ pub struct TimingEstimates {
     pub mean_t0: Option<f64>,
     /// Number of T0 samples (one per timeout sequence).
     pub t0_samples: u64,
+}
+
+impl TimingEstimates {
+    /// Writes the estimates with the `pftk-snap` codec.
+    pub(crate) fn encode_into(&self, w: &mut SnapWriter) {
+        w.put_opt_f64(self.mean_rtt);
+        w.put_u64(self.rtt_samples);
+        w.put_opt_f64(self.mean_t0);
+        w.put_u64(self.t0_samples);
+    }
+
+    /// Reads estimates written by [`TimingEstimates::encode_into`].
+    pub(crate) fn decode_from(r: &mut SnapReader<'_>) -> SnapResult<TimingEstimates> {
+        Ok(TimingEstimates {
+            mean_rtt: r.get_opt_f64()?,
+            rtt_samples: r.get_u64()?,
+            mean_t0: r.get_opt_f64()?,
+            t0_samples: r.get_u64()?,
+        })
+    }
 }
 
 /// The incremental Karn RTT / T0 estimator: the streaming core behind
@@ -230,7 +254,8 @@ impl KarnCore {
             self.pending -= covered;
             if let Some(sent) = highest_sent {
                 if time_ns > sent {
-                    self.samples.push(((time_ns - sent) as f64 / 1e9, covered));
+                    self.samples
+                        .push(((time_ns - sent) as f64 / NS_PER_SEC, covered));
                 }
             }
         }
@@ -249,7 +274,10 @@ impl KarnCore {
     /// The deque iterates in ascending seq order, so the byte encoding is a
     /// pure function of the contents. The sample log is append-only, so
     /// only its entries from index `from` on are written; at `from = 0`
-    /// this is the full state.
+    /// this is the full state. The samples are written as two runs of
+    /// varints: every RTT as its whole nanoseconds
+    /// ([`SnapWriter::put_scaled_f64s`], raw bits where that would not be
+    /// exact), then every covered count.
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_usize(self.pending);
         for (seq, sent) in self.in_flight.iter().filter(|(_, s)| s.timeable) {
@@ -260,10 +288,8 @@ impl KarnCore {
         w.put_u64(self.last_ack);
         let appended = self.samples.get(from..).unwrap_or_default();
         w.put_usize(appended.len());
-        for (rtt, covered) in appended {
-            w.put_f64(*rtt);
-            w.put_usize(*covered);
-        }
+        w.put_scaled_f64s(appended, NS_PER_SEC, |(rtt, _)| rtt);
+        w.put_varints(appended, |(_, covered)| covered as u64);
         w.put_usize(self.in_flight.len());
         for (seq, sent) in self.in_flight.iter() {
             w.put_u64(*seq);
@@ -285,8 +311,15 @@ impl KarnCore {
     /// entry must reappear in `last_send_of` with the same time — a segment
     /// is timeable only while it has been sent exactly once — or the
     /// snapshot is rejected as invalid. As in [`KarnCore::snapshot_into`],
-    /// the samples past `from` are replaced by the written ones.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>, from: usize) -> SnapResult<()> {
+    /// the samples past `from` are replaced by the written ones. `compact`
+    /// selects the sample encoding: the two varint runs, or the two raw
+    /// 8-byte words per sample of version-1 snapshots.
+    pub(crate) fn restore_from(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        from: usize,
+        compact: bool,
+    ) -> SnapResult<()> {
         let n = r.get_usize()?;
         self.in_flight.clear();
         for _ in 0..n {
@@ -305,10 +338,18 @@ impl KarnCore {
         self.last_ack = r.get_u64()?;
         let n = r.get_usize()?;
         self.samples.truncate(from);
-        for _ in 0..n {
-            let rtt = r.get_f64()?;
-            let covered = r.get_usize()?;
-            self.samples.push((rtt, covered));
+        if compact {
+            let start = self.samples.len();
+            for _ in 0..n {
+                self.samples.push((r.get_scaled_f64(NS_PER_SEC)?, 0));
+            }
+            for (_, covered) in self.samples.iter_mut().skip(start) {
+                *covered = r.get_varint_usize()?;
+            }
+        } else {
+            for _ in 0..n {
+                self.samples.push((r.get_f64()?, r.get_usize()?));
+            }
         }
         let n = r.get_usize()?;
         let mut matched = 0usize;
@@ -499,7 +540,7 @@ impl CorrCore {
             if let Some((sent, flight)) = last {
                 if time_ns > sent {
                     self.xs.push(flight as f64);
-                    self.ys.push((time_ns - sent) as f64 / 1e9);
+                    self.ys.push((time_ns - sent) as f64 / NS_PER_SEC);
                 }
             }
         }
@@ -514,7 +555,9 @@ impl CorrCore {
     /// Writes the correlator's state (one length prefix covers both
     /// sample vectors — they grow in lock step). The vectors are
     /// append-only, so only their entries from index `from` on are
-    /// written; at `from = 0` this is the full state.
+    /// written; at `from = 0` this is the full state. Flight sizes are
+    /// whole packets and RTTs whole nanoseconds, so each value is one
+    /// varint ([`SnapWriter::put_scaled_f64s`]).
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_usize(self.pending.len());
         for (seq, (sent, flight)) in self.pending.iter() {
@@ -527,17 +570,19 @@ impl CorrCore {
         let xs = self.xs.get(from..).unwrap_or_default();
         let ys = self.ys.get(from..).unwrap_or_default();
         w.put_usize(xs.len());
-        for x in xs {
-            w.put_f64(*x);
-        }
-        for y in ys {
-            w.put_f64(*y);
-        }
+        w.put_scaled_f64s(xs, 1.0, |x| x);
+        w.put_scaled_f64s(ys, NS_PER_SEC, |y| y);
     }
 
     /// Reads state written by [`CorrCore::snapshot_into`] at the same
     /// `from`: the samples past `from` are replaced by the written ones.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>, from: usize) -> SnapResult<()> {
+    /// `compact` selects varints or version 1's raw 8-byte words.
+    pub(crate) fn restore_from(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        from: usize,
+        compact: bool,
+    ) -> SnapResult<()> {
         let n = r.get_usize()?;
         self.pending.clear();
         for _ in 0..n {
@@ -551,11 +596,14 @@ impl CorrCore {
         let n = r.get_usize()?;
         self.xs.truncate(from);
         self.ys.truncate(from);
-        for _ in 0..n {
-            self.xs.push(r.get_f64()?);
-        }
-        for _ in 0..n {
-            self.ys.push(r.get_f64()?);
+        for (series, scale) in [(&mut self.xs, 1.0), (&mut self.ys, NS_PER_SEC)] {
+            for _ in 0..n {
+                series.push(if compact {
+                    r.get_scaled_f64(scale)?
+                } else {
+                    r.get_f64()?
+                });
+            }
         }
         Ok(())
     }
@@ -872,7 +920,7 @@ mod tests {
         core.snapshot_into(&mut w, 0);
         let good = w.into_bytes();
         let mut back = KarnCore::new();
-        back.restore_from(&mut SnapReader::new(&good), 0)
+        back.restore_from(&mut SnapReader::new(&good), 0, true)
             .expect("own snapshot restores");
         assert_eq!(back.state_len(), core.state_len());
 
@@ -884,7 +932,7 @@ mod tests {
         let last_send_time = good.len() - (1 + 1 + 8 + 8) - 8;
         skewed[last_send_time] ^= 1;
         assert!(matches!(
-            KarnCore::new().restore_from(&mut SnapReader::new(&skewed), 0),
+            KarnCore::new().restore_from(&mut SnapReader::new(&skewed), 0, true),
             Err(SnapError::Invalid("karn: inconsistent send history"))
         ));
     }

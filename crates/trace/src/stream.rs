@@ -35,7 +35,7 @@ use crate::intervals::{IntervalCore, IntervalStats};
 use crate::karn::{CorrCore, KarnCore, TimingEstimates};
 use crate::log::TraceLog;
 use crate::record::{Trace, TraceEvent, TraceRecord};
-use pftk_snap::{frame, unframe, SnapError, SnapReader, SnapResult, SnapWriter};
+use pftk_snap::{frame_with, unframe, SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 /// Frame kind identifying a streaming-analyzer snapshot (DESIGN.md §13).
@@ -43,9 +43,11 @@ pub const STREAM_SNAPSHOT_KIND: u32 = 2;
 /// Frame kind identifying an analyzer delta
 /// ([`StreamAnalyzer::snapshot_since`]).
 pub const STREAM_DELTA_KIND: u32 = 3;
-/// Newest analyzer-snapshot format version this build reads and writes
-/// (for both kinds).
-pub const STREAM_SNAPSHOT_VERSION: u32 = 1;
+/// Analyzer-snapshot format version this build writes (for both kinds).
+/// Version 2 writes the RTT and correlation sample logs as varints of
+/// their exact integers (nanoseconds, packets); version 1 wrote each
+/// value as a raw 8-byte word. [`StreamAnalyzer::restore`] reads both.
+pub const STREAM_SNAPSHOT_VERSION: u32 = 2;
 
 /// Lengths of the analyzer's append-only logs — the classifier's
 /// indications, Karn's RTT samples and the correlation series — at one
@@ -171,6 +173,65 @@ impl StreamAnalysis {
             s.on_record(rec);
         }
         s.finish(total_secs)
+    }
+
+    /// Writes the analysis with the `pftk-snap` codec — the form a
+    /// campaign journal stores completed attempts in. Every `f64` travels
+    /// as its bits, so NaN, the infinities and −0.0 come back exactly.
+    pub fn encode_into(&self, w: &mut SnapWriter) {
+        self.analysis.encode_into(w);
+        match &self.timing {
+            Some(timing) => {
+                w.put_bool(true);
+                timing.encode_into(w);
+            }
+            None => w.put_bool(false),
+        }
+        match &self.intervals {
+            Some(rows) => {
+                w.put_bool(true);
+                w.put_usize(rows.len());
+                for row in rows {
+                    row.encode_into(w);
+                }
+            }
+            None => w.put_bool(false),
+        }
+        w.put_opt_f64(self.rtt_window_corr);
+        w.put_opt_f64(self.interval_secs);
+        w.put_u64(self.events);
+        w.put_u64(self.peak_state_bytes);
+    }
+
+    /// Reads an analysis written by [`StreamAnalysis::encode_into`];
+    /// malformed input is an `Err`, never a panic.
+    pub fn decode_from(r: &mut SnapReader<'_>) -> SnapResult<StreamAnalysis> {
+        let analysis = Analysis::decode_from(r)?;
+        let timing = if r.get_bool()? {
+            Some(TimingEstimates::decode_from(r)?)
+        } else {
+            None
+        };
+        let intervals = if r.get_bool()? {
+            let n = r.get_usize()?;
+            // A row takes at least 33 bytes.
+            let mut rows = Vec::with_capacity(n.min(r.remaining() / 33));
+            for _ in 0..n {
+                rows.push(IntervalStats::decode_from(r)?);
+            }
+            Some(rows)
+        } else {
+            None
+        };
+        Ok(StreamAnalysis {
+            analysis,
+            timing,
+            intervals,
+            rtt_window_corr: r.get_opt_f64()?,
+            interval_secs: r.get_opt_f64()?,
+            events: r.get_u64()?,
+            peak_state_bytes: r.get_u64()?,
+        })
     }
 }
 
@@ -320,44 +381,46 @@ impl StreamAnalyzer {
     /// which at the default mark is exactly a full snapshot's.
     fn encode(&self, kind: u32, mark: LogMark) -> Vec<u8> {
         use std::mem::size_of;
-        // Size hint: the retained-state estimate tracks the encoded size
-        // closely (both are dominated by the same sample vectors), so the
-        // buffer almost never reallocates mid-encode.
+        // Size hint: the retained-state estimate bounds the encoded size
+        // (both are dominated by the same sample vectors, which encode in
+        // fewer bytes than they occupy), so the buffer almost never
+        // reallocates mid-encode.
         let skipped = mark.indications * size_of::<LossIndication>()
             + mark.rtt_samples * size_of::<(f64, usize)>()
             + mark.corr_samples * 2 * size_of::<f64>();
-        let mut w = SnapWriter::with_capacity(self.state_bytes().saturating_sub(skipped) + 1024);
-        if kind == STREAM_DELTA_KIND {
-            w.put_usize(mark.indications);
-            w.put_usize(mark.rtt_samples);
-            w.put_usize(mark.corr_samples);
-        }
-        self.classifier.snapshot_into(&mut w, mark.indications);
-        match &self.karn {
-            Some(core) => {
-                w.put_bool(true);
-                core.snapshot_into(&mut w, mark.rtt_samples);
+        let hint = self.state_bytes().saturating_sub(skipped) + 1024;
+        frame_with(kind, STREAM_SNAPSHOT_VERSION, hint, |w| {
+            if kind == STREAM_DELTA_KIND {
+                w.put_usize(mark.indications);
+                w.put_usize(mark.rtt_samples);
+                w.put_usize(mark.corr_samples);
             }
-            None => w.put_bool(false),
-        }
-        match &self.corr {
-            Some(core) => {
-                w.put_bool(true);
-                core.snapshot_into(&mut w, mark.corr_samples);
+            self.classifier.snapshot_into(w, mark.indications);
+            match &self.karn {
+                Some(core) => {
+                    w.put_bool(true);
+                    core.snapshot_into(w, mark.rtt_samples);
+                }
+                None => w.put_bool(false),
             }
-            None => w.put_bool(false),
-        }
-        match &self.intervals {
-            Some(core) => {
-                w.put_bool(true);
-                core.snapshot_into(&mut w);
+            match &self.corr {
+                Some(core) => {
+                    w.put_bool(true);
+                    core.snapshot_into(w, mark.corr_samples);
+                }
+                None => w.put_bool(false),
             }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.events);
-        w.put_u64(self.last_time_ns);
-        w.put_usize(self.peak_state_bytes);
-        frame(kind, STREAM_SNAPSHOT_VERSION, &w.into_bytes())
+            match &self.intervals {
+                Some(core) => {
+                    w.put_bool(true);
+                    core.snapshot_into(w);
+                }
+                None => w.put_bool(false),
+            }
+            w.put_u64(self.events);
+            w.put_u64(self.last_time_ns);
+            w.put_usize(self.peak_state_bytes);
+        })
     }
 
     /// Applies a snapshot ([`StreamAnalyzer::snapshot`]) or a delta
@@ -371,6 +434,11 @@ impl StreamAnalyzer {
     /// rebuild it before further use.
     pub fn restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
         let framed = unframe(bytes, STREAM_SNAPSHOT_VERSION)?;
+        let compact = match framed.version {
+            1 => false,
+            2 => true,
+            _ => return Err(SnapError::Invalid("analyzer snapshot version")),
+        };
         let mut r = SnapReader::new(framed.payload);
         let mark = match framed.kind {
             STREAM_SNAPSHOT_KIND => LogMark::default(),
@@ -392,7 +460,7 @@ impl StreamAnalyzer {
         self.classifier.restore_from(&mut r, mark.indications)?;
         let karn_present = r.get_bool()?;
         match (&mut self.karn, karn_present) {
-            (Some(core), true) => core.restore_from(&mut r, mark.rtt_samples)?,
+            (Some(core), true) => core.restore_from(&mut r, mark.rtt_samples, compact)?,
             (None, false) => {}
             (target, found) => {
                 return Err(SnapError::TagMismatch {
@@ -404,7 +472,7 @@ impl StreamAnalyzer {
         }
         let corr_present = r.get_bool()?;
         match (&mut self.corr, corr_present) {
-            (Some(core), true) => core.restore_from(&mut r, mark.corr_samples)?,
+            (Some(core), true) => core.restore_from(&mut r, mark.corr_samples, compact)?,
             (None, false) => {}
             (target, found) => {
                 return Err(SnapError::TagMismatch {
@@ -947,5 +1015,107 @@ mod tests {
         let mut ok = StreamAnalyzer::new(StreamConfig::default());
         ok.restore(&snap).expect("pristine restore");
         assert_eq!(ok.events(), donor.events());
+    }
+
+    /// The v2 delta decoder against damaged input that gets past the
+    /// frame: the payload is cut, flipped or replaced and the frame
+    /// resealed (length and CRC recomputed), so the cores' decoders see
+    /// the damage. A cut must be an `Err`; nothing may panic or hang.
+    mod delta_fuzz {
+        use super::*;
+        use pftk_snap::frame;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// A delta carrying about a hundred RTT and correlation samples,
+        /// with the mark it applies at and the chain head it continues.
+        fn delta() -> &'static (Vec<u8>, Vec<u8>) {
+            static DELTA: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+            DELTA.get_or_init(|| {
+                let mut live = StreamAnalyzer::new(StreamConfig::default());
+                let (mut now, mut seq) = (0u64, 0u64);
+                let mut feed = |live: &mut StreamAnalyzer, rounds: u64| {
+                    for round in 0..rounds {
+                        for _ in 0..3 {
+                            now += MS;
+                            live.on_send(now, seq, false);
+                            seq += 1;
+                        }
+                        if round % 7 == 3 {
+                            now += 400 * MS;
+                            live.on_send(now, seq - 3, true);
+                        }
+                        now += 60 * MS + (round * 7919) % (90 * MS);
+                        live.on_ack_in(now, seq - round % 2);
+                    }
+                };
+                feed(&mut live, 40);
+                let head = live.snapshot_since(LogMark::default());
+                let mark = live.log_mark();
+                feed(&mut live, 120);
+                (head, live.snapshot_since(mark))
+            })
+        }
+
+        /// Reseals `payload` under the delta's frame kind and version and
+        /// applies it after the chain head.
+        fn apply(payload: &[u8]) -> SnapResult<()> {
+            let (head, delta) = delta();
+            let framed = unframe(delta, STREAM_SNAPSHOT_VERSION).expect("pristine delta");
+            let mut target = StreamAnalyzer::new(StreamConfig::default());
+            target.restore(head).expect("chain head applies");
+            target.restore(&frame(framed.kind, framed.version, payload))
+        }
+
+        fn payload() -> &'static [u8] {
+            let (_, delta) = delta();
+            unframe(delta, STREAM_SNAPSHOT_VERSION)
+                .expect("pristine delta")
+                .payload
+        }
+
+        #[test]
+        fn pristine_delta_is_version_2_and_applies() {
+            let (_, delta) = delta();
+            assert_eq!(
+                unframe(delta, STREAM_SNAPSHOT_VERSION).map(|f| (f.kind, f.version)),
+                Ok((STREAM_DELTA_KIND, 2))
+            );
+            assert_eq!(apply(payload()), Ok(()));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn resealed_truncations_are_rejected(cut in 0u64..=u64::MAX) {
+                let payload = payload();
+                let cut = (cut % payload.len() as u64) as usize;
+                prop_assert!(apply(&payload[..cut]).is_err(), "cut at {}", cut);
+            }
+
+            #[test]
+            fn resealed_bit_flips_never_panic(pos in 0u64..=u64::MAX, bit in 0u8..8) {
+                let mut payload = payload().to_vec();
+                let pos = (pos % payload.len() as u64) as usize;
+                payload[pos] ^= 1 << bit;
+                let _ = apply(&payload);
+            }
+
+            #[test]
+            fn resealed_garbage_never_panics(
+                keep in 0u64..=u64::MAX,
+                garbage in proptest::collection::vec(0u8..=255, 0..64),
+            ) {
+                // Garbage alone, and garbage after a prefix of the real
+                // payload, so it lands inside the sample logs too.
+                let _ = apply(&garbage);
+                let payload = payload();
+                let keep = (keep % payload.len() as u64) as usize;
+                let mut spliced = payload[..keep].to_vec();
+                spliced.extend_from_slice(&garbage);
+                let _ = apply(&spliced);
+            }
+        }
     }
 }

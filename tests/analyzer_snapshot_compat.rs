@@ -8,7 +8,8 @@
 //! This test pins the length and CRC32 of the snapshot taken at several
 //! cuts of four traces, so any change to how the analyzer cores store or
 //! encode their state fails here rather than in somebody's resumed
-//! campaign.
+//! campaign. The pins are version-2 bytes (varint sample logs);
+//! `tests/journal_v1_fixture.rs` keeps version-1 deltas resuming.
 //!
 //! The traces cover the in-flight bookkeeping's unusual paths, not only
 //! the in-order ones: a fast retransmit and a backoff chain, a real
@@ -202,13 +203,13 @@ fn eventful_trace_snapshot_bytes_are_pinned() {
         "eventful",
         &eventful_trace(),
         &[
-            (0, 223, 2935851672),
-            (9, 423, 615540761),
-            (18, 527, 3530410347),
-            (27, 847, 2607903756),
-            (36, 685, 1819128654),
+            (0, 223, 1371084112),
+            (9, 335, 960684356),
+            (18, 329, 3656514607),
+            (27, 627, 1474240889),
+            (36, 445, 1028756347),
         ],
-        1109220477,
+        2687450617,
     );
 }
 
@@ -218,13 +219,13 @@ fn fault_plan_trace_snapshot_bytes_are_pinned() {
         "fault-plan",
         &fault_plan_trace(),
         &[
-            (0, 223, 2935851672),
-            (196, 2169, 3473641200),
-            (392, 4250, 3950243520),
-            (588, 5469, 2988884721),
-            (784, 7542, 3889042995),
+            (0, 223, 1371084112),
+            (196, 1051, 861390547),
+            (392, 1908, 2604390027),
+            (588, 1991, 3795793275),
+            (784, 2850, 1672887555),
         ],
-        729378290,
+        1520009060,
     );
 }
 
@@ -234,13 +235,13 @@ fn salvaged_trace_snapshot_bytes_are_pinned() {
         "salvaged",
         &salvaged_trace(),
         &[
-            (0, 223, 2935851672),
-            (136, 1224, 1476700855),
-            (273, 3128, 1465114019),
-            (410, 6992, 2875979584),
-            (547, 7850, 759971455),
+            (0, 223, 1371084112),
+            (136, 1017, 3873710510),
+            (273, 2921, 2607119603),
+            (410, 6785, 3597408820),
+            (547, 7503, 2441709915),
         ],
-        4104363724,
+        1573018215,
     );
 }
 
@@ -250,13 +251,13 @@ fn imported_trace_snapshot_bytes_are_pinned() {
         "imported",
         &imported_trace(),
         &[
-            (0, 223, 2935851672),
-            (4, 455, 3894680804),
-            (8, 443, 1488320154),
-            (12, 412, 3115167037),
-            (16, 361, 1817596227),
+            (0, 223, 1371084112),
+            (4, 455, 134963444),
+            (8, 421, 3201212085),
+            (12, 390, 115717842),
+            (16, 297, 2355653933),
         ],
-        2101080250,
+        3774372563,
     );
 }
 

@@ -34,7 +34,9 @@ use padhye_tcp_repro::testbed::{
     TraceRecorder, TABLE2_PATHS,
 };
 use padhye_tcp_repro::trace::analyzer::AnalyzerConfig;
-use padhye_tcp_repro::trace::stream::{StreamConfig, STREAM_SNAPSHOT_KIND};
+use padhye_tcp_repro::trace::stream::{
+    StreamConfig, STREAM_SNAPSHOT_KIND, STREAM_SNAPSHOT_VERSION,
+};
 
 /// Pinned campaign seed: the gate's claim is that this exact campaign
 /// reproduces bit-identically through a crash.
@@ -489,7 +491,8 @@ fn full_snapshot_journal_of_older_builds_still_resumes() {
     let chain = &state.inflight[&job];
     assert!(chain.len() >= 2, "chain of {} checkpoints", chain.len());
     for cp in chain {
-        let framed = pftk_snap::unframe(&cp.stream, 1).expect("framed analyzer snapshot");
+        let framed = pftk_snap::unframe(&cp.stream, STREAM_SNAPSHOT_VERSION)
+            .expect("framed analyzer snapshot");
         assert_eq!(framed.kind, STREAM_SNAPSHOT_KIND, "not a full snapshot");
     }
 
