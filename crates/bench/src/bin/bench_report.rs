@@ -460,7 +460,7 @@ fn sim_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
         }
         if let Some(journal) = journal {
             if let Ok(conn_bytes) = conn.snapshot() {
-                journal.append(checkpoint_record(
+                journal.append_record(&checkpoint_record(
                     cadence,
                     horizon,
                     k + 1,
@@ -495,7 +495,7 @@ fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
                 (conn.snapshot(), conn.observer().stream_snapshot_since(mark))
             {
                 mark = next;
-                journal.append(checkpoint_record(
+                journal.append_record(&checkpoint_record(
                     cadence,
                     horizon,
                     k + 1,
@@ -510,14 +510,14 @@ fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
     conn.events_processed()
 }
 
-/// The encoded checkpoint record the bench workloads journal.
+/// The checkpoint record the bench workloads journal.
 fn checkpoint_record(
     cadence: f64,
     horizon: f64,
     next_boundary: u64,
     conn: Vec<u8>,
     stream: Vec<u8>,
-) -> Vec<u8> {
+) -> CampaignRecord {
     CampaignRecord::Checkpoint(Checkpoint {
         job_index: 0,
         seed: 7,
@@ -528,7 +528,6 @@ fn checkpoint_record(
         conn,
         stream,
     })
-    .encode()
 }
 
 fn checkpoint_report() -> Result<CheckpointReport, Box<dyn std::error::Error>> {
@@ -554,7 +553,7 @@ fn checkpoint_report() -> Result<CheckpointReport, Box<dyn std::error::Error>> {
         let delta = delta.map(|(delta, _)| delta).unwrap_or_default();
         let (conn_len, stream_len) = (conn_bytes.len() as u64, stream_bytes.len() as u64);
         let record = checkpoint_record(CADENCE, HORIZON, 3, conn_bytes, delta);
-        (conn_len, stream_len, record.len() as u64)
+        (conn_len, stream_len, record.encode().len() as u64)
     };
 
     let mut journal_path = std::env::temp_dir();

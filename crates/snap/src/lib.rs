@@ -14,9 +14,9 @@
 //! as its IEEE-754 bit pattern via [`f64::to_bits`] so NaN payloads and
 //! signed zeros survive a round trip bit-identically. Variable-length byte
 //! strings carry a `u64` length prefix. Long append-only logs may use
-//! LEB128 varints instead ([`SnapWriter::put_varints`]), and a float that
+//! LEB128 varints instead ([`SnapWriter::put_varint`]), and a float that
 //! is an integer over a fixed scale — an RTT in nanoseconds over 1e9 — can
-//! travel as that integer ([`SnapWriter::put_scaled_f64s`]), which falls
+//! travel as that integer ([`SnapWriter::put_scaled_f64`]), which falls
 //! back to the raw bits whenever the integer would not decode to the
 //! identical `f64`. Composite snapshots are framed by
 //! [`frame`]/[`unframe`]: an 8-byte magic, a `u32` kind, a `u32` version,
@@ -175,48 +175,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// The longest varint: ten bytes carry 64 bits.
-const SLOT: usize = 10;
-
-/// Writes `v` as an LEB128 varint at the start of `slot`; returns its
-/// length. Below 2^56 (every count and nanosecond RTT in practice) the
-/// groups are packed into one word without a branch per byte.
-#[inline]
-fn varint_to(v: u64, slot: &mut [u8; SLOT]) -> usize {
-    let len = (64 - (v | 1).leading_zeros() as usize).div_ceil(7);
-    if len <= 8 {
-        let mut word = 0u64;
-        for group in 0..8 {
-            word |= (v << group) & (0x7F << (8 * group));
-        }
-        // Continuation bits on every byte but the last.
-        word |= 0x8080_8080_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
-        slot[..8].copy_from_slice(&word.to_le_bytes());
-    } else {
-        for (group, byte) in slot.iter_mut().enumerate() {
-            *byte = (v >> (7 * group)) as u8 | 0x80;
-        }
-        slot[len - 1] &= 0x7F;
-    }
-    len
-}
-
-/// Writes `v` in the [`SnapWriter::put_scaled_f64s`] form at the start of
-/// `slot`; returns its length.
-#[inline]
-fn scaled_to(v: f64, scale: f64, slot: &mut [u8; SLOT]) -> usize {
-    match scaled_integer(v, scale) {
-        Some(n) => varint_to(n << 1, slot),
-        None => {
-            slot[0] = 1;
-            slot[1..9].copy_from_slice(&v.to_bits().to_le_bytes());
-            9
-        }
-    }
-}
-
 /// The integer `n < 2^63` with `n as f64 / scale` bit-identical to `v`,
-/// if there is one: the compact form of [`SnapWriter::put_scaled_f64s`].
+/// if there is one: the compact form of [`SnapWriter::put_scaled_f64`].
 #[inline]
 fn scaled_integer(v: f64, scale: f64) -> Option<u64> {
     // The nearest integer for non-negative `v · scale`. The cast saturates
@@ -324,46 +284,34 @@ impl SnapWriter {
         }
     }
 
-    /// Writes `value(item)` for every item, in order, as an LEB128
-    /// varint: seven bits per byte, low groups first, high bit set on
-    /// every byte but the last. One byte below 128, ten at most. The
-    /// varints are built in a staging block and appended a block at a
-    /// time, so long sample logs encode without per-value `Vec` pushes.
-    pub fn put_varints<T: Copy>(&mut self, items: &[T], value: impl Fn(T) -> u64) {
-        self.put_slots(items, |item, slot| varint_to(value(item), slot));
+    /// Writes `v` as an LEB128 varint: seven bits per byte, low groups
+    /// first, high bit set on every byte but the last. One byte below
+    /// 128, ten at most.
+    #[inline]
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v & 0x7F) as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    /// Writes `value(item)` for every item, in order, staged like
-    /// [`SnapWriter::put_varints`]. Each value is usually an exact integer
-    /// `n` divided by `scale` (an RTT of `n` nanoseconds at `scale = 1e9`,
-    /// a packet count at `scale = 1.0`) and is then written as the varint
-    /// `2n`. Before choosing that form the writer checks that
-    /// `n as f64 / scale` gives back the identical bits; when it would not
-    /// (a value off the integer grid, a NaN, −0.0, an infinity, anything
-    /// past 2^63) it writes the varint `1` and the raw bits instead.
-    /// [`SnapReader::get_scaled_f64`] at the same `scale` returns each
-    /// value bit for bit either way.
-    pub fn put_scaled_f64s<T: Copy>(&mut self, items: &[T], scale: f64, value: impl Fn(T) -> f64) {
-        self.put_slots(items, |item, slot| scaled_to(value(item), scale, slot));
-    }
-
-    /// Encodes each item into the next `SLOT` bytes of a stack staging
-    /// block and appends the block's used bytes once per `STAGE` items,
-    /// so the per-item work never touches the `Vec`.
-    fn put_slots<T: Copy>(&mut self, items: &[T], encode: impl Fn(T, &mut [u8; SLOT]) -> usize) {
-        const STAGE: usize = 256;
-        let mut stage = [0u8; STAGE * SLOT];
-        for chunk in items.chunks(STAGE) {
-            let mut used = 0;
-            for &item in chunk {
-                // Each item uses at most `SLOT` bytes, so a chunk of
-                // `STAGE` items always finds its slot in the block.
-                let Some(slot) = stage.get_mut(used..).and_then(<[u8]>::first_chunk_mut) else {
-                    break;
-                };
-                used += encode(item, slot);
+    /// Writes `v`, usually an exact integer `n` divided by `scale` (an RTT
+    /// of `n` nanoseconds at `scale = 1e9`, a packet count at
+    /// `scale = 1.0`), as the varint `2n`. Before choosing that form the
+    /// writer checks that `n as f64 / scale` gives back the identical
+    /// bits; when it would not (a value off the integer grid, a NaN, −0.0,
+    /// an infinity, anything past 2^63) it writes the varint `1` and the
+    /// raw bits instead. [`SnapReader::get_scaled_f64`] at the same
+    /// `scale` returns `v` bit for bit either way.
+    #[inline]
+    pub fn put_scaled_f64(&mut self, v: f64, scale: f64) {
+        match scaled_integer(v, scale) {
+            Some(n) => self.put_varint(n << 1),
+            None => {
+                self.put_varint(1);
+                self.put_f64(v);
             }
-            self.put_raw(&stage[..used]);
         }
     }
 
@@ -504,7 +452,7 @@ impl<'a> SnapReader<'a> {
         })
     }
 
-    /// Reads an LEB128 varint written by [`SnapWriter::put_varints`].
+    /// Reads an LEB128 varint written by [`SnapWriter::put_varint`].
     /// Only the shortest encoding of a value is accepted: a trailing zero
     /// group, or an eleventh byte or bits past 64, is
     /// [`SnapError::Invalid`].
@@ -540,7 +488,7 @@ impl<'a> SnapReader<'a> {
         usize::try_from(v).map_err(|_| SnapError::Invalid("usize overflow"))
     }
 
-    /// Reads an `f64` written by [`SnapWriter::put_scaled_f64s`] at the
+    /// Reads an `f64` written by [`SnapWriter::put_scaled_f64`] at the
     /// same `scale`. Raw bits that the integer form could have carried
     /// are [`SnapError::Invalid`], as is any odd varint but `1`.
     #[inline]
@@ -814,7 +762,9 @@ mod tests {
     fn varints_round_trip_in_shortest_form_only() {
         let values = [0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX];
         let mut w = SnapWriter::new();
-        w.put_varints(&values, |v| v);
+        for v in values {
+            w.put_varint(v);
+        }
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 1 + 1 + 1 + 2 + 2 + 6 + 10 + 10);
         let mut r = SnapReader::new(&bytes);
@@ -850,9 +800,12 @@ mod tests {
         ];
         let flights = [0.0f64, 1.0, 44.0, 1e15];
         let mut w = SnapWriter::new();
-        w.put_scaled_f64s(&rtts, 1e9, |v| v);
-        w.put_scaled_f64s(&odd, 1e9, |v| v);
-        w.put_scaled_f64s(&flights, 1.0, |v| v);
+        for v in rtts.iter().chain(&odd) {
+            w.put_scaled_f64(*v, 1e9);
+        }
+        for flight in flights {
+            w.put_scaled_f64(flight, 1.0);
+        }
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         for v in rtts.iter().chain(&odd) {
@@ -868,34 +821,19 @@ mod tests {
         // On the grid, an RTT costs a varint of twice its nanoseconds:
         // four bytes for 100 ms. Off it, one marker byte and the bits.
         let mut w = SnapWriter::new();
-        w.put_scaled_f64s(&[0.1, f64::NAN], 1e9, |v| v);
+        w.put_scaled_f64(0.1, 1e9);
+        w.put_scaled_f64(f64::NAN, 1e9);
         assert_eq!(w.len(), 4 + 9);
 
         // Raw bits the integer form could carry, and odd forms other than
         // the raw-bits marker, are rejected.
         let mut w = SnapWriter::new();
-        w.put_varints(&[1], |v| v);
+        w.put_varint(1);
         w.put_f64(0.5);
         assert!(SnapReader::new(&w.into_bytes())
             .get_scaled_f64(1e9)
             .is_err());
         assert!(SnapReader::new(&[3]).get_scaled_f64(1e9).is_err());
-    }
-
-    #[test]
-    fn staged_writes_span_many_blocks() {
-        // Values of every varint length, well past one staging block.
-        let values: Vec<u64> = (0..3000u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64))
-            .collect();
-        let mut w = SnapWriter::new();
-        w.put_varints(&values, |v| v);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        for v in &values {
-            assert_eq!(r.get_varint(), Ok(*v));
-        }
-        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]

@@ -23,7 +23,7 @@ enum Op {
     Str(u64),
     Tag(u64),
     Varint(u64),
-    /// A scaled float (`put_scaled_f64s` at 1e9), as raw bits.
+    /// A scaled float (`put_scaled_f64` at 1e9), as raw bits.
     Scaled(u64),
 }
 
@@ -81,8 +81,8 @@ fn encode(script: &[Op]) -> Vec<u8> {
             Op::Bytes(seed) => w.put_bytes(&fill_bytes(seed, (seed % 23) as usize)),
             Op::Str(seed) => w.put_str(&fill_str(seed, (seed % 17) as usize)),
             Op::Tag(v) => w.put_tag(v),
-            Op::Varint(v) => w.put_varints(&[v], |v| v),
-            Op::Scaled(bits) => w.put_scaled_f64s(&[f64::from_bits(bits)], 1e9, |v| v),
+            Op::Varint(v) => w.put_varint(v),
+            Op::Scaled(bits) => w.put_scaled_f64(f64::from_bits(bits), 1e9),
         }
     }
     w.into_bytes()

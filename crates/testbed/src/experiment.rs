@@ -332,7 +332,9 @@ impl ExperimentResult {
         match &self.trace {
             Some(trace) => {
                 w.put_bool(true);
-                trace.encode_into(&mut w);
+                let mut records = Vec::with_capacity(trace.len() * 17);
+                trace.encode_binary(&mut records);
+                w.put_bytes(&records);
             }
             None => w.put_bool(false),
         }
@@ -350,7 +352,10 @@ impl ExperimentResult {
         let mut r = SnapReader::new(bytes);
         let stream = StreamAnalysis::decode_from(&mut r)?;
         let trace = if r.get_bool()? {
-            Some(Trace::decode_from(&mut r)?)
+            Some(
+                Trace::decode_binary(&mut r.get_bytes()?)
+                    .map_err(|_| SnapError::Invalid("trace records"))?,
+            )
         } else {
             None
         };

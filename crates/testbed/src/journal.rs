@@ -495,12 +495,6 @@ impl Journal {
         self.send_sync(record.framed()?)
     }
 
-    /// [`Journal::append_record`] for an encoded payload
-    /// ([`CampaignRecord::encode`]), which is copied behind a header.
-    pub fn append(&self, payload: Vec<u8>) {
-        self.queue(frame_payload(&payload));
-    }
-
     /// [`Journal::append_record_sync`] for an encoded payload
     /// ([`CampaignRecord::encode`]), which is copied behind a header.
     pub fn append_sync(&self, payload: Vec<u8>) -> io::Result<()> {
@@ -661,11 +655,11 @@ mod tests {
     fn payload_and_record_appends_write_the_same_bytes() {
         let (by_payload, by_record) = (tmp("by-payload"), tmp("by-record"));
         let journal = Journal::open(&by_payload).unwrap();
-        journal.append(ckpt(0, 1).encode());
+        journal.append_sync(ckpt(0, 1).encode()).unwrap();
         journal.append_sync(done(0).encode()).unwrap();
         journal.close().unwrap();
         let journal = Journal::open(&by_record).unwrap();
-        journal.append_record(&ckpt(0, 1));
+        journal.append_record_sync(&ckpt(0, 1)).unwrap();
         journal.append_record_sync(&done(0)).unwrap();
         journal.close().unwrap();
         assert_eq!(
@@ -681,10 +675,10 @@ mod tests {
     fn append_replay_roundtrip_and_fold() {
         let path = tmp("roundtrip");
         let journal = Journal::open(&path).unwrap();
-        journal.append(ckpt(0, 1).encode());
-        journal.append(ckpt(0, 2).encode());
-        journal.append_sync(done(1).encode()).unwrap();
-        journal.append(ckpt(1, 9).encode()); // late checkpoint after done: ignored by fold
+        journal.append_record(&ckpt(0, 1));
+        journal.append_record(&ckpt(0, 2));
+        journal.append_record_sync(&done(1)).unwrap();
+        journal.append_record(&ckpt(1, 9)); // late checkpoint after done: ignored by fold
         journal.close().unwrap();
 
         let replayed = replay(&path).unwrap();
@@ -899,7 +893,7 @@ mod tests {
                 let path = tmp("fuzz-source");
                 let journal = Journal::open(&path).unwrap();
                 for rec in &records {
-                    journal.append(rec.encode());
+                    journal.append_record(rec);
                 }
                 journal.close().unwrap();
                 let bytes = std::fs::read(&path).unwrap();

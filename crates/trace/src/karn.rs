@@ -276,7 +276,7 @@ impl KarnCore {
     /// only its entries from index `from` on are written; at `from = 0`
     /// this is the full state. The samples are written as two runs of
     /// varints: every RTT as its whole nanoseconds
-    /// ([`SnapWriter::put_scaled_f64s`], raw bits where that would not be
+    /// ([`SnapWriter::put_scaled_f64`], raw bits where that would not be
     /// exact), then every covered count.
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_usize(self.pending);
@@ -288,8 +288,12 @@ impl KarnCore {
         w.put_u64(self.last_ack);
         let appended = self.samples.get(from..).unwrap_or_default();
         w.put_usize(appended.len());
-        w.put_scaled_f64s(appended, NS_PER_SEC, |(rtt, _)| rtt);
-        w.put_varints(appended, |(_, covered)| covered as u64);
+        for (rtt, _) in appended {
+            w.put_scaled_f64(*rtt, NS_PER_SEC);
+        }
+        for (_, covered) in appended {
+            w.put_varint(*covered as u64);
+        }
         w.put_usize(self.in_flight.len());
         for (seq, sent) in self.in_flight.iter() {
             w.put_u64(*seq);
@@ -557,7 +561,7 @@ impl CorrCore {
     /// append-only, so only their entries from index `from` on are
     /// written; at `from = 0` this is the full state. Flight sizes are
     /// whole packets and RTTs whole nanoseconds, so each value is one
-    /// varint ([`SnapWriter::put_scaled_f64s`]).
+    /// varint ([`SnapWriter::put_scaled_f64`]).
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter, from: usize) {
         w.put_usize(self.pending.len());
         for (seq, (sent, flight)) in self.pending.iter() {
@@ -570,8 +574,12 @@ impl CorrCore {
         let xs = self.xs.get(from..).unwrap_or_default();
         let ys = self.ys.get(from..).unwrap_or_default();
         w.put_usize(xs.len());
-        w.put_scaled_f64s(xs, 1.0, |x| x);
-        w.put_scaled_f64s(ys, NS_PER_SEC, |y| y);
+        for x in xs {
+            w.put_scaled_f64(*x, 1.0);
+        }
+        for y in ys {
+            w.put_scaled_f64(*y, NS_PER_SEC);
+        }
     }
 
     /// Reads state written by [`CorrCore::snapshot_into`] at the same

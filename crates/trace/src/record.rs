@@ -9,7 +9,6 @@
 
 use crate::health::{HealthIssue, TraceHealth};
 use bytes::{Buf, BufMut};
-use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, Write};
 
@@ -150,52 +149,6 @@ impl Trace {
                     format!("out-of-order record at {} ns", rec.time_ns),
                 )
             })?;
-        }
-        Ok(trace)
-    }
-
-    /// Writes the trace with the `pftk-snap` codec: the record count, then
-    /// each record as the binary framing's tag byte, time and seq/ack.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
-        w.put_usize(self.records.len());
-        for rec in &self.records {
-            let (tag, value) = match rec.event {
-                TraceEvent::Send { seq, retx: false } => (TAG_SEND, seq),
-                TraceEvent::Send { seq, retx: true } => (TAG_SEND_RETX, seq),
-                TraceEvent::AckIn { ack } => (TAG_ACK, ack),
-            };
-            w.put_u8(tag);
-            w.put_u64(rec.time_ns);
-            w.put_u64(value);
-        }
-    }
-
-    /// Reads a trace written by [`Trace::encode_into`]. An unknown tag or
-    /// a record out of time order is [`SnapError::Invalid`].
-    pub fn decode_from(r: &mut SnapReader<'_>) -> SnapResult<Trace> {
-        let n = r.get_usize()?;
-        let mut trace = Trace {
-            records: Vec::with_capacity(n.min(r.remaining() / 17)),
-        };
-        for _ in 0..n {
-            let tag = r.get_u8()?;
-            let time_ns = r.get_u64()?;
-            let value = r.get_u64()?;
-            let event = match tag {
-                TAG_SEND => TraceEvent::Send {
-                    seq: value,
-                    retx: false,
-                },
-                TAG_SEND_RETX => TraceEvent::Send {
-                    seq: value,
-                    retx: true,
-                },
-                TAG_ACK => TraceEvent::AckIn { ack: value },
-                _ => return Err(SnapError::Invalid("trace record tag")),
-            };
-            trace
-                .try_push(TraceRecord { time_ns, event })
-                .map_err(|_| SnapError::Invalid("trace records out of time order"))?;
         }
         Ok(trace)
     }

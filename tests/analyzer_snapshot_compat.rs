@@ -9,7 +9,9 @@
 //! cuts of four traces, so any change to how the analyzer cores store or
 //! encode their state fails here rather than in somebody's resumed
 //! campaign. The pins are version-2 bytes (varint sample logs);
-//! `tests/journal_v1_fixture.rs` keeps version-1 deltas resuming.
+//! `tests/journal_v1_fixture.rs` keeps version-1 deltas resuming, and
+//! `tests/data/stream_snapshot_v1.snap` holds version-1 full snapshots of
+//! the four traces below that must still restore.
 //!
 //! The traces cover the in-flight bookkeeping's unusual paths, not only
 //! the in-order ones: a fast retransmit and a backoff chain, a real
@@ -32,7 +34,8 @@ use padhye_tcp_repro::sim::time::{SimDuration, SimTime};
 use padhye_tcp_repro::testbed::TraceRecorder;
 use padhye_tcp_repro::trace::record::{Trace, TraceEvent, TraceRecord};
 use padhye_tcp_repro::trace::stream::{
-    LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink,
+    LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink, STREAM_SNAPSHOT_KIND,
+    STREAM_SNAPSHOT_VERSION,
 };
 
 const S: u64 = 1_000_000_000;
@@ -364,5 +367,66 @@ fn delta_chains_restore_the_uninterrupted_state() {
         ("imported", imported_trace()),
     ] {
         assert_delta_chain(name, &trace);
+    }
+}
+
+/// Full analyzer snapshots at version 1 (raw 8-byte sample words),
+/// written by the build at commit `79440b2`: for each of the eventful,
+/// fault-plan, salvaged and imported traces, in that order, the framed
+/// `snapshot()` after the first half of its records.
+const V1_SNAPSHOTS: &[u8] = include_bytes!("data/stream_snapshot_v1.snap");
+
+/// Splits concatenated snapshot frames. The frame header is the 8-byte
+/// magic, `u32` kind, `u32` version, `u64` payload length and `u32` CRC.
+fn split_frames(mut bytes: &[u8]) -> Vec<&[u8]> {
+    const HEADER: usize = 8 + 4 + 4 + 8 + 4;
+    let mut frames = Vec::new();
+    while !bytes.is_empty() {
+        let len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+        let (frame, rest) = bytes.split_at(HEADER + len as usize);
+        frames.push(frame);
+        bytes = rest;
+    }
+    frames
+}
+
+#[test]
+fn version_1_full_snapshots_still_restore() {
+    let frames = split_frames(V1_SNAPSHOTS);
+    let traces = [
+        ("eventful", eventful_trace()),
+        ("fault-plan", fault_plan_trace()),
+        ("salvaged", salvaged_trace()),
+        ("imported", imported_trace()),
+    ];
+    assert_eq!(frames.len(), traces.len());
+    let config = StreamConfig::default();
+    for ((name, trace), frame) in traces.iter().zip(frames) {
+        let framed = pftk_snap::unframe(frame, STREAM_SNAPSHOT_VERSION).expect("framed snapshot");
+        assert_eq!((framed.kind, framed.version), (STREAM_SNAPSHOT_KIND, 1));
+
+        let records = trace.records();
+        let (head, tail) = records.split_at(records.len() / 2);
+        let mut live = StreamAnalyzer::new(config);
+        for rec in head {
+            live.on_record(rec);
+        }
+        let mut restored = StreamAnalyzer::new(config);
+        restored
+            .restore(frame)
+            .unwrap_or_else(|e| panic!("{name}: version-1 snapshot did not restore: {e}"));
+        assert_eq!(
+            restored.snapshot(),
+            live.snapshot(),
+            "{name}: restored state differs from the live analyzer"
+        );
+        for rec in tail {
+            restored.on_record(rec);
+        }
+        assert_eq!(
+            restored.finish(Some(300.0)),
+            StreamAnalysis::from_trace(trace, config, Some(300.0)),
+            "{name}: resumed from version 1, finish diverged"
+        );
     }
 }

@@ -422,11 +422,11 @@ fn torn_or_corrupt_journal_recovers_without_panicking() {
 
 /// A journal in the format older builds wrote: every checkpoint carries
 /// the analyzer's full `stream_snapshot()` at its boundary, sent with
-/// `Journal::append`, and completions with `append_sync`. The records are
-/// those of `delta_journal` (written by this build), with each job's
-/// delta chain expanded into the full snapshots it encodes. Stops right
-/// after the first checkpoint at `boundary` or later of a job that has
-/// not completed by then, and returns that job's index.
+/// `Journal::append_record`, and completions with `append_record_sync`.
+/// The records are those of `delta_journal` (written by this build),
+/// with each job's delta chain expanded into the full snapshots it
+/// encodes. Stops right after the first checkpoint at `boundary` or later
+/// of a job that has not completed by then, and returns that job's index.
 fn write_full_snapshot_journal(
     delta_journal: &std::path::Path,
     out: &std::path::Path,
@@ -452,7 +452,7 @@ fn write_full_snapshot_journal(
                     .expect("delta chain applies");
                 cp.stream = recorder.stream_snapshot().expect("reduce-only recorder");
                 let (job, at) = (cp.job_index, cp.next_boundary);
-                journal.append(CampaignRecord::Checkpoint(cp).encode());
+                journal.append_record(&CampaignRecord::Checkpoint(cp));
                 if at >= boundary && !done.contains(&job) {
                     journal.close().expect("journal closes");
                     return job;
@@ -460,9 +460,7 @@ fn write_full_snapshot_journal(
             }
             CampaignRecord::AttemptDone { job_index, .. } => {
                 done.push(job_index);
-                journal
-                    .append_sync(record.encode())
-                    .expect("journal append");
+                journal.append_record_sync(&record).expect("journal append");
             }
         }
     }
