@@ -13,7 +13,7 @@ use pftk_model::timeout::{q_hat_approx, q_hat_exact};
 use pftk_model::units::LossProb;
 use std::sync::Once;
 use tcp_sim::connection::Connection;
-use tcp_sim::loss::{Bernoulli, GilbertElliott, LossModel, RoundCorrelated};
+use tcp_sim::loss::{Bernoulli, GilbertElliott, LossKind, RoundCorrelated};
 use tcp_sim::time::SimDuration;
 
 static PRINT_ACCURACY: Once = Once::new();
@@ -74,7 +74,7 @@ fn bench_model_tiers(c: &mut Criterion) {
     group.finish();
 }
 
-fn run_with(loss: Box<dyn LossModel + Send>, seed: u64) -> u64 {
+fn run_with(loss: LossKind, seed: u64) -> u64 {
     let mut conn = Connection::builder().rtt(0.1).loss(loss).seed(seed).build();
     conn.run_for(SimDuration::from_secs_f64(120.0));
     conn.stats().packets_sent
@@ -90,10 +90,10 @@ fn bench_loss_processes(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &mk, |b, &mk| {
             b.iter(|| {
-                let loss: Box<dyn LossModel + Send> = match mk {
-                    0 => Box::new(Bernoulli::new(0.02)),
-                    1 => Box::new(RoundCorrelated::new(0.02)),
-                    _ => Box::new(GilbertElliott::from_rate_and_burst(0.02, 4.0)),
+                let loss: LossKind = match mk {
+                    0 => Bernoulli::new(0.02).into(),
+                    1 => RoundCorrelated::new(0.02).into(),
+                    _ => GilbertElliott::from_rate_and_burst(0.02, 4.0).into(),
                 };
                 black_box(run_with(loss, 3))
             })

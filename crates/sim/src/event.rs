@@ -58,6 +58,10 @@ pub trait EventScheduler<E>: Default {
     fn schedule(&mut self, lane: Lane, at: SimTime, payload: E);
     /// Removes and returns the earliest event, if any.
     fn pop(&mut self) -> Option<(SimTime, E)>;
+    /// Removes and returns the earliest event if it is due at or before
+    /// `until`: one pass over the sources, where `peek_time` then `pop`
+    /// takes two.
+    fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)>;
     /// The timestamp of the earliest pending event.
     fn peek_time(&self) -> Option<SimTime>;
     /// Number of pending events.
@@ -143,9 +147,10 @@ impl<E> HybridQueue<E> {
         }
     }
 
-    /// The `(time, id)` key of the earliest pending event, with its source.
+    /// The time of the earliest pending event, with its source: one
+    /// pass over the two lane heads, the two timer slots and the heap top.
     #[inline]
-    fn min_key(&self) -> Option<(SimTime, u64, Src)> {
+    fn min_key(&self) -> Option<(SimTime, Src)> {
         let mut best: Option<(SimTime, u64, Src)> = None;
         if let Some(front) = self.data.front() {
             best = Some((front.at, front.id, Src::Data));
@@ -170,7 +175,19 @@ impl<E> HybridQueue<E> {
                 best = Some((top.at, top.id, Src::Heap));
             }
         }
-        best
+        best.map(|(at, _, src)| (at, src))
+    }
+
+    /// Removes the head of `src`, the source [`Self::min_key`] named.
+    #[inline]
+    fn take(&mut self, src: Src) -> Option<(SimTime, E)> {
+        match src {
+            Src::Data => self.data.pop_front().map(|e| (e.at, e.payload)),
+            Src::Ack => self.ack.pop_front().map(|e| (e.at, e.payload)),
+            Src::Rto => self.rto.take().map(|e| (e.at, e.payload)),
+            Src::DelAck => self.delack.take().map(|e| (e.at, e.payload)),
+            Src::Heap => self.heap.pop().map(|Reverse(e)| (e.at, e.payload)),
+        }
     }
 
     /// Writes the queue's full state — every pending event with its
@@ -296,18 +313,21 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
 
     #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (_, src) = self.min_key()?;
+        self.take(src)
+    }
+
+    #[inline]
+    fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         match self.min_key()? {
-            (_, _, Src::Data) => self.data.pop_front().map(|e| (e.at, e.payload)),
-            (_, _, Src::Ack) => self.ack.pop_front().map(|e| (e.at, e.payload)),
-            (_, _, Src::Rto) => self.rto.take().map(|e| (e.at, e.payload)),
-            (_, _, Src::DelAck) => self.delack.take().map(|e| (e.at, e.payload)),
-            (_, _, Src::Heap) => self.heap.pop().map(|Reverse(e)| (e.at, e.payload)),
+            (at, _) if at > until => None,
+            (_, src) => self.take(src),
         }
     }
 
     #[inline]
     fn peek_time(&self) -> Option<SimTime> {
-        self.min_key().map(|(at, _, _)| at)
+        self.min_key().map(|(at, _)| at)
     }
 
     #[inline]
@@ -407,6 +427,69 @@ mod tests {
         q.pop();
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// `pop_due(until)` is `peek_time` then `pop` in one pass: over random
+    /// schedules on all four lanes — monotone arrivals, backwards pushes
+    /// that overflow to the heap, re-armed timers that supersede their
+    /// slot — interleaved with pops bounded by random horizons (some
+    /// before the earliest event, some at it exactly), both forms return
+    /// the same `(time, payload)` sequence and leave the same queue.
+    #[test]
+    fn pop_due_matches_peek_then_pop() {
+        for seed in 0..40u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut one_pass = HybridQueue::new();
+            let mut two_pass = HybridQueue::new();
+            let (mut data_clock, mut ack_clock) = (0u64, 0u64);
+            let mut overflowed = 0usize;
+            for next in 0..600u32 {
+                let (lane, at) = match rng.uniform_u32(0, 9) {
+                    0..=1 => {
+                        data_clock += rng.uniform_u64(0, 40);
+                        (Lane::Data, data_clock)
+                    }
+                    2..=3 => {
+                        ack_clock += rng.uniform_u64(0, 40);
+                        (Lane::Ack, ack_clock)
+                    }
+                    4 => (Lane::Data, rng.uniform_u64(0, data_clock.max(1))),
+                    5 => (Lane::Ack, rng.uniform_u64(0, ack_clock.max(1))),
+                    6 => (Lane::Rto, rng.uniform_u64(0, 2000)),
+                    7 => (Lane::DelAck, rng.uniform_u64(0, 2000)),
+                    _ => {
+                        let earliest = two_pass.peek_time().map_or(0, SimTime::as_nanos);
+                        let until = t(match rng.uniform_u32(0, 2) {
+                            0 => earliest.saturating_sub(1),
+                            1 => earliest,
+                            _ => earliest + rng.uniform_u64(0, 200),
+                        });
+                        let want = match two_pass.peek_time() {
+                            Some(at) if at <= until => EventScheduler::pop(&mut two_pass),
+                            _ => None,
+                        };
+                        assert_eq!(one_pass.pop_due(until), want, "seed {seed}");
+                        assert_eq!(one_pass.len(), two_pass.len(), "seed {seed}");
+                        continue;
+                    }
+                };
+                let heap_before = one_pass.heap.len();
+                one_pass.schedule(lane, t(at), next);
+                two_pass.schedule(lane, t(at), next);
+                overflowed += one_pass.heap.len() - heap_before;
+            }
+            assert!(
+                overflowed > 0,
+                "seed {seed}: no push overflowed to the heap"
+            );
+            loop {
+                let want = EventScheduler::pop(&mut two_pass);
+                assert_eq!(one_pass.pop_due(t(u64::MAX)), want, "seed {seed}");
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     /// The queue realizes the `(time, id)` total order: a randomized

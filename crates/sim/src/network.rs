@@ -264,13 +264,7 @@ impl Network {
                 }
             }
         }
-        while let Some(at) = self.queue.peek_time() {
-            if at > until {
-                break;
-            }
-            let Some((at, ev)) = self.queue.pop() else {
-                break;
-            };
+        while let Some((at, ev)) = self.queue.pop_due(until) {
             self.now = at;
             self.dispatch(ev);
         }

@@ -16,7 +16,7 @@
 //!   while throughput collapses.
 
 use padhye_tcp_repro::sim::connection::Connection;
-use padhye_tcp_repro::sim::loss::{GilbertElliott, LossModel, TimedGilbertElliott};
+use padhye_tcp_repro::sim::loss::{GilbertElliott, LossKind, TimedGilbertElliott};
 use padhye_tcp_repro::sim::reno::sender::SenderConfig;
 use padhye_tcp_repro::sim::time::SimDuration;
 use padhye_tcp_repro::sim::ConnStats;
@@ -24,7 +24,7 @@ use padhye_tcp_repro::sim::ConnStats;
 const HORIZON: f64 = 2400.0;
 const LOSS_RATE: f64 = 0.05;
 
-fn run(loss: Box<dyn LossModel + Send>, seed: u64) -> ConnStats {
+fn run(loss: impl Into<LossKind>, seed: u64) -> ConnStats {
     // A realistic receiver window: without it, lossless good periods let
     // the congestion window grow without bound.
     let sender = SenderConfig {

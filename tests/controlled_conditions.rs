@@ -23,7 +23,7 @@ struct Outcome {
 }
 
 fn run_with(b: u32, wire_p: f64, seed: u64, bursty: bool) -> Outcome {
-    use padhye_tcp_repro::sim::loss::{Bernoulli, LossModel};
+    use padhye_tcp_repro::sim::loss::{Bernoulli, LossKind};
     let sender = SenderConfig {
         rwnd: WMAX,
         rto: RtoConfig {
@@ -37,10 +37,10 @@ fn run_with(b: u32, wire_p: f64, seed: u64, bursty: bool) -> Outcome {
         ack_every: b,
         ..ReceiverConfig::default()
     };
-    let loss: Box<dyn LossModel + Send> = if bursty {
-        Box::new(RoundCorrelated::new(wire_p))
+    let loss: LossKind = if bursty {
+        RoundCorrelated::new(wire_p).into()
     } else {
-        Box::new(Bernoulli::new(wire_p))
+        Bernoulli::new(wire_p).into()
     };
     let mut c = Connection::builder()
         .rtt(RTT)

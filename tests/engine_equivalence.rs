@@ -15,7 +15,9 @@ use padhye_tcp_repro::sim::connection::{Connection, ConnectionBuilder};
 use padhye_tcp_repro::sim::fault::impairments::{AckLoss, Duplicate, Reorder};
 use padhye_tcp_repro::sim::fault::FaultPlan;
 use padhye_tcp_repro::sim::link::Path;
-use padhye_tcp_repro::sim::loss::{Bernoulli, GilbertElliott, LossKind, RoundCorrelated};
+use padhye_tcp_repro::sim::loss::{
+    Bernoulli, GilbertElliott, Mixed, RoundCorrelated, TimedGilbertElliott,
+};
 use padhye_tcp_repro::sim::reno::sender::SenderConfig;
 use padhye_tcp_repro::sim::stats::ConnStats;
 use padhye_tcp_repro::sim::time::{SimDuration, SimTime};
@@ -117,15 +119,32 @@ fn round_correlated_traces_are_bit_identical_across_engines() {
 }
 
 #[test]
-fn boxed_dyn_loss_matches_too() {
-    // The pre-monomorphization call shape: a type-erased `Box<dyn LossModel>`
-    // routed through `LossKind::Dyn` must behave exactly like the enum path.
-    let boxed: Box<dyn padhye_tcp_repro::sim::loss::LossModel + Send> =
-        Box::new(Bernoulli::new(0.02));
+fn mixed_wire_matches_too() {
+    // The testbed's wire: isolated losses, then timed bursts, as one
+    // `Mixed` process, over jittered paths. Recorded on the `Mixed` that
+    // walked a `Vec<LossKind>` per packet, before its components were
+    // held flat.
+    let half = SimDuration::from_millis(50);
+    let jitter = SimDuration::from_millis(5);
     assert_pinned(
-        base_builder(41).loss(LossKind::from(boxed)),
+        base_builder(41)
+            .fwd_path(Path::constant(half).with_jitter(jitter))
+            .rev_path(Path::constant(half).with_jitter(jitter))
+            .loss(Mixed::from_kinds(vec![
+                Bernoulli::new(0.01).into(),
+                TimedGilbertElliott::from_rate_and_burst_secs(0.02, 0.5).into(),
+            ])),
+        300.0,
+        "mixed wire seed=41",
+        [(401_387, 553_630_095), (112, 2_956_257_766)],
+    );
+    // A one-part mix draws exactly as its component: these are the pins
+    // of the same Bernoulli run through the boxed `dyn` loss path this
+    // test replaced.
+    assert_pinned(
+        base_builder(41).loss(Mixed::from_kinds(vec![Bernoulli::new(0.02).into()])),
         60.0,
-        "boxed-dyn bernoulli seed=41",
+        "one-part mixed bernoulli seed=41",
         [(54_230, 969_845_931), (112, 3_627_395_373)],
     );
 }
