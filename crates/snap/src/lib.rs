@@ -14,11 +14,12 @@
 //! as its IEEE-754 bit pattern via [`f64::to_bits`] so NaN payloads and
 //! signed zeros survive a round trip bit-identically. Variable-length byte
 //! strings carry a `u64` length prefix. Long append-only logs may use
-//! LEB128 varints instead ([`SnapWriter::put_varint`]), and a float that
-//! is an integer over a fixed scale — an RTT in nanoseconds over 1e9 — can
-//! travel as that integer ([`SnapWriter::put_scaled_f64`]), which falls
-//! back to the raw bits whenever the integer would not decode to the
-//! identical `f64`. Composite snapshots are framed by
+//! LEB128 varints instead ([`SnapWriter::put_varint`]), and an integer
+//! that a reader scales into a float — an RTT of `n` nanoseconds read as
+//! `n / 1e9` seconds — travels in the scaled-integer form
+//! ([`SnapWriter::put_scaled_u64`]): the varint `2n`, or, for the rare
+//! huge value whose float does not lead back to `n`, the varint `1` and
+//! the float's raw bits. Composite snapshots are framed by
 //! [`frame`]/[`unframe`]: an 8-byte magic, a `u32` kind, a `u32` version,
 //! a `u64` payload length, a CRC-32 of the payload, then the payload.
 //!
@@ -187,6 +188,27 @@ fn scaled_integer(v: f64, scale: f64) -> Option<u64> {
     (n >= 0 && (n as f64 / scale).to_bits() == v.to_bits()).then_some(n as u64)
 }
 
+/// An integer `n` with `n as f64 / scale` bit-identical to `v`, if there
+/// is one, up to `u64::MAX`: [`scaled_integer`]'s candidate first, then,
+/// for values past 2^63 or where the product rounded away from the
+/// integer, the integers nearest the floats around `v · scale`.
+fn integer_of(v: f64, scale: f64) -> Option<u64> {
+    if let Some(n) = scaled_integer(v, scale) {
+        return Some(n);
+    }
+    let c = v * scale;
+    // Up to 2^64 itself, which the saturating cast takes to `u64::MAX`
+    // (whose float is 2^64).
+    if !(0.0..=18_446_744_073_709_551_616.0).contains(&c) {
+        return None;
+    }
+    let bits = c.to_bits();
+    [bits, bits.saturating_sub(1), bits + 1]
+        .into_iter()
+        .map(|b| f64::from_bits(b).round() as u64)
+        .find(|&n| (n as f64 / scale).to_bits() == v.to_bits())
+}
+
 /// Append-only encoder for snapshot payloads.
 ///
 /// All writes are infallible; the buffer grows as needed. Finish with
@@ -296,16 +318,29 @@ impl SnapWriter {
         self.buf.push(v as u8);
     }
 
-    /// Writes `v`, usually an exact integer `n` divided by `scale` (an RTT
-    /// of `n` nanoseconds at `scale = 1e9`, a packet count at
-    /// `scale = 1.0`), as the varint `2n`. Before choosing that form the
-    /// writer checks that `n as f64 / scale` gives back the identical
-    /// bits; when it would not (a value off the integer grid, a NaN, −0.0,
-    /// an infinity, anything past 2^63) it writes the varint `1` and the
-    /// raw bits instead. [`SnapReader::get_scaled_f64`] at the same
-    /// `scale` returns `v` bit for bit either way.
+    /// Writes the integer `n` in the scaled-integer form, for a reader
+    /// that uses it as the float `n as f64 / scale` (an RTT of `n`
+    /// nanoseconds at `scale = 1e9`, a packet count at `scale = 1.0`).
+    /// Below 2^48 this is the varint `2n`, written straight from the
+    /// integer. Above, the writer falls back to the float: the varint `2m`
+    /// of the integer `m` that `n as f64 / scale` leads back to, if there
+    /// is one, else the varint `1` and the float's raw bits. At both
+    /// scales named above those are exactly the bytes the float rule
+    /// writes for every `n`. [`SnapReader::get_scaled_u64`] at the same
+    /// `scale` returns an integer whose float is `n`'s bit for bit.
     #[inline]
-    pub fn put_scaled_f64(&mut self, v: f64, scale: f64) {
+    pub fn put_scaled_u64(&mut self, n: u64, scale: f64) {
+        if n < 1 << 48 {
+            self.put_varint(n << 1);
+        } else {
+            self.put_scaled_f64(n as f64 / scale, scale);
+        }
+    }
+
+    /// Writes `v` as the varint `2n` when an integer `n` has
+    /// `n as f64 / scale` bit-identical to `v`, else as the varint `1`
+    /// and the raw bits.
+    fn put_scaled_f64(&mut self, v: f64, scale: f64) {
         match scaled_integer(v, scale) {
             Some(n) => self.put_varint(n << 1),
             None => {
@@ -488,23 +523,32 @@ impl<'a> SnapReader<'a> {
         usize::try_from(v).map_err(|_| SnapError::Invalid("usize overflow"))
     }
 
-    /// Reads an `f64` written by [`SnapWriter::put_scaled_f64`] at the
+    /// Reads an integer written by [`SnapWriter::put_scaled_u64`] at the
     /// same `scale`. Raw bits that the integer form could have carried
-    /// are [`SnapError::Invalid`], as is any odd varint but `1`.
+    /// are [`SnapError::Invalid`], as is any odd varint but `1`, and raw
+    /// bits that no integer scales to: the value was not an integer.
     #[inline]
-    pub fn get_scaled_f64(&mut self, scale: f64) -> SnapResult<f64> {
+    pub fn get_scaled_u64(&mut self, scale: f64) -> SnapResult<u64> {
         match self.get_varint()? {
             1 => {
                 let v = self.get_f64()?;
                 if scaled_integer(v, scale).is_some() {
-                    return Err(SnapError::Invalid("scaled f64 not in integer form"));
+                    return Err(SnapError::Invalid("scaled value not in integer form"));
                 }
-                Ok(v)
+                integer_of(v, scale).ok_or(SnapError::Invalid("scaled value not an integer"))
             }
-            // `n >> 1` is below 2^63, so the signed conversion is exact.
-            n if n & 1 == 0 => Ok((n >> 1) as i64 as f64 / scale),
-            _ => Err(SnapError::Invalid("scaled f64 form")),
+            n if n & 1 == 0 => Ok(n >> 1),
+            _ => Err(SnapError::Invalid("scaled integer form")),
         }
+    }
+
+    /// Reads a raw `f64` (as [`SnapWriter::put_f64`] wrote it) that holds
+    /// an integer over `scale`, and returns that integer: the one whose
+    /// `n as f64 / scale` is bit-identical to the value read. A value off
+    /// the integer grid is [`SnapError::Invalid`].
+    pub fn get_f64_as_scaled_u64(&mut self, scale: f64) -> SnapResult<u64> {
+        let v = self.get_f64()?;
+        integer_of(v, scale).ok_or(SnapError::Invalid("scaled value not an integer"))
     }
 
     /// Reads a length-prefixed byte string.
@@ -787,53 +831,96 @@ mod tests {
     }
 
     #[test]
-    fn scaled_floats_round_trip_bit_for_bit() {
-        let rtts = [0.0, 1e-9, 0.1, 0.087_654_321, 3.5, 1e3];
-        let odd = [
-            -0.0,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.1 + 1e-13,
-            -2.0,
-            1e300,
+    fn scaled_integers_round_trip() {
+        let rtts = [
+            0u64,
+            1,
+            100_000_000,
+            87_654_321,
+            3_500_000_000,
+            (1 << 48) - 1,
         ];
-        let flights = [0.0f64, 1.0, 44.0, 1e15];
+        // Past 2^48 the float rule decides the form; past 2^63 it is raw
+        // bits, which still lead back to an integer with the same float.
+        let huge = [1u64 << 48, (1 << 53) + 1, 1 << 63, u64::MAX];
+        let flights = [0u64, 1, 44, 1_000_000_000_000_000];
         let mut w = SnapWriter::new();
-        for v in rtts.iter().chain(&odd) {
-            w.put_scaled_f64(*v, 1e9);
+        for n in rtts.iter().chain(&huge) {
+            w.put_scaled_u64(*n, 1e9);
         }
-        for flight in flights {
-            w.put_scaled_f64(flight, 1.0);
+        for n in flights {
+            w.put_scaled_u64(n, 1.0);
         }
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        for v in rtts.iter().chain(&odd) {
-            assert_eq!(r.get_scaled_f64(1e9).map(f64::to_bits), Ok(v.to_bits()));
+        for n in rtts {
+            assert_eq!(r.get_scaled_u64(1e9), Ok(n));
         }
-        for flight in flights {
-            assert_eq!(
-                r.get_scaled_f64(1.0).map(f64::to_bits),
-                Ok(flight.to_bits())
-            );
+        for n in huge {
+            let got = r.get_scaled_u64(1e9).expect("huge values decode");
+            assert_eq!((got as f64 / 1e9).to_bits(), (n as f64 / 1e9).to_bits());
+        }
+        for n in flights {
+            assert_eq!(r.get_scaled_u64(1.0), Ok(n));
         }
         assert_eq!(r.finish(), Ok(()));
-        // On the grid, an RTT costs a varint of twice its nanoseconds:
-        // four bytes for 100 ms. Off it, one marker byte and the bits.
+        // A 100 ms RTT costs four bytes.
         let mut w = SnapWriter::new();
-        w.put_scaled_f64(0.1, 1e9);
-        w.put_scaled_f64(f64::NAN, 1e9);
-        assert_eq!(w.len(), 4 + 9);
+        w.put_scaled_u64(100_000_000, 1e9);
+        assert_eq!(w.len(), 4);
 
-        // Raw bits the integer form could carry, and odd forms other than
-        // the raw-bits marker, are rejected.
+        // Raw bits the integer form could carry, odd forms other than the
+        // raw-bits marker, and raw bits off the integer grid are rejected.
+        for v in [0.5, 0.1 + 1e-13, -1.0, f64::NAN, f64::INFINITY] {
+            let mut w = SnapWriter::new();
+            w.put_varint(1);
+            w.put_f64(v);
+            assert!(
+                SnapReader::new(&w.into_bytes())
+                    .get_scaled_u64(1e9)
+                    .is_err(),
+                "{v}"
+            );
+        }
+        assert!(SnapReader::new(&[3]).get_scaled_u64(1e9).is_err());
+        // The raw-word form of an older format: integers come back, other
+        // values are errors.
         let mut w = SnapWriter::new();
-        w.put_varint(1);
-        w.put_f64(0.5);
-        assert!(SnapReader::new(&w.into_bytes())
-            .get_scaled_f64(1e9)
-            .is_err());
-        assert!(SnapReader::new(&[3]).get_scaled_f64(1e9).is_err());
+        w.put_f64(0.087_654_321);
+        w.put_f64(44.0);
+        w.put_f64(0.1 + 1e-13);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.get_f64_as_scaled_u64(1e9), Ok(87_654_321));
+        assert_eq!(r.get_f64_as_scaled_u64(1.0), Ok(44));
+        assert!(r.get_f64_as_scaled_u64(1e9).is_err());
+    }
+
+    /// Below 2^48 the integer is written directly; the bytes must be what
+    /// the float rule writes for the same value at both scales in use.
+    #[test]
+    fn scaled_integer_fast_path_matches_the_float_rule() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut samples = vec![0u64, 1, 2, 999_999_999, 1_000_000_000, (1 << 48) - 1];
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Spread over every magnitude below 2^48.
+            samples.push((x >> 16) >> (x % 48));
+        }
+        for scale in [1e9, 1.0] {
+            for &n in &samples {
+                let (mut fast, mut float) = (SnapWriter::new(), SnapWriter::new());
+                fast.put_scaled_u64(n, scale);
+                float.put_scaled_f64(n as f64 / scale, scale);
+                assert_eq!(
+                    fast.into_bytes(),
+                    float.into_bytes(),
+                    "n = {n}, scale = {scale}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,10 @@ pub fn split_intervals(
 pub struct IntervalCore {
     interval_ns: u64,
     sent: Vec<u64>,
+    /// The interval the latest send fell in — `[start, end)` in
+    /// nanoseconds and its index — so that a send inside it, nearly every
+    /// one, counts without a division. Empty until the first send.
+    current: (u64, u64, usize),
 }
 
 impl IntervalCore {
@@ -116,17 +120,34 @@ impl IntervalCore {
         IntervalCore {
             interval_ns: (interval_secs * 1e9) as u64,
             sent: Vec::new(),
+            current: (0, 0, 0),
         }
     }
 
     /// Consumes one data-segment departure (original or retransmission —
     /// the paper counts both as "packets sent").
+    #[inline]
     pub fn on_send(&mut self, time_ns: u64) {
-        let idx = (time_ns / self.interval_ns) as usize;
+        let (start, end, _) = self.current;
+        if !(start..end).contains(&time_ns) {
+            self.enter(time_ns);
+        }
+        if let Some(count) = self.sent.get_mut(self.current.2) {
+            *count += 1;
+        }
+    }
+
+    /// Makes the interval holding `time_ns` current, growing the counters
+    /// to reach it.
+    #[cold]
+    fn enter(&mut self, time_ns: u64) {
+        let idx = time_ns / self.interval_ns;
+        let start = idx * self.interval_ns;
+        let idx = idx as usize;
         if idx >= self.sent.len() {
             self.sent.resize(idx + 1, 0);
         }
-        self.sent[idx] += 1; //~ allow(hot_panic): resize above guarantees idx is in bounds
+        self.current = (start, start.saturating_add(self.interval_ns), idx);
     }
 
     /// Number of interval counters currently retained — the input to
@@ -150,6 +171,7 @@ impl IntervalCore {
         r.expect_tag("interval-ns", self.interval_ns)?;
         let n = r.get_usize()?;
         self.sent.clear();
+        self.current = (0, 0, 0);
         for _ in 0..n {
             self.sent.push(r.get_u64()?);
         }
