@@ -20,6 +20,19 @@ pub struct SimTime(u64);
 )]
 pub struct SimDuration(u64);
 
+/// `(secs * 1e9).round() as u64` for `secs >= 0`, without the libm call
+/// that `round` is on baseline x86-64 (once per RTT sample, in the RTO
+/// update). Below 2^52 the truncation `t` and the fraction `x - t` are
+/// exact; from there on `x` is an integer and the fraction is 0. Ties
+/// round up, as `round` rounds them away from zero, and the cast
+/// saturates as `round() as u64` does.
+#[inline]
+fn nanos_of_secs(secs: f64) -> u64 {
+    let x = secs * 1e9;
+    let t = x as u64; //~ allow(cast): saturating truncation, rounded up below when the fraction is at least a half
+    t.saturating_add(u64::from(x - t as f64 >= 0.5)) //~ allow(cast): t is exact wherever x has a fraction
+}
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
@@ -33,7 +46,7 @@ impl SimTime {
     /// negative or non-finite input — simulation clocks don't run backwards.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid time {secs}");
-        SimTime((secs * 1e9).round() as u64) //~ allow(cast): deliberate float truncation after round/floor
+        SimTime(nanos_of_secs(secs))
     }
 
     /// Nanoseconds since simulation start.
@@ -70,7 +83,7 @@ impl SimDuration {
     /// or non-finite input.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration {secs}"); //~ allow(hot_panic): boundary guard; rejects NaN/negative spans at construction
-        SimDuration((secs * 1e9).round() as u64) //~ allow(cast): deliberate float truncation after round/floor
+        SimDuration(nanos_of_secs(secs))
     }
 
     /// Nanoseconds in this span.
@@ -157,6 +170,45 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The libm-free rounding agrees with `round() as u64` everywhere:
+    /// exact halves, the values either side of them, the 2^52 and 2^53
+    /// boundaries, saturation, and random seconds at every magnitude.
+    #[test]
+    fn nanos_of_secs_matches_round() {
+        let mut xs: Vec<f64> = vec![
+            0.0, -0.0, 1e-10, 4.9e-10, 5e-10, 1.5e-9, 2.5e-9, 0.243, 3600.0,
+        ];
+        for e in [
+            0.5f64,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            4503599627370495.5,
+            4503599627370496.0,
+            9007199254740993.0,
+        ] {
+            for x in [
+                e,
+                f64::from_bits(e.to_bits() - 1),
+                f64::from_bits(e.to_bits() + 1),
+            ] {
+                xs.push(x / 1e9);
+            }
+        }
+        xs.extend([1.8e10, 1.8446744073709552e10, 1e11, 1e300, f64::MAX]);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64;
+            xs.push(mantissa * 10f64.powi((state % 24) as i32 - 12));
+        }
+        for secs in xs {
+            assert_eq!(nanos_of_secs(secs), (secs * 1e9).round() as u64, "{secs:e}");
+        }
+    }
 
     #[test]
     fn conversions_roundtrip() {

@@ -167,9 +167,9 @@ fn warm_streaming_analyzer_allocates_only_sample_growth() {
         sent_in_window > 10_000,
         "degenerate window: only {sent_in_window} packets"
     );
-    // Five growing vectors (Karn samples, the correlator's two series,
-    // loss indications, interval counters) each double a handful of
-    // times over the window; per-event allocation would be thousands.
+    // Three growing vectors (the RTT sample log Karn and the correlator
+    // share, loss indications, interval counters) each double a handful
+    // of times over the window; per-event allocation would be thousands.
     let allocations = after - before;
     assert!(
         allocations <= 40,
