@@ -12,9 +12,12 @@ use pftk_model::timeout::{q_hat_approx, q_hat_exact};
 use pftk_model::units::LossProb;
 use tcp_sim::rng::SimRng;
 use tcp_sim::rounds::{Indication, RoundsConfig, RoundsSim};
-use tcp_testbed::experiment::{run_hour, run_modem, run_serial_100s, run_table2};
+use tcp_testbed::experiment::{
+    run_hour_budgeted, run_modem, run_serial_100s, run_table2_supervised, DEFAULT_EVENT_BUDGET,
+};
 use tcp_testbed::paths::{fig7_paths, fig8_paths, ModemSpec, TABLE2_PATHS};
 use tcp_testbed::report::{error_triple_hourly, error_triple_serial, fig7_panel, fig8_series};
+use tcp_testbed::supervisor::SupervisorConfig;
 
 fn window_path_csv(name: &str, sim: &RoundsSim) {
     let rows: Vec<String> = sim
@@ -342,7 +345,7 @@ pub fn fig7(scale: &RunScale) {
     let dir = out_dir();
     for (panel_idx, spec) in fig7_paths().into_iter().enumerate() {
         let result = if (scale.hour_secs - 3600.0).abs() < 1.0 {
-            run_hour(spec, scale.seed + panel_idx as u64)
+            run_hour_budgeted(spec, scale.seed + panel_idx as u64, DEFAULT_EVENT_BUDGET)
         } else {
             run_serial_100s(spec, 1, scale.seed + panel_idx as u64).remove(0)
         };
@@ -498,7 +501,8 @@ pub fn fig9(scale: &RunScale) {
     section("Fig. 9 — Average error, hour-long traces");
     let results: Vec<Option<tcp_testbed::ExperimentResult>> =
         if (scale.hour_secs - 3600.0).abs() < 1.0 {
-            let report = run_table2(TABLE2_PATHS, scale.seed);
+            let supervisor = SupervisorConfig::default();
+            let report = run_table2_supervised(TABLE2_PATHS, scale.seed, &supervisor);
             if !report.is_complete() {
                 eprintln!("  partial campaign: {}", report.summary());
             }

@@ -2,9 +2,10 @@
 
 use crate::output::{out_dir, section, write_csv};
 use crate::RunScale;
-use tcp_testbed::experiment::{run_table2, ExperimentResult};
+use tcp_testbed::experiment::{run_table2_supervised, ExperimentResult};
 use tcp_testbed::hosts::HOSTS;
 use tcp_testbed::paths::TABLE2_PATHS;
+use tcp_testbed::supervisor::SupervisorConfig;
 use tcp_trace::table::{format_table, TableRow};
 
 /// Table I: the host registry.
@@ -29,11 +30,11 @@ pub fn table2(scale: &RunScale) -> Vec<TableRow> {
     if scale.hour_secs < 3600.0 {
         eprintln!("  (reduced horizon: {} s per trace)", scale.hour_secs);
     }
-    // run_table2 always runs the paper's full hour; for reduced scales run
+    // run_table2_supervised runs the paper's full hour; reduced scales run
     // each spec directly. Supervised rows may carry holes (failed paths);
     // those are rendered explicitly instead of aborting the table.
     let results: Vec<Option<ExperimentResult>> = if (scale.hour_secs - 3600.0).abs() < 1.0 {
-        let report = run_table2(&specs, scale.seed);
+        let report = run_table2_supervised(&specs, scale.seed, &SupervisorConfig::default());
         if !report.is_complete() {
             eprintln!("  partial campaign: {}", report.summary());
         }

@@ -1,24 +1,29 @@
 //! Experiment runners: the paper's three measurement campaigns, executed
 //! against the packet-level simulator.
 //!
-//! * [`run_hour`] — one 1-hour "infinite source" connection per path
-//!   (Table II, Figs. 7 and 9);
-//! * [`run_serial_100s`] — 100 serially initiated 100-second connections
-//!   with 50-second gaps (Figs. 8 and 10); the gaps carry no traffic, so
-//!   each connection is simulated independently with its own seed, and
-//!   the connections run concurrently on the worker pool;
+//! * [`run_hour_budgeted_with`] — one 1-hour "infinite source" connection
+//!   per path (Table II, Figs. 7 and 9);
+//! * [`run_serial_100s_with`] — 100 serially initiated 100-second
+//!   connections with 50-second gaps (Figs. 8 and 10); the gaps carry no
+//!   traffic, so each connection is simulated independently with its own
+//!   seed, and the connections run concurrently on the worker pool;
 //! * [`run_modem`] — the Fig. 11 scenario: a dedicated-buffer bottleneck
 //!   path on which RTT correlates with window size and the models fail to
 //!   match the measured rate.
 //!
-//! [`run_table2`] fans the 24 hour-long experiments out through the
-//! [`crate::supervisor`]: each path runs on its own budgeted worker
+//! [`run_table2_supervised`] fans the 24 hour-long experiments out through
+//! the [`crate::supervisor`]: each path runs on its own budgeted worker
 //! (wall-clock deadline, sim-event budget, panic isolation, one reseeded
 //! retry) and the campaign returns a [`crate::supervisor::CampaignReport`]
 //! — a partial Table II with explicit holes when paths fail, instead of a
-//! poisoned join killing all 24 measurements.
+//! poisoned join killing all 24 measurements. [`run_table2_journaled`] is
+//! the same campaign with a write-ahead journal.
+//! One private runner runs every wire connection, calibration probes
+//! included, and one job builder serves both Table II entry points.
 
-use crate::journal::{self, CampaignRecord, Checkpoint, CrashPoint, Journal, ResultPayload};
+use crate::journal::{
+    self, CampaignRecord, CampaignState, Checkpoint, CrashPoint, Journal, ResultPayload,
+};
 use crate::paths::{ModemSpec, PathSpec};
 use crate::pool;
 use crate::supervisor::{
@@ -455,11 +460,19 @@ impl WireLoss {
     }
 }
 
+/// The seed a campaign job seeded `seed` calibrates its wire with. Every
+/// campaign derives it here, so a change to calibration seeding is one
+/// change.
+pub fn calibration_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(31).wrapping_add(17)
+}
+
 /// Finds wire-loss parameters whose *analyzed* TD and TO rates match the
 /// Table II row. Real Reno's mapping from wire loss to loss indications is
 /// not identity (a burst becomes several window reductions; an isolated
 /// loss in a small window becomes a timeout), so both knobs are solved by a
-/// multiplicative fixed point against short probe runs.
+/// multiplicative fixed point: five steps, each on one 400 s probe,
+/// keeping the last parameters whatever their residual.
 pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
     let packets = spec.paper_packets.max(1) as f64;
     let td_target = spec.paper_td as f64 / packets;
@@ -487,16 +500,11 @@ pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
         // over the identical calibrated wire.
         cc: CcAlgorithm::default(),
     };
-    let probe_stream = StreamConfig {
-        timing: false,
-        ..stream_config(spec, &probe_opts)
-    };
     for iter in 0..5 {
         let probe_seed = seed.wrapping_add(iter);
-        let mut conn =
-            build_wire_connection(spec, wire, 400.0, probe_seed, &probe_opts, probe_stream);
-        let budget_hit = conn.run_until_budget(SimTime::from_secs_f64(400.0), u64::MAX);
-        let r = finish_wire_connection(conn, 400.0, budget_hit);
+        let mut probe = WireRun::new(spec, wire, 400.0, probe_seed, u64::MAX, &probe_opts);
+        probe.stream.timing = false;
+        let r = probe.run(None).0;
         let a = r.analysis();
         if a.packets_sent == 0 {
             break;
@@ -544,68 +552,193 @@ fn stream_config(spec: &PathSpec, opts: &ExperimentOptions) -> StreamConfig {
     }
 }
 
-fn run_connection(
-    spec: &PathSpec,
-    horizon_secs: f64,
-    seed: u64,
-    opts: &ExperimentOptions,
-) -> ExperimentResult {
-    let wire = calibrate_wire_loss(spec, seed.wrapping_mul(31).wrapping_add(17));
-    run_connection_raw(spec, wire, horizon_secs, seed, opts)
-}
-
-fn run_connection_raw(
-    spec: &PathSpec,
+/// One wire connection: a Table II path over a wire-loss process, run
+/// from `seed` to its horizon under a sim-event budget. Every wire run of
+/// the testbed is one of these: the calibration probes, the hour runs,
+/// the serial connections and the Table II jobs.
+struct WireRun {
+    spec: PathSpec,
     wire: WireLoss,
     horizon_secs: f64,
     seed: u64,
-    opts: &ExperimentOptions,
-) -> ExperimentResult {
-    run_connection_budgeted(spec, wire, horizon_secs, seed, u64::MAX, opts)
+    max_events: u64,
+    opts: ExperimentOptions,
+    /// The streamed reductions.
+    stream: StreamConfig,
 }
 
-/// Builds the identically configured connection behind every wire-loss
-/// run: shared by the straight-through and the checkpointed runners, so a
-/// resumed connection is rebuilt from exactly the configuration the
-/// crashed one had (the snapshot codec restores mutable state only), and
-/// by the calibration probes. `config` names the streamed reductions.
-fn build_wire_connection(
-    spec: &PathSpec,
-    wire: WireLoss,
-    horizon_secs: f64,
-    seed: u64,
-    opts: &ExperimentOptions,
-    config: StreamConfig,
-) -> Connection<TraceRecorder> {
-    // Mild jitter (5% of RTT) keeps RTT samples realistic without breaking
-    // the RTT-independence assumption the non-modem paths must satisfy.
-    let half = spec.rtt / 2.0;
-    let jitter = SimDuration::from_secs_f64(spec.rtt * 0.05);
-    let fwd = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
-    let rev = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
-    let recorder = if opts.retain_trace {
-        // Preallocate the trace from the paper's hour-long packet count for
-        // this path: sends plus delayed (b=2) ACK arrivals ≈ 1.5× packets.
-        TraceRecorder::streaming_retained(
-            config,
+/// Everything a checkpointed run needs to know about its journal.
+struct CheckpointCtx<'a> {
+    journal: &'a Journal,
+    job_index: u64,
+    every_sim_secs: f64,
+    /// The checkpoint chain to resume from, oldest first; empty for a
+    /// fresh run.
+    resume: &'a [Checkpoint],
+    crash: Option<&'a CrashPoint>,
+}
+
+impl WireRun {
+    /// A run that streams the reductions `opts` asks for.
+    fn new(
+        spec: &PathSpec,
+        wire: WireLoss,
+        horizon_secs: f64,
+        seed: u64,
+        max_events: u64,
+        opts: &ExperimentOptions,
+    ) -> Self {
+        WireRun {
+            spec: *spec,
+            wire,
             horizon_secs,
-            spec.paper_packets.max(1) as f64 / 3600.0 * 1.5,
+            seed,
+            max_events,
+            opts: *opts,
+            stream: stream_config(spec, opts),
+        }
+    }
+
+    /// Builds the connection. Every build of a run is configured
+    /// identically, so a resumed connection is rebuilt from exactly the
+    /// configuration the crashed one had (the snapshot codec restores
+    /// mutable state only).
+    fn build_wire_connection(&self) -> Connection<TraceRecorder> {
+        let spec = &self.spec;
+        // Mild jitter (5% of RTT) keeps RTT samples realistic without
+        // breaking the RTT-independence assumption the non-modem paths must
+        // satisfy.
+        let half = spec.rtt / 2.0;
+        let jitter = SimDuration::from_secs_f64(spec.rtt * 0.05);
+        let fwd = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
+        let rev = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
+        let recorder = if self.opts.retain_trace {
+            // Preallocate the trace from the paper's hour-long packet count
+            // for this path: sends plus delayed (b=2) ACK arrivals ≈ 1.5×
+            // packets.
+            TraceRecorder::streaming_retained(
+                self.stream,
+                self.horizon_secs,
+                spec.paper_packets.max(1) as f64 / 3600.0 * 1.5,
+            )
+        } else {
+            TraceRecorder::streaming(self.stream)
+        };
+        Connection::builder()
+            .fwd_path(fwd)
+            .rev_path(rev)
+            .loss(self.wire.build())
+            .sender_config(sender_config(spec, self.opts.cc))
+            .receiver_config(ReceiverConfig::default())
+            .seed(self.seed)
+            .build_with_observer(recorder)
+    }
+
+    /// Runs the connection to the horizon and drains it into a result;
+    /// returns the result and whether the run resumed from a checkpoint.
+    ///
+    /// Without `checkpoints` one slice covers the whole horizon. With
+    /// them, the run goes in sim-time slices and journals a checkpoint
+    /// between slices. Determinism: slice boundaries are absolute
+    /// multiples of the cadence (`t_k = k · every`), and the checkpoint
+    /// records the next boundary index, so an interrupted-and-resumed run
+    /// executes exactly the boundary sequence of an uninterrupted one —
+    /// and `Connection::run_until_budget` is boundary-insensitive (the sim
+    /// is event-driven; splitting a run at any time yields the identical
+    /// event stream). Each checkpoint carries the connection snapshot and
+    /// an analyzer delta since the previous checkpoint of this run, both
+    /// encoded here on the worker thread strictly between slices; all
+    /// journal I/O happens on the journal's writer thread, so the sim hot
+    /// path never sees either.
+    fn run(&self, checkpoints: Option<&CheckpointCtx<'_>>) -> (ExperimentResult, bool) {
+        let mut conn = self.build_wire_connection();
+        let mut next_boundary: u64 = 1;
+        let mut mark = LogMark::default();
+        let mut resumed = false;
+        let resume = checkpoints.and_then(|ctx| Some((ctx, ctx.resume.last()?)));
+        if let Some((ctx, cp)) = resume {
+            let compatible = cp.seed == self.seed
+                && cp.horizon_bits == self.horizon_secs.to_bits()
+                && cp.every_bits == ctx.every_sim_secs.to_bits()
+                && cp.wire_bits == self.wire.to_bits();
+            let restored = compatible
+                .then(|| restore_chain(&mut conn, ctx.resume))
+                .and_then(Result::ok);
+            if let Some(restored) = restored {
+                next_boundary = cp.next_boundary;
+                mark = restored;
+                resumed = true;
+            } else {
+                // A stale or mismatched checkpoint is not an error; restore
+                // may have half-applied, so rebuild and run from the start.
+                conn = self.build_wire_connection();
+            }
+        }
+        let every = match checkpoints {
+            Some(ctx) if ctx.every_sim_secs > 0.0 => ctx.every_sim_secs,
+            // No journal, or checkpointing disabled.
+            _ => self.horizon_secs,
+        };
+        let event_budget_hit = loop {
+            let t = ((next_boundary as f64) * every).min(self.horizon_secs);
+            let hit = conn.run_until_budget(SimTime::from_secs_f64(t), self.max_events);
+            let ctx = match checkpoints {
+                Some(ctx) if !hit && t < self.horizon_secs => ctx,
+                _ => break hit,
+            };
+            if let (Ok(conn_bytes), Some((stream, next_mark))) =
+                (conn.snapshot(), conn.observer().stream_snapshot_since(mark))
+            {
+                mark = next_mark;
+                ctx.journal
+                    .append_record(&CampaignRecord::Checkpoint(Checkpoint {
+                        job_index: ctx.job_index,
+                        seed: self.seed,
+                        wire_bits: self.wire.to_bits(),
+                        horizon_bits: self.horizon_secs.to_bits(),
+                        every_bits: every.to_bits(),
+                        next_boundary: next_boundary + 1,
+                        conn: conn_bytes,
+                        stream,
+                    }));
+            } else {
+                // No record for this boundary breaks the chain, so the next
+                // checkpoint starts a new one and must carry the full state.
+                mark = LogMark::default();
+            }
+            if let Some(crash) = ctx.crash {
+                crash.tick();
+            }
+            next_boundary += 1;
+        };
+        (
+            finish_connection(conn, self.horizon_secs, event_budget_hit),
+            resumed,
         )
-    } else {
-        TraceRecorder::streaming(config)
-    };
-    Connection::builder()
-        .fwd_path(fwd)
-        .rev_path(rev)
-        .loss(wire.build())
-        .sender_config(sender_config(spec, opts.cc))
-        .receiver_config(ReceiverConfig::default())
-        .seed(seed)
-        .build_with_observer(recorder)
+    }
 }
 
-/// Drains the finished connection into an [`ExperimentResult`].
-fn finish_wire_connection(
+/// Restores `conn` from a checkpoint chain: the connection from the last
+/// record, the analyzer by applying every record's bytes in order.
+/// Returns the analyzer mark the next delta starts from.
+fn restore_chain(
+    conn: &mut Connection<TraceRecorder>,
+    chain: &[Checkpoint],
+) -> SnapResult<LogMark> {
+    let last = chain
+        .last()
+        .ok_or(SnapError::Invalid("empty checkpoint chain"))?;
+    conn.restore(&last.conn)?;
+    let mut mark = LogMark::default();
+    for cp in chain {
+        mark = conn.observer_mut().stream_restore(&cp.stream)?;
+    }
+    Ok(mark)
+}
+
+/// Drains a finished connection into an [`ExperimentResult`]: every wire
+/// run and the modem run end here.
+fn finish_connection(
     mut conn: Connection<TraceRecorder>,
     horizon_secs: f64,
     event_budget_hit: bool,
@@ -633,48 +766,52 @@ fn finish_wire_connection(
     }
 }
 
-fn run_connection_budgeted(
+/// The one calibration site: the wire a campaign job seeded `seed` runs
+/// over. A resuming attempt takes its checkpoint's bits, which equal what
+/// calibration would produce (it is seed-deterministic); using them skips
+/// the probe runs and is exact by construction.
+fn job_wire(spec: &PathSpec, seed: u64, resume: Option<&Checkpoint>) -> WireLoss {
+    match resume {
+        Some(cp) => WireLoss::from_bits(cp.wire_bits),
+        None => calibrate_wire_loss(spec, calibration_seed(seed)),
+    }
+}
+
+/// The job behind every hour run and every Table II row: the job's wire,
+/// then one connection seeded `seed`, checkpointed when `checkpoints` is
+/// given.
+fn run_job(
     spec: &PathSpec,
-    wire: WireLoss,
-    horizon_secs: f64,
     seed: u64,
+    horizon_secs: f64,
     max_events: u64,
     opts: &ExperimentOptions,
-) -> ExperimentResult {
-    let stream = stream_config(spec, opts);
-    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts, stream);
-    let event_budget_hit = conn.run_until_budget(SimTime::from_secs_f64(horizon_secs), max_events);
-    finish_wire_connection(conn, horizon_secs, event_budget_hit)
+    checkpoints: Option<&CheckpointCtx<'_>>,
+) -> (ExperimentResult, bool) {
+    let wire = job_wire(spec, seed, checkpoints.and_then(|ctx| ctx.resume.last()));
+    WireRun::new(spec, wire, horizon_secs, seed, max_events, opts).run(checkpoints)
 }
 
-/// One hour-long "infinite source" connection (§III, first experiment set).
-/// Streaming analysis, no trace retention; see [`run_hour_with`].
-pub fn run_hour(spec: &PathSpec, seed: u64) -> ExperimentResult {
-    run_connection(spec, 3600.0, seed, &ExperimentOptions::default())
-}
-
-/// [`run_hour`] with explicit [`ExperimentOptions`] (e.g. trace retention
-/// for golden-trace comparisons).
-pub fn run_hour_with(spec: &PathSpec, seed: u64, opts: &ExperimentOptions) -> ExperimentResult {
-    run_connection(spec, 3600.0, seed, opts)
-}
-
-/// [`run_hour`] with an explicit sim-event budget: the supervised form used
-/// by [`run_table2`] workers so a runaway event loop degrades to a
-/// truncated (but analyzable) result instead of wedging the worker.
-pub fn run_hour_budgeted(spec: &PathSpec, seed: u64, max_events: u64) -> ExperimentResult {
-    run_hour_budgeted_with(spec, seed, max_events, &ExperimentOptions::default())
-}
-
-/// [`run_hour_budgeted`] with explicit [`ExperimentOptions`].
+/// One hour-long "infinite source" connection (§III, first experiment
+/// set) under a sim-event budget, so a runaway event loop degrades to a
+/// truncated (but analyzable) result instead of wedging the worker. A
+/// Table II row is this run at the row's seed, [`DEFAULT_EVENT_BUDGET`]
+/// (which no hour run comes near) and the default options;
+/// [`ExperimentOptions::retained`] keeps the trace (e.g. for golden-trace
+/// comparisons).
 pub fn run_hour_budgeted_with(
     spec: &PathSpec,
     seed: u64,
     max_events: u64,
     opts: &ExperimentOptions,
 ) -> ExperimentResult {
-    let wire = calibrate_wire_loss(spec, seed.wrapping_mul(31).wrapping_add(17));
-    run_connection_budgeted(spec, wire, 3600.0, seed, max_events, opts)
+    run_job(spec, seed, 3600.0, max_events, opts, None).0
+}
+
+/// [`run_hour_budgeted_with`] with the default options, kept for the
+/// frozen benchmark (`perfbench/`) until ROADMAP item 4.
+pub fn run_hour_budgeted(spec: &PathSpec, seed: u64, max_events: u64) -> ExperimentResult {
+    run_hour_budgeted_with(spec, seed, max_events, &ExperimentOptions::default())
 }
 
 /// The second §III campaign: `n` serially initiated 100-second connections.
@@ -689,11 +826,6 @@ pub fn run_hour_budgeted_with(
 ///
 /// # Panics
 /// If a connection panics or exceeds the pool's wall budget.
-pub fn run_serial_100s(spec: &PathSpec, n: usize, base_seed: u64) -> Vec<ExperimentResult> {
-    run_serial_100s_with(spec, n, base_seed, &ExperimentOptions::default())
-}
-
-/// [`run_serial_100s`] with explicit [`ExperimentOptions`].
 pub fn run_serial_100s_with(
     spec: &PathSpec,
     n: usize,
@@ -702,53 +834,46 @@ pub fn run_serial_100s_with(
 ) -> Vec<ExperimentResult> {
     // One calibration pass serves all n connections (the path doesn't change
     // between them).
-    let wire = calibrate_wire_loss(spec, base_seed.wrapping_mul(31).wrapping_add(17));
+    let wire = job_wire(spec, base_seed, None);
     let tasks = (0..n)
         .map(|i| {
-            let (spec, opts) = (*spec, *opts);
             let seed = base_seed.wrapping_mul(1000).wrapping_add(i as u64);
-            move || run_connection_raw(&spec, wire, 100.0, seed, &opts)
+            let connection = WireRun::new(spec, wire, 100.0, seed, u64::MAX, opts);
+            move || connection.run(None).0
         })
         .collect();
     pool::run_in_order(pool::available_workers(), None, tasks)
 }
 
-/// Runs all 24 Table II hour-long experiments under supervision; the
-/// report's rows are in `specs` order, one per path, with per-path seed
-/// `base_seed + index` (so row *i* reproduces `run_hour(&specs[i],
-/// base_seed + i)`).
+/// [`run_serial_100s_with`] with the default options, kept for the
+/// frozen benchmark (`perfbench/`) until ROADMAP item 4.
+pub fn run_serial_100s(spec: &PathSpec, n: usize, base_seed: u64) -> Vec<ExperimentResult> {
+    run_serial_100s_with(spec, n, base_seed, &ExperimentOptions::default())
+}
+
+/// Runs Table II hour-long experiments under supervision: the report's
+/// rows are in `specs` order, one per path, with per-path seed
+/// `base_seed + index` (so row *i* reproduces [`run_hour_budgeted_with`]
+/// on `specs[i]` at seed `base_seed + i`, [`DEFAULT_EVENT_BUDGET`] and the
+/// default options).
 ///
 /// A panicking, hanging, or runaway path no longer kills the campaign:
 /// its row is labeled (`Panicked`/`TimedOut`) and the remaining paths'
-/// results survive — a partial Table II with explicit holes.
-pub fn run_table2(specs: &[PathSpec], base_seed: u64) -> CampaignReport {
-    run_table2_supervised(specs, base_seed, &SupervisorConfig::default())
-}
-
-/// [`run_table2`] with explicit supervisor tunables (tests use short wall
-/// budgets).
+/// results survive — a partial Table II with explicit holes. This is
+/// [`run_table2_journaled`] without a journal.
 pub fn run_table2_supervised(
     specs: &[PathSpec],
     base_seed: u64,
     config: &SupervisorConfig,
 ) -> CampaignReport {
-    let jobs: Vec<JobSpec> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let spec = *spec;
-            JobSpec {
-                label: spec.id(),
-                seed: base_seed.wrapping_add(i as u64),
-                job: Arc::new(move |seed| run_hour_budgeted(&spec, seed, DEFAULT_EVENT_BUDGET)),
-            }
-        })
-        .collect();
-    run_campaign(jobs, config)
+    let config = JournalConfig {
+        supervisor: config.clone(),
+        ..JournalConfig::default()
+    };
+    table2_campaign(specs, base_seed, &config, None, CampaignState::default())
 }
 
-/// Tunables for a crash-safe, journaled campaign
-/// ([`run_table2_journaled`]).
+/// Tunables for a Table II campaign ([`run_table2_journaled`]).
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
     /// Supervisor tunables for the underlying campaign.
@@ -787,127 +912,10 @@ impl Default for JournalConfig {
     }
 }
 
-/// Everything a checkpointed run needs to know about its journal.
-struct CheckpointCtx<'a> {
-    journal: &'a Journal,
-    job_index: u64,
-    every_sim_secs: f64,
-    /// The checkpoint chain to resume from, oldest first; empty for a
-    /// fresh run.
-    resume: &'a [Checkpoint],
-    crash: Option<&'a CrashPoint>,
-}
-
-/// Restores `conn` from a checkpoint chain: the connection from the last
-/// record, the analyzer by applying every record's bytes in order.
-/// Returns the analyzer mark the next delta starts from.
-fn restore_chain(
-    conn: &mut Connection<TraceRecorder>,
-    chain: &[Checkpoint],
-) -> SnapResult<LogMark> {
-    let last = chain
-        .last()
-        .ok_or(SnapError::Invalid("empty checkpoint chain"))?;
-    conn.restore(&last.conn)?;
-    let mut mark = LogMark::default();
-    for cp in chain {
-        mark = conn.observer_mut().stream_restore(&cp.stream)?;
-    }
-    Ok(mark)
-}
-
-/// Runs one connection in sim-time slices, journaling a checkpoint between
-/// slices; returns the result and whether the run resumed from a
-/// checkpoint.
-///
-/// Determinism: slice boundaries are absolute multiples of the cadence
-/// (`t_k = k · every`), and the checkpoint records the next boundary
-/// index, so an interrupted-and-resumed run executes exactly the boundary
-/// sequence of an uninterrupted one — and `Connection::run_until_budget`
-/// is boundary-insensitive (the sim is event-driven; splitting a run at
-/// any time yields the identical event stream). Each checkpoint carries
-/// the connection snapshot and an analyzer delta since the previous
-/// checkpoint of this run, both encoded here on the worker thread
-/// strictly between slices; all journal I/O happens on the journal's
-/// writer thread, so the sim hot path never sees either.
-fn run_connection_checkpointed(
-    spec: &PathSpec,
-    wire: WireLoss,
-    horizon_secs: f64,
-    seed: u64,
-    max_events: u64,
-    opts: &ExperimentOptions,
-    ctx: &CheckpointCtx<'_>,
-) -> (ExperimentResult, bool) {
-    let stream = stream_config(spec, opts);
-    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts, stream);
-    let mut next_boundary: u64 = 1;
-    let mut mark = LogMark::default();
-    let mut resumed = false;
-    if let Some(cp) = ctx.resume.last() {
-        let compatible = cp.seed == seed
-            && cp.horizon_bits == horizon_secs.to_bits()
-            && cp.every_bits == ctx.every_sim_secs.to_bits()
-            && cp.wire_bits == wire.to_bits();
-        let restored = compatible
-            .then(|| restore_chain(&mut conn, ctx.resume))
-            .and_then(Result::ok);
-        if let Some(restored) = restored {
-            next_boundary = cp.next_boundary;
-            mark = restored;
-            resumed = true;
-        } else {
-            // A stale or mismatched checkpoint is not an error; restore may
-            // have half-applied, so rebuild and run from the start.
-            conn = build_wire_connection(spec, wire, horizon_secs, seed, opts, stream);
-        }
-    }
-    let every = if ctx.every_sim_secs > 0.0 {
-        ctx.every_sim_secs
-    } else {
-        // Checkpointing disabled: one slice covers the whole horizon.
-        horizon_secs
-    };
-    let event_budget_hit = loop {
-        let t = ((next_boundary as f64) * every).min(horizon_secs);
-        let hit = conn.run_until_budget(SimTime::from_secs_f64(t), max_events);
-        if hit || t >= horizon_secs {
-            break hit;
-        }
-        if let (Ok(conn_bytes), Some((stream, next_mark))) =
-            (conn.snapshot(), conn.observer().stream_snapshot_since(mark))
-        {
-            mark = next_mark;
-            ctx.journal
-                .append_record(&CampaignRecord::Checkpoint(Checkpoint {
-                    job_index: ctx.job_index,
-                    seed,
-                    wire_bits: wire.to_bits(),
-                    horizon_bits: horizon_secs.to_bits(),
-                    every_bits: every.to_bits(),
-                    next_boundary: next_boundary + 1,
-                    conn: conn_bytes,
-                    stream,
-                }));
-        } else {
-            // No record for this boundary breaks the chain, so the next
-            // checkpoint starts a new one and must carry the full state.
-            mark = LogMark::default();
-        }
-        if let Some(crash) = ctx.crash {
-            crash.tick();
-        }
-        next_boundary += 1;
-    };
-    (
-        finish_wire_connection(conn, horizon_secs, event_budget_hit),
-        resumed,
-    )
-}
-
-/// Crash-safe [`run_table2`]: the campaign writes a write-ahead journal at
-/// `journal_path` and can be re-invoked with the same arguments after a
-/// crash (process kill, power loss) to pick up where it left off.
+/// Crash-safe [`run_table2_supervised`]: the campaign writes a
+/// write-ahead journal at `journal_path` and can be re-invoked with the
+/// same arguments after a crash (process kill, power loss) to pick up
+/// where it left off.
 ///
 /// * attempts already recorded as complete are **replayed** from the
 ///   journal without re-running (their rows keep the recorded outcome);
@@ -927,12 +935,38 @@ pub fn run_table2_journaled(
     journal_path: &FsPath,
     config: &JournalConfig,
 ) -> io::Result<CampaignReport> {
-    let mut state = journal::replay(journal_path)?.into_state();
+    let state = journal::replay(journal_path)?.into_state();
     let journal = Arc::new(Journal::open(journal_path)?);
-    let n = specs.len();
-    let mut prefilled: Vec<Option<CampaignRow>> = (0..n).map(|_| None).collect();
+    let report = table2_campaign(specs, base_seed, config, Some(&journal), state);
+    // Flush and join the writer before returning so the journal is durable
+    // and byte-stable the moment the report is in hand. An abandoned
+    // (timed-out) attempt may still hold a journal handle; its drop will
+    // flush whenever it finally dies.
+    if let Ok(journal) = Arc::try_unwrap(journal) {
+        journal.close()?;
+    }
+    Ok(report)
+}
+
+/// The one Table II campaign: builds each path's job, runs the jobs under
+/// the supervisor and returns the rows in `specs` order. With a journal,
+/// `state` is what its replay held: completed attempts are replayed,
+/// in-flight ones resume from their checkpoints, and every live attempt
+/// journals its checkpoints and its completion.
+fn table2_campaign(
+    specs: &[PathSpec],
+    base_seed: u64,
+    config: &JournalConfig,
+    journal: Option<&Arc<Journal>>,
+    mut state: CampaignState,
+) -> CampaignReport {
+    let opts = ExperimentOptions {
+        cc: config.cc,
+        ..ExperimentOptions::default()
+    };
+    let mut prefilled: Vec<Option<CampaignRow>> = specs.iter().map(|_| None).collect();
     let mut jobs: Vec<JobSpec> = Vec::new();
-    let mut live_flags: Vec<(usize, Arc<AtomicBool>)> = Vec::new();
+    let mut resumed_flags: Vec<Arc<AtomicBool>> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let job_index = i as u64;
         let first_seed = base_seed.wrapping_add(job_index);
@@ -959,15 +993,11 @@ pub fn run_table2_journaled(
         }
         let resume = state.inflight.remove(&job_index).unwrap_or_default();
         let resumed_flag = Arc::new(AtomicBool::new(false));
-        live_flags.push((i, Arc::clone(&resumed_flag)));
+        resumed_flags.push(Arc::clone(&resumed_flag));
         let spec = *spec;
         let label = spec.id();
-        let journal = Arc::clone(&journal);
-        let crash = config.crash.clone();
-        let every = config.checkpoint_sim_secs;
-        let horizon = config.horizon_secs;
-        let budget = config.event_budget;
-        let cc = config.cc;
+        let journal = journal.map(Arc::clone);
+        let config = config.clone();
         jobs.push(JobSpec {
             label: label.clone(),
             seed: first_seed,
@@ -978,99 +1008,61 @@ pub fn run_table2_journaled(
                     Some(cp) if cp.seed == seed => resume.as_slice(),
                     _ => &[],
                 };
-                let wire = match resume.last() {
-                    // The stored bits equal what calibration would produce
-                    // (it is seed-deterministic); using them skips the probe
-                    // runs and is exact by construction.
-                    Some(cp) => WireLoss::from_bits(cp.wire_bits),
-                    None => calibrate_wire_loss(&spec, seed.wrapping_mul(31).wrapping_add(17)),
-                };
-                let ctx = CheckpointCtx {
-                    journal: journal.as_ref(),
+                let ctx = journal.as_deref().map(|journal| CheckpointCtx {
+                    journal,
                     job_index,
-                    every_sim_secs: every,
+                    every_sim_secs: config.checkpoint_sim_secs,
                     resume,
-                    crash: crash.as_deref(),
-                };
-                let (result, resumed) = run_connection_checkpointed(
-                    &spec,
-                    wire,
-                    horizon,
-                    seed,
-                    budget,
-                    &ExperimentOptions {
-                        cc,
-                        ..ExperimentOptions::default()
-                    },
-                    &ctx,
-                );
-                // Durable completion record *before* the supervisor sees
-                // the row: once a row is reported, it is never recomputed.
-                let _ = journal.append_record_sync(&CampaignRecord::AttemptDone {
-                    job_index,
-                    label: label.clone(),
-                    seed,
-                    resumed,
-                    result: ResultPayload::Snap(result.encode()),
+                    crash: config.crash.as_deref(),
                 });
+                let (horizon, budget) = (config.horizon_secs, config.event_budget);
+                let (result, resumed) = run_job(&spec, seed, horizon, budget, &opts, ctx.as_ref());
+                if let Some(journal) = &journal {
+                    // Durable completion record *before* the supervisor
+                    // sees the row: once a row is reported, it is never
+                    // recomputed.
+                    let _ = journal.append_record_sync(&CampaignRecord::AttemptDone {
+                        job_index,
+                        label: label.clone(),
+                        seed,
+                        resumed,
+                        result: ResultPayload::Snap(result.encode()),
+                    });
+                }
                 resumed_flag.store(resumed, Ordering::Release);
                 result
             }),
         });
     }
-    let live_report = run_campaign(jobs, &config.supervisor);
-    // Merge replayed and live rows back into spec order (live rows come
+    // Merge replayed and live rows back into spec order: live rows come
     // out of `run_campaign` in submission order, which is spec order with
-    // the replayed indices skipped).
-    let mut live_rows = live_report.rows.into_iter();
-    let mut rows: Vec<CampaignRow> = Vec::with_capacity(n);
-    for pre in prefilled {
-        match pre {
-            Some(row) => rows.push(row),
-            None => {
-                let Some(row) = live_rows.next() else {
-                    // run_campaign guarantees one row per job; degrade
-                    // rather than panic if that ever breaks.
-                    break;
-                };
-                rows.push(row);
-            }
-        }
-    }
-    let mut report = CampaignReport { rows };
-    for (i, flag) in live_flags {
-        if flag.load(Ordering::Acquire) {
-            if let Some(row) = report.rows.get_mut(i) {
-                if row.outcome == Outcome::Ok {
+    // the replayed indices skipped. `run_campaign` returns one row per job;
+    // should that ever break, the table ends early rather than panicking.
+    let mut live = run_campaign(jobs, &config.supervisor)
+        .rows
+        .into_iter()
+        .zip(resumed_flags);
+    let rows = prefilled
+        .into_iter()
+        .map_while(|pre| {
+            pre.or_else(|| {
+                let (mut row, resumed) = live.next()?;
+                if row.outcome == Outcome::Ok && resumed.load(Ordering::Acquire) {
                     row.outcome = Outcome::Resumed;
                 }
-            }
-        }
-    }
-    // Flush and join the writer before returning so the journal is durable
-    // and byte-stable the moment the report is in hand. An abandoned
-    // (timed-out) attempt may still hold a journal handle; its drop will
-    // flush whenever it finally dies.
-    if let Ok(journal) = Arc::try_unwrap(journal) {
-        journal.close()?;
-    }
-    Ok(report)
+                Some(row)
+            })
+        })
+        .collect();
+    CampaignReport { rows }
 }
 
 /// The Fig. 11 modem experiment: no random loss at all — every drop comes
 /// from the dedicated drop-tail buffer in front of the slow link, and the
-/// standing queue makes RTT grow with the window.
+/// standing queue makes RTT grow with the window. The run streams what
+/// the default [`ExperimentOptions`] ask for.
 pub fn run_modem(spec: &ModemSpec, horizon_secs: f64, seed: u64) -> ExperimentResult {
-    run_modem_with(spec, horizon_secs, seed, &ExperimentOptions::default())
-}
-
-/// [`run_modem`] with explicit [`ExperimentOptions`].
-pub fn run_modem_with(
-    spec: &ModemSpec,
-    horizon_secs: f64,
-    seed: u64,
-    opts: &ExperimentOptions,
-) -> ExperimentResult {
+    let opts = ExperimentOptions::default();
     let half = spec.base_rtt / 2.0;
     let fwd = Path::constant(SimDuration::from_secs_f64(half)).with_bottleneck(Bottleneck::new(
         spec.bottleneck_pps,
@@ -1093,35 +1085,15 @@ pub fn run_modem_with(
         timing: true,
         correlation: opts.correlation,
     };
-    let recorder = if opts.retain_trace {
-        // Bottleneck-limited: the wire rate cannot exceed the bottleneck
-        // packet rate (plus its ACK stream).
-        TraceRecorder::streaming_retained(config, horizon_secs, spec.bottleneck_pps * 1.5)
-    } else {
-        TraceRecorder::streaming(config)
-    };
     let mut conn = Connection::builder()
         .fwd_path(fwd)
         .rev_path(rev)
         .loss(Box::new(tcp_sim::loss::Bernoulli::new(spec.wire_loss)))
         .sender_config(sender)
         .seed(seed)
-        .build_with_observer(recorder);
+        .build_with_observer(TraceRecorder::streaming(config));
     conn.run_for(SimDuration::from_secs_f64(horizon_secs));
-    conn.finish();
-    let stats = conn.stats();
-    let ground_rtt = conn.sender().rto_estimator().mean_rtt();
-    let ground_t0 = conn.sender().rto_estimator().mean_t0();
-    let (stream, trace) = conn.into_observer().finish(Some(horizon_secs));
-    ExperimentResult {
-        stream: stream.unwrap_or_default(),
-        trace,
-        stats,
-        ground_rtt,
-        ground_t0,
-        duration_secs: horizon_secs,
-        event_budget_hit: false,
-    }
+    finish_connection(conn, horizon_secs, false)
 }
 
 #[cfg(test)]
@@ -1188,7 +1160,7 @@ mod tests {
     #[test]
     fn hour_run_produces_consistent_analysis_and_stats() {
         let spec = table2_path("manic", "baskerville").unwrap();
-        let r = run_hour(spec, 1);
+        let r = run_hour_budgeted(spec, 1, DEFAULT_EVENT_BUDGET);
         assert!(
             r.trace.is_none(),
             "campaign default must not retain the trace"
@@ -1205,7 +1177,12 @@ mod tests {
     #[test]
     fn retained_run_matches_batch_analysis_bit_for_bit() {
         let spec = table2_path("manic", "baskerville").unwrap();
-        let retained = run_hour_with(spec, 1, &ExperimentOptions::retained());
+        let retained = run_hour_budgeted_with(
+            spec,
+            1,
+            DEFAULT_EVENT_BUDGET,
+            &ExperimentOptions::retained(),
+        );
         let trace = retained.trace.as_ref().expect("retention requested");
         // Send count in the retained trace matches ground truth.
         assert_eq!(
@@ -1226,7 +1203,7 @@ mod tests {
             Some(&tcp_trace::karn::estimate_timing(trace))
         );
         // And retention does not perturb the simulation itself.
-        let plain = run_hour(spec, 1);
+        let plain = run_hour_budgeted(spec, 1, DEFAULT_EVENT_BUDGET);
         assert_eq!(plain.stats, retained.stats);
         assert_eq!(plain.analysis(), retained.analysis());
     }
@@ -1234,7 +1211,7 @@ mod tests {
     #[test]
     fn calibrated_rtt_and_t0_close_to_paper() {
         let spec = table2_path("manic", "baskerville").unwrap();
-        let r = run_hour(spec, 2);
+        let r = run_hour_budgeted(spec, 2, DEFAULT_EVENT_BUDGET);
         let rtt = r.ground_rtt.unwrap();
         assert!(
             (rtt - spec.rtt).abs() / spec.rtt < 0.25,
@@ -1253,7 +1230,7 @@ mod tests {
     fn calibrated_loss_rate_in_range() {
         let spec = table2_path("void", "maria").unwrap();
         assert_eq!(spec.sender_os().dupack_threshold(), 2, "Linux sender");
-        let r = run_hour(spec, 3);
+        let r = run_hour_budgeted(spec, 3, DEFAULT_EVENT_BUDGET);
         let p = r.analysis().loss_rate();
         let target = spec.paper_loss_rate();
         assert!(
@@ -1286,12 +1263,14 @@ mod tests {
         };
         let (n, base_seed) = (9, 5);
         let pooled = run_serial_100s_with(&spec, n, base_seed, &opts);
-        let wire = calibrate_wire_loss(&spec, base_seed.wrapping_mul(31).wrapping_add(17));
+        let wire = calibrate_wire_loss(&spec, calibration_seed(base_seed));
         let json = |r: &ExperimentResult| serde_json::to_string(r).unwrap();
         assert_eq!(pooled.len(), n);
         for (i, result) in pooled.iter().enumerate() {
             let seed = base_seed.wrapping_mul(1000).wrapping_add(i as u64);
-            let reference = run_connection_raw(&spec, wire, 100.0, seed, &opts);
+            let reference = WireRun::new(&spec, wire, 100.0, seed, u64::MAX, &opts)
+                .run(None)
+                .0;
             assert!(json(result) == json(&reference), "connection {i} differs");
         }
     }
@@ -1299,13 +1278,13 @@ mod tests {
     #[test]
     fn parallel_table2_matches_sequential() {
         let specs = &TABLE2_PATHS[..4];
-        let report = run_table2(specs, 99);
+        let report = run_table2_supervised(specs, 99, &SupervisorConfig::default());
         assert!(report.is_complete(), "campaign: {}", report.summary());
         for (i, spec) in specs.iter().enumerate() {
             let row = &report.rows[i];
             assert_eq!(row.label, spec.id());
             assert_eq!(row.outcome, crate::supervisor::Outcome::Ok);
-            let seq = run_hour(spec, 99 + i as u64);
+            let seq = run_hour_budgeted(spec, 99 + i as u64, DEFAULT_EVENT_BUDGET);
             let par = row.result.as_ref().unwrap();
             assert_eq!(par.stats, seq.stats, "path {}", spec.id());
         }
@@ -1325,8 +1304,8 @@ mod tests {
         // The truncated run is still analyzable and rate-consistent.
         assert!(r.send_rate() > 0.0);
         assert_eq!(r.analysis().packets_sent, r.stats.packets_sent);
-        // The unbudgeted full hour, by contrast, finishes clean.
-        let full = run_hour(spec, 1);
+        // The full hour, by contrast, finishes clean.
+        let full = run_hour_budgeted(spec, 1, DEFAULT_EVENT_BUDGET);
         assert!(!full.event_budget_hit);
         assert_eq!(full.duration_secs, 3600.0);
     }

@@ -5,9 +5,10 @@
 //! (Table II), a modem path (Fig. 11) — and runs the paper's three
 //! measurement campaigns against the `tcp-sim` packet-level simulator:
 //!
-//! * [`experiment::run_hour`] / [`experiment::run_table2`] — the hour-long
-//!   "infinite source" connections behind Table II and Figs. 7/9;
-//! * [`experiment::run_serial_100s`] — the 100×100-second serial
+//! * [`experiment::run_hour_budgeted_with`] /
+//!   [`experiment::run_table2_supervised`] — the hour-long "infinite
+//!   source" connections behind Table II and Figs. 7/9;
+//! * [`experiment::run_serial_100s_with`] — the 100×100-second serial
 //!   connections behind Figs. 8/10 ("serially initiated" is the paper's
 //!   schedule; the simulated connections run concurrently on the worker
 //!   pool and come back in index order);
@@ -42,9 +43,9 @@ pub mod report;
 pub mod supervisor;
 
 pub use experiment::{
-    run_hour, run_hour_budgeted, run_hour_budgeted_with, run_hour_with, run_modem, run_modem_with,
-    run_serial_100s, run_serial_100s_with, run_table2, run_table2_journaled, run_table2_supervised,
-    ExperimentOptions, ExperimentResult, JournalConfig, TraceRecorder, DEFAULT_EVENT_BUDGET,
+    run_hour_budgeted, run_hour_budgeted_with, run_modem, run_serial_100s, run_serial_100s_with,
+    run_table2_journaled, run_table2_supervised, ExperimentOptions, ExperimentResult,
+    JournalConfig, TraceRecorder, DEFAULT_EVENT_BUDGET,
 };
 pub use fleet::{
     run_fleet, run_fleet_with, CohortAudit, CohortReport, FleetCampaignSpec, FleetCohortSpec,

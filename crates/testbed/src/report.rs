@@ -244,7 +244,7 @@ pub fn error_triple_serial(spec: &PathSpec, results: &[ExperimentResult]) -> Err
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_hour, run_serial_100s};
+    use crate::experiment::{run_hour_budgeted, run_serial_100s, DEFAULT_EVENT_BUDGET};
     use crate::paths::table2_path;
 
     #[test]
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn fig7_panel_has_intervals_and_curves() {
         let spec = table2_path("manic", "baskerville").unwrap();
-        let result = run_hour(spec, 11);
+        let result = run_hour_budgeted(spec, 11, DEFAULT_EVENT_BUDGET);
         let panel = fig7_panel(spec, &result, 100.0);
         assert_eq!(
             panel.scatter.len(),
@@ -299,7 +299,7 @@ mod tests {
     fn error_triples_rank_models_as_in_paper() {
         // On a timeout-dominated path the full model must beat TD-only.
         let spec = table2_path("manic", "maria").unwrap();
-        let result = run_hour(spec, 31);
+        let result = run_hour_budgeted(spec, 31, DEFAULT_EVENT_BUDGET);
         let errs = error_triple_hourly(spec, &result, 100.0);
         assert!(
             errs.full < errs.td_only,

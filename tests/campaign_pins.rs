@@ -9,12 +9,15 @@
 //! runners shared one connection runner, one Table II job and one
 //! calibration site, so a pass means the runners compute what they did
 //! then. A digest mismatch means some campaign's output moved.
+//!
+//! The last case checks that a Table II campaign without a journal gives
+//! the rows of the journaled campaign.
 
 use std::time::Duration;
 
 use padhye_tcp_repro::sim::cc::CcAlgorithm;
 use padhye_tcp_repro::testbed::{
-    fig8_paths, run_hour, run_hour_budgeted, run_hour_with, run_modem, run_serial_100s_with,
+    fig8_paths, run_hour_budgeted, run_hour_budgeted_with, run_modem, run_serial_100s_with,
     run_table2_journaled, run_table2_supervised, CampaignReport, ExperimentOptions,
     ExperimentResult, JournalConfig, ModemSpec, PathSpec, SupervisorConfig, DEFAULT_EVENT_BUDGET,
     TABLE2_PATHS,
@@ -80,8 +83,13 @@ fn hour_runs_are_pinned() {
     let mut got = Vec::new();
     for (i, spec) in paths.iter().enumerate() {
         let seed = SEED + i as u64;
-        let plain = run_hour(spec, seed);
-        let retained = run_hour_with(spec, seed, &ExperimentOptions::retained());
+        let plain = run_hour_budgeted(spec, seed, DEFAULT_EVENT_BUDGET);
+        let retained = run_hour_budgeted_with(
+            spec,
+            seed,
+            DEFAULT_EVENT_BUDGET,
+            &ExperimentOptions::retained(),
+        );
         assert!(plain.trace.is_none() && retained.trace.is_some());
         assert!(!plain.event_budget_hit && !retained.event_budget_hit);
         got.push([result_digest(&plain), result_digest(&retained)]);
@@ -172,4 +180,38 @@ fn modem_run_is_pinned() {
     const PIN: Digest = (699, 732186831);
     let r = run_modem(&ModemSpec::default(), 600.0, 0x30DE_0011);
     assert_eq!(result_digest(&r), PIN, "modem result changed");
+}
+
+/// A Table II campaign without a journal is the journaled campaign with
+/// none: at one and at two workers, the rows of `run_table2_supervised`
+/// equal the live rows of `run_table2_journaled` (which checkpoints every
+/// 300 sim-seconds) for the same paths and seed.
+#[test]
+fn campaign_without_a_journal_equals_the_journaled_one() {
+    const SEED: u64 = 0x0A0B_0C0D;
+    let specs = small_paths();
+    for workers in [1, 2] {
+        let supervisor = SupervisorConfig {
+            max_workers: workers,
+            ..SupervisorConfig::default()
+        };
+        let plain = run_table2_supervised(&specs, SEED, &supervisor);
+        assert!(plain.is_complete(), "campaign: {}", plain.summary());
+        let path = std::env::temp_dir().join(format!(
+            "pftk-campaign-pins-{}-{workers}w.waj",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let config = JournalConfig {
+            supervisor,
+            ..JournalConfig::default()
+        };
+        let journaled = run_table2_journaled(&specs, SEED, &path, &config).expect("journal I/O");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            report_digest(&plain),
+            report_digest(&journaled),
+            "{workers} workers: rows differ"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //! the incremental analyzer's peak state stays under a hard ceiling far
 //! below what materializing the wire events would cost.
 
-use padhye_tcp_repro::testbed::{run_hour, table2_path};
+use padhye_tcp_repro::testbed::{run_hour_budgeted, table2_path, DEFAULT_EVENT_BUDGET};
 use padhye_tcp_repro::trace::record::TraceRecord;
 
 /// The wire format's columnar cost per event (1 tag + 8 time + 8 payload
@@ -16,7 +16,7 @@ fn hour_long_streaming_run_stays_under_memory_ceiling() {
     // manic → baskerville: the paper's Fig. 7(a) path, a full simulated
     // hour, default campaign options (streaming, no retention).
     let spec = table2_path("manic", "baskerville").expect("path in Table II");
-    let result = run_hour(spec, 7);
+    let result = run_hour_budgeted(spec, 7, DEFAULT_EVENT_BUDGET);
 
     // The hour produced real traffic and a real analysis.
     let events = result.stream.events;
