@@ -14,12 +14,9 @@
 //! state those reset; slow start, inflation, recovery and the timeout
 //! collapse are the core's.
 
-use super::MIN_SSTHRESH;
+use super::{CUBIC_BETA, CUBIC_FAST_CONVERGENCE, MIN_SSTHRESH};
 use crate::time::SimTime;
 use pftk_snap::{SnapReader, SnapResult, SnapWriter};
-
-/// Multiplicative-decrease factor β (RFC 8312 §4.5).
-const BETA: f64 = 0.7;
 
 /// Time, in seconds, for the cubic to return from `start` to the plateau
 /// `w_max`: the real root of `C·(t − K)³ + W_max = start`.
@@ -49,6 +46,19 @@ pub fn cubic_k(w_max: f64, start: f64) -> f64 {
 pub fn cubic_window(t: f64, k: f64, w_max: f64) -> f64 {
     let d = t - k;
     0.4 * (d * d * d) + w_max
+}
+
+/// The plateau `W_max` a loss at window `w` leaves behind, given the
+/// previous plateau `w_max`. Fast convergence (RFC 8312 §4.6): a plateau
+/// lower than the previous one means capacity shrank, so release it
+/// faster by keeping only `(2 − β)/2` of it. Both granularities call this.
+#[inline]
+pub(super) fn cubic_plateau(w: f64, w_max: f64) -> f64 {
+    if w < w_max {
+        w * CUBIC_FAST_CONVERGENCE
+    } else {
+        w
+    }
 }
 
 /// CUBIC's state on top of the shared window core: the last loss plateau
@@ -87,17 +97,11 @@ impl Cubic {
     }
 
     /// Enters a fresh reduction epoch from window `w` and returns the new
-    /// `ssthresh`. Fast convergence (RFC 8312 §4.6): a plateau lower than
-    /// the previous one means capacity shrank, so release it faster.
+    /// `ssthresh`, with the plateau chosen by [`cubic_plateau`].
     #[inline]
     pub(super) fn reduce(&mut self, w: f64) -> f64 {
-        self.w_max = if w < self.w_max {
-            // (2 − β)/2 with β = 0.7, inlined for the numeric-domain pass.
-            w * 0.65
-        } else {
-            w
-        };
-        let ssthresh = (w * BETA).max(MIN_SSTHRESH);
+        self.w_max = cubic_plateau(w, self.w_max);
+        let ssthresh = (w * CUBIC_BETA).max(MIN_SSTHRESH);
         self.k = cubic_k(self.w_max, ssthresh);
         self.epoch_start = None;
         ssthresh
@@ -165,7 +169,7 @@ mod tests {
     #[test]
     fn window_recrosses_plateau_at_k() {
         let w_max = 50.0;
-        let start = w_max * BETA;
+        let start = w_max * CUBIC_BETA;
         let k = cubic_k(w_max, start);
         assert!((cubic_window(k, k, w_max) - w_max).abs() < 1e-9);
         assert!((cubic_window(0.0, k, w_max) - start).abs() < 1e-9);
@@ -240,7 +244,7 @@ mod tests {
         cc.on_timeout(16);
         assert_eq!(cc.window(), 1);
         assert!(cc.in_slow_start());
-        assert_eq!(cc.ssthresh(), 16.0 * BETA);
+        assert_eq!(cc.ssthresh(), 16.0 * CUBIC_BETA);
     }
 
     #[test]

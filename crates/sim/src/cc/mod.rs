@@ -43,11 +43,21 @@ use serde::{Deserialize, Serialize};
 /// retransmission and one probe in flight.
 const MIN_SSTHRESH: f64 = 2.0;
 
+// The law constants, each stated once: the packet core (`Law`, `Cubic`)
+// and the round law (`RoundCc`) both read them.
+
 /// Per-ACK congestion-avoidance increment of Scalable TCP (Kelly's `a`).
 const SCALABLE_GAIN: f64 = 0.01;
 
 /// Share of the window Scalable TCP keeps on a loss (1 − Kelly's `b`).
 const SCALABLE_KEEP: f64 = 0.875;
+
+/// CUBIC's multiplicative-decrease factor β (RFC 8312 §4.5).
+const CUBIC_BETA: f64 = 0.7;
+
+/// CUBIC's fast-convergence factor `(2 − β)/2` (RFC 8312 §4.6): the share
+/// of a shrinking plateau it remembers.
+const CUBIC_FAST_CONVERGENCE: f64 = (2.0 - CUBIC_BETA) / 2.0;
 
 /// The sender-side congestion-control contract: window accessors plus the
 /// ACK/loss/timeout/RTT event hooks the sender state machine drives.
@@ -458,6 +468,12 @@ mod tests {
         }
         assert_eq!(CcAlgorithm::parse("bbr"), None);
         assert_eq!(CcAlgorithm::parse("CUBIC"), Some(CcAlgorithm::Cubic));
+    }
+
+    #[test]
+    fn fast_convergence_factor_is_the_rfc_value() {
+        // (2 − 0.7)/2, computed in the const, has the bits of 0.65.
+        assert_eq!(CUBIC_FAST_CONVERGENCE.to_bits(), 0.65f64.to_bits());
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! variants: switching a cohort from Reno to CUBIC cannot move a single
 //! draw.
 //!
-//! `Copy` on purpose: the fleet arena stores one `RoundCc` per flow in a
-//! dense SoA column, and the warm loop must stay allocation-free.
+//! One flat `Copy` struct for every law: the fleet arena stores one
+//! `RoundCc` per flow in a dense SoA column (40 bytes), and the warm loop
+//! must stay allocation-free. The law constants are the packet core's
+//! (`SCALABLE_GAIN`, `SCALABLE_KEEP`, `CUBIC_BETA` and CUBIC's plateau
+//! rule), so a law changes in one place at both granularities.
 //!
 //! One carefully scoped exception to "the engine owns all draws": a
 //! triple-duplicate hook may *request* recovery rounds
@@ -24,8 +27,7 @@
 //!
 //! Variant round laws, and where they come from:
 //!
-//! * **Reno** — the paper's §II laws verbatim; bit-identical to the
-//!   pre-trait engine.
+//! * **Reno** — the paper's §II laws verbatim.
 //! * **NewReno** — Reno's window laws plus Fall & Floyd's fast-recovery
 //!   phase in the RFC 6582 §4 *Impatient* form: each packet of the doomed
 //!   tail is repaired by one retransmission per round, during which no
@@ -47,14 +49,14 @@
 //! * **CUBIC** — RFC 8312 cube growth in pure form (no TCP-friendly
 //!   Reno-tracking region, which would mask the short-RTT divergence the
 //!   atlas is after).
-//! * **Scalable** — Kelly's MIMD: the window grows by `0.01·W/b` per
-//!   round (0.01 per ACK) and keeps 7/8 on a TD. Its equilibrium window
-//!   is `Θ(1/p)` against the PFTK formula's `Θ(1/√p)`, so it undershoots
-//!   the prediction across the whole mid-loss band — the widest frontier
-//!   in the atlas.
+//! * **Scalable** — Kelly's MIMD: the window grows by `SCALABLE_GAIN·W/b`
+//!   per round (`SCALABLE_GAIN` per ACK) and keeps `SCALABLE_KEEP` of
+//!   itself on a TD. Its equilibrium window is `Θ(1/p)` against the PFTK
+//!   formula's `Θ(1/√p)`, so it undershoots the prediction across the
+//!   whole mid-loss band — the widest frontier in the atlas.
 
-use super::cubic::{cubic_k, cubic_window};
-use super::CcAlgorithm;
+use super::cubic::{cubic_k, cubic_plateau, cubic_window};
+use super::{CcAlgorithm, CUBIC_BETA, SCALABLE_GAIN, SCALABLE_KEEP};
 
 /// Per-flow round-level congestion state for one algorithm.
 ///
@@ -62,161 +64,86 @@ use super::CcAlgorithm;
 /// threshold active" (pure congestion avoidance), matching the paper's
 /// model which has no initial slow start.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RoundCc {
-    /// Reno: +1/b per round, halve on TD.
-    Reno {
-        /// Fractional congestion window, packets.
-        wf: f64,
-        /// Slow-start threshold (0 = none).
-        ssthresh: u32,
-    },
-    /// NewReno: Reno's laws plus Impatient-variant fast recovery (one
-    /// repaired loss per round, charged by the engine under the
-    /// retransmit timer).
-    NewReno {
-        /// Fractional congestion window, packets.
-        wf: f64,
-        /// Slow-start threshold (0 = none).
-        ssthresh: u32,
-    },
-    /// CUBIC: time-based cube growth around the last plateau.
-    Cubic {
-        /// Fractional congestion window, packets.
-        wf: f64,
-        /// Slow-start threshold (0 = none).
-        ssthresh: u32,
-        /// Last loss plateau `W_max`, packets.
-        w_max: f64,
-        /// Seconds of congestion avoidance since the current epoch began.
-        t: f64,
-        /// Recovery-origin offset `K`, seconds.
-        k: f64,
-    },
-    /// Relentless: decrease by the number of lost packets on TD.
-    Relentless {
-        /// Fractional congestion window, packets.
-        wf: f64,
-        /// Slow-start threshold (0 = none).
-        ssthresh: u32,
-    },
-    /// Scalable: MIMD — `+0.01·W/b` per round, `×7/8` on TD.
-    Scalable {
-        /// Fractional congestion window, packets.
-        wf: f64,
-        /// Slow-start threshold (0 = none).
-        ssthresh: u32,
-    },
-}
-
-/// The shared Reno-shaped per-round growth law: slow start toward an
-/// active threshold, else linear +1/b per round, capped at `wmax`. This
-/// is character-for-character the arithmetic the Reno rounds model has
-/// always used, so Reno behind [`RoundCc`] is bit-identical to the
-/// pre-trait engine.
-//= pftk#cwnd-linear-growth
-#[inline]
-fn reno_round_growth(wf: f64, ssthresh: u32, b: u32, wmax: u32) -> f64 {
-    if ssthresh != 0 && wf < f64::from(ssthresh) {
-        (wf * (1.0 + 1.0 / f64::from(b))).min(f64::from(ssthresh))
-    } else {
-        wf + 1.0 / f64::from(b)
-    }
-    .min(f64::from(wmax))
+pub struct RoundCc {
+    /// Fractional congestion window, packets.
+    pub(crate) wf: f64,
+    /// Slow-start threshold (0 = none).
+    ssthresh: u32,
+    /// Which window law runs.
+    law: CcAlgorithm,
+    /// CUBIC's last loss plateau `W_max`, packets (unused by the other
+    /// laws).
+    w_max: f64,
+    /// CUBIC: seconds of congestion avoidance since the current epoch
+    /// began.
+    t: f64,
+    /// CUBIC's recovery-origin offset `K`, seconds.
+    k: f64,
 }
 
 impl RoundCc {
     /// Initial state for `algo` with the given (already `wmax`-clamped)
-    /// initial window. Matches the rounds model's historic start: no
-    /// threshold active, i.e. congestion avoidance from the first round.
+    /// initial window: no threshold active, i.e. congestion avoidance
+    /// from the first round.
     pub fn new(algo: CcAlgorithm, initial_window: u32) -> RoundCc {
         let wf = f64::from(initial_window);
-        match algo {
-            CcAlgorithm::Reno => RoundCc::Reno { wf, ssthresh: 0 },
-            CcAlgorithm::NewReno => RoundCc::NewReno { wf, ssthresh: 0 },
-            CcAlgorithm::Cubic => RoundCc::Cubic {
-                wf,
-                ssthresh: 0,
-                // First epoch: plateau at the initial window with K = 0,
-                // so W(t) = C·t³ + W₀ probes convexly from the start.
-                w_max: wf,
-                t: 0.0,
-                k: 0.0,
-            },
-            CcAlgorithm::Relentless => RoundCc::Relentless { wf, ssthresh: 0 },
-            CcAlgorithm::Scalable => RoundCc::Scalable { wf, ssthresh: 0 },
+        RoundCc {
+            wf,
+            ssthresh: 0,
+            law: algo,
+            // CUBIC's first epoch: plateau at the initial window with
+            // K = 0, so W(t) = C·t³ + W₀ probes convexly from the start.
+            w_max: wf,
+            t: 0.0,
+            k: 0.0,
         }
     }
 
     /// Integer send window for the coming round, packets, in `[1, wmax]`.
     #[inline]
     pub fn window(&self, wmax: u32) -> u32 {
-        let wf = match *self {
-            RoundCc::Reno { wf, .. }
-            | RoundCc::NewReno { wf, .. }
-            | RoundCc::Cubic { wf, .. }
-            | RoundCc::Relentless { wf, .. }
-            | RoundCc::Scalable { wf, .. } => wf,
-        };
         // The truncating cast equals `wf.floor() as u32` for every f64 —
         // floor and truncation differ only below zero, where the cast
         // saturates both to 0 — without `floor`'s libm call on baseline
         // x86-64.
-        (wf as u32).clamp(1, wmax) //~ allow(cast): saturating float truncation, clamped into [1, wmax]
+        (self.wf as u32).clamp(1, wmax) //~ allow(cast): saturating float truncation, clamped into [1, wmax]
     }
 
     /// Current slow-start threshold (0 = none) — exposed for parity tests.
     #[inline]
     pub fn ssthresh(&self) -> u32 {
-        match *self {
-            RoundCc::Reno { ssthresh, .. }
-            | RoundCc::NewReno { ssthresh, .. }
-            | RoundCc::Cubic { ssthresh, .. }
-            | RoundCc::Relentless { ssthresh, .. }
-            | RoundCc::Scalable { ssthresh, .. } => ssthresh,
-        }
+        self.ssthresh
     }
 
-    /// A full round completed without a loss indication: grow the window.
-    /// `rtt` (seconds) advances CUBIC's epoch clock; the AIMD variants
-    /// ignore it.
+    /// A full round completed without a loss indication: grow the window
+    /// by slow start toward an active threshold, else by the law's
+    /// congestion-avoidance step, capped at `wmax`. `rtt` (seconds)
+    /// advances CUBIC's epoch clock; the other laws ignore it.
+    //= pftk#cwnd-linear-growth
     #[inline]
     pub fn on_round_no_loss(&mut self, b: u32, wmax: u32, rtt: f64) {
-        match self {
-            RoundCc::Reno { wf, ssthresh }
-            | RoundCc::NewReno { wf, ssthresh }
-            | RoundCc::Relentless { wf, ssthresh } => {
-                *wf = reno_round_growth(*wf, *ssthresh, b, wmax);
-            }
-            RoundCc::Scalable { wf, ssthresh } => {
-                if *ssthresh != 0 && *wf < f64::from(*ssthresh) {
-                    // Post-timeout slow start is shared mechanics.
-                    *wf = reno_round_growth(*wf, *ssthresh, b, wmax);
-                } else {
-                    // Kelly's MIMD: 0.01 per ACK, W/b ACKs per round.
-                    *wf = (*wf * (1.0 + 0.01 / f64::from(b))).min(f64::from(wmax));
+        let b = f64::from(b);
+        self.wf = if self.ssthresh != 0 && self.wf < f64::from(self.ssthresh) {
+            // Post-timeout slow start is shared mechanics, not a law.
+            (self.wf * (1.0 + 1.0 / b)).min(f64::from(self.ssthresh))
+        } else {
+            match self.law {
+                CcAlgorithm::Reno | CcAlgorithm::NewReno | CcAlgorithm::Relentless => {
+                    self.wf + 1.0 / b
                 }
-            }
-            RoundCc::Cubic {
-                wf,
-                ssthresh,
-                w_max,
-                t,
-                k,
-            } => {
-                if *ssthresh != 0 && *wf < f64::from(*ssthresh) {
-                    // Post-timeout slow start is shared mechanics, not a
-                    // CUBIC law: grow like Reno until the threshold.
-                    *wf = reno_round_growth(*wf, *ssthresh, b, wmax);
-                } else {
-                    // Congestion avoidance: one round of wall-clock time
-                    // passes, take the cubic's value there. max() keeps
-                    // the window monotone across the slow-start → CA
-                    // hand-off when the cubic starts below it.
-                    *t += rtt;
-                    *wf = wf.max(cubic_window(*t, *k, *w_max)).min(f64::from(wmax));
+                // Kelly's MIMD: the per-ACK gain, W/b ACKs per round.
+                CcAlgorithm::Scalable => self.wf * (1.0 + SCALABLE_GAIN / b),
+                CcAlgorithm::Cubic => {
+                    // One round of wall-clock time passes; take the
+                    // cubic's value there. max() keeps the window
+                    // monotone across the slow-start → CA hand-off when
+                    // the cubic starts below it.
+                    self.t += rtt;
+                    self.wf.max(cubic_window(self.t, self.k, self.w_max))
                 }
             }
         }
+        .min(f64::from(wmax));
     }
 
     /// The TD period ended in a triple-duplicate indication at window
@@ -235,92 +162,55 @@ impl RoundCc {
     #[inline]
     #[must_use = "the engine must charge the returned recovery rounds"]
     pub fn on_td(&mut self, peak: u32, losses: u32, p: f64) -> u32 {
-        match self {
-            RoundCc::Reno { wf, ssthresh } => {
-                *wf = f64::from((peak / 2).max(1));
-                *ssthresh = 0;
-                0
+        let w = f64::from(peak);
+        self.ssthresh = 0;
+        match self.law {
+            CcAlgorithm::Reno | CcAlgorithm::NewReno => self.wf = f64::from((peak / 2).max(1)),
+            CcAlgorithm::Cubic => {
+                self.w_max = cubic_plateau(w, self.w_max);
+                self.wf = (w * CUBIC_BETA).max(1.0);
+                self.k = cubic_k(self.w_max, self.wf);
+                self.t = 0.0;
             }
-            RoundCc::NewReno { wf, ssthresh } => {
-                // Same halving as Reno, but the doomed tail is repaired
-                // one retransmission per round (module docs).
-                *wf = f64::from((peak / 2).max(1));
-                *ssthresh = 0;
-                losses
-            }
-            RoundCc::Cubic {
-                wf,
-                ssthresh,
-                w_max,
-                t,
-                k,
-            } => {
-                let w = f64::from(peak);
-                // Fast convergence: a plateau below the previous one
-                // means capacity shrank — release it faster ((2−β)/2
-                // with β = 0.7, inlined for the numeric-domain pass).
-                *w_max = if w < *w_max { w * 0.65 } else { w };
-                let new_wf = (w * 0.7).max(1.0);
-                *k = cubic_k(*w_max, new_wf);
-                *t = 0.0;
-                *wf = new_wf;
-                *ssthresh = 0;
-                0
-            }
-            RoundCc::Relentless { wf, ssthresh } => {
+            CcAlgorithm::Relentless => {
                 // Decrease by the number of lost packets in the
                 // mean-field form of the Relentless model: `p·W` expected
                 // per-packet Bernoulli losses, at least one (the loss
                 // that triggered the indication). The engine-supplied
                 // doomed-tail count is Reno's recovery idealization, not
                 // this variant's law (module docs).
-                let _ = losses;
-                let lost = (f64::from(peak) * p).max(1.0);
-                *wf = (f64::from(peak) - lost).max(1.0);
-                *ssthresh = 0;
-                0
+                let lost = (w * p).max(1.0);
+                self.wf = (w - lost).max(1.0);
             }
-            RoundCc::Scalable { wf, ssthresh } => {
-                // Kelly's b = 1/8 cut: keep 7/8 of the window.
-                *wf = (f64::from(peak) * 0.875).max(1.0);
-                *ssthresh = 0;
-                0
-            }
+            // Kelly's b = 1/8 cut.
+            CcAlgorithm::Scalable => self.wf = (w * SCALABLE_KEEP).max(1.0),
+        }
+        // NewReno repairs the doomed tail one retransmission per round
+        // (module docs).
+        if self.law == CcAlgorithm::NewReno {
+            losses
+        } else {
+            0
         }
     }
 
     /// The TD period ended in a timeout at window `peak`: collapse to one
     /// and (optionally) arm slow start back toward `peak/2` — every
-    /// variant keeps the paper's timeout behaviour.
+    /// variant keeps the paper's timeout behaviour. CUBIC also starts a
+    /// new epoch at the `peak` plateau.
     //= pftk#cwnd-to-collapse
     #[inline]
     pub fn on_to(&mut self, peak: u32, slow_start_after_to: bool) {
-        let ss = if slow_start_after_to {
+        self.wf = 1.0;
+        self.ssthresh = if slow_start_after_to {
             (peak / 2).max(2)
         } else {
             0
         };
-        match self {
-            RoundCc::Reno { wf, ssthresh }
-            | RoundCc::NewReno { wf, ssthresh }
-            | RoundCc::Relentless { wf, ssthresh }
-            | RoundCc::Scalable { wf, ssthresh } => {
-                *wf = 1.0;
-                *ssthresh = ss;
-            }
-            RoundCc::Cubic {
-                wf,
-                ssthresh,
-                w_max,
-                t,
-                k,
-            } => {
-                *w_max = f64::from(peak);
-                *k = cubic_k(*w_max, f64::from(ss.max(1)));
-                *t = 0.0;
-                *wf = 1.0;
-                *ssthresh = ss;
-            }
+        if self.law == CcAlgorithm::Cubic {
+            self.w_max = f64::from(peak);
+            self.k = cubic_k(self.w_max, f64::from(self.ssthresh.max(1)));
+            self.t = 0.0;
         }
     }
 }
@@ -328,6 +218,45 @@ impl RoundCc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::{CcState, CongestionController};
+    use crate::time::SimTime;
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn flat_state_fits_the_arena_column() {
+        // wf, w_max, t, k (4 × 8) + ssthresh (4) + law tag (1), padded.
+        assert_eq!(std::mem::size_of::<RoundCc>(), 40);
+    }
+
+    /// The two granularities cut the window the same way on a triple
+    /// duplicate: the round window after `on_td(W, ..)` is ⌊ssthresh⌋ of
+    /// the packet core after a SACK entry with cwnd = flight = W. The
+    /// peaks start where neither floor binds (2 packets on the packet
+    /// side, 1 on the round side); Reno and NewReno halve, so they are
+    /// checked at even peaks. Relentless is left out on purpose: its round
+    /// law cuts the mean-field `p·W` expected losses, the packet core
+    /// `cwnd − 1` at entry and one per repaired hole (DESIGN §16).
+    #[test]
+    fn td_cut_matches_the_packet_core() {
+        for (law, first, step) in [
+            (CcAlgorithm::Reno, 4, 2),
+            (CcAlgorithm::NewReno, 4, 2),
+            (CcAlgorithm::Cubic, 3, 1),
+            (CcAlgorithm::Scalable, 3, 1),
+        ] {
+            for peak in (first..=1_024).step_by(step) {
+                let mut round = RoundCc::new(law, peak);
+                let _ = round.on_td(peak, 1, 0.01);
+                let mut packet = CcState::new(law, f64::from(peak));
+                packet.on_sack_retransmit(SimTime::ZERO, u64::from(peak));
+                assert_eq!(
+                    f64::from(round.window(u32::MAX)),
+                    packet.ssthresh().floor(),
+                    "{law:?} at peak {peak}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn reno_matches_historic_laws() {

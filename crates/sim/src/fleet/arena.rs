@@ -53,8 +53,8 @@ pub(crate) struct FlowArena {
     cohort_of: Vec<u32>,
     /// Per-flow deterministic RNG stream (`flow_seed(base, global_id)`).
     rng: Vec<SimRng>,
-    /// Per-flow round-level congestion controller (`Copy`, SoA-friendly):
-    /// the variant's window laws; never draws from `rng`.
+    /// Per-flow round-level congestion controller (`Copy`, SoA-friendly,
+    /// one flat 40-byte struct for every law); never draws from `rng`.
     cc: Vec<RoundCc>,
     /// Per-flow pending time: the absolute nanosecond time of the flow's
     /// next event. Every flow's first round is due at time zero.

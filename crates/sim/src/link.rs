@@ -74,7 +74,7 @@ impl Bottleneck {
 
     /// Offers a packet at `now`; returns its departure time or `None` on
     /// drop.
-    fn offer(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
+    pub(crate) fn offer(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
         let backlog = self.backlog(now);
         if self.policy.should_drop(backlog, rng) {
             self.drops += 1;

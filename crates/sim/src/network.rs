@@ -25,6 +25,7 @@
 //! heap. Pops therefore follow the plain ascending `(time, id)` order.
 
 use crate::event::{EventScheduler, HybridQueue, Lane};
+use crate::link::Bottleneck;
 use crate::packet::{Ack, Segment, Seq};
 use crate::queue::QueuePolicy;
 use crate::receiver::{DelAckTimer, Receiver, ReceiverConfig, ReceiverOutput};
@@ -174,11 +175,8 @@ pub struct Network {
     /// senders on the ACK lane (see the module docs).
     queue: HybridQueue<Ev>,
     flows: Vec<(FlowConfig, FlowState)>,
-    /// Bottleneck service time per packet.
-    service: SimDuration,
-    /// Time at which the bottleneck server frees up.
-    horizon: SimTime,
-    policy: Box<dyn QueuePolicy + Send>,
+    /// The shared bottleneck; its admission draws use `rng`.
+    bottleneck: Bottleneck,
     per_flow_drops: Vec<u64>,
     per_flow_sent: Vec<u64>,
     rng: SimRng,
@@ -188,15 +186,15 @@ pub struct Network {
 impl Network {
     /// A network whose bottleneck serves `rate_pps` packets per second
     /// under the given admission policy.
+    ///
+    /// # Panics
+    /// If `rate_pps` is not finite and positive ([`Bottleneck::new`]).
     pub fn new(rate_pps: f64, policy: Box<dyn QueuePolicy + Send>, seed: u64) -> Self {
-        assert!(rate_pps > 0.0, "bottleneck rate must be positive");
         Network {
             now: SimTime::ZERO,
             queue: HybridQueue::new(),
             flows: Vec::new(),
-            service: SimDuration::from_secs_f64(1.0 / rate_pps),
-            horizon: SimTime::ZERO,
-            policy,
+            bottleneck: Bottleneck::new(rate_pps, policy),
             per_flow_drops: Vec::new(),
             per_flow_sent: Vec::new(),
             rng: SimRng::seed_from_u64(seed),
@@ -233,12 +231,6 @@ impl Network {
         self.per_flow_drops.push(0);
         self.per_flow_sent.push(0);
         self.flows.len() - 1
-    }
-
-    /// Current backlog at the bottleneck, packets.
-    fn backlog(&self) -> f64 {
-        let residual = self.horizon.saturating_since(self.now);
-        residual.as_nanos() as f64 / self.service.as_nanos().max(1) as f64 //~ allow(cast): integer count to f64, exact below 2^53
     }
 
     /// Runs the network until the clock reaches `until`.
@@ -326,18 +318,10 @@ impl Network {
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::QueueArrive { flow, seg } => {
-                let backlog = self.backlog();
-                if self.policy.should_drop(backlog, &mut self.rng) {
+                let Some(depart) = self.bottleneck.offer(self.now, &mut self.rng) else {
                     self.per_flow_drops[flow] += 1;
                     return;
-                }
-                let start = if self.horizon > self.now {
-                    self.horizon
-                } else {
-                    self.now
                 };
-                let depart = start + self.service;
-                self.horizon = depart;
                 let tail = self.flows[flow].0.tail_delay;
                 self.queue
                     .schedule(Lane::Data, depart + tail, Ev::RxArrive { flow, seg });

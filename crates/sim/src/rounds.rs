@@ -849,7 +849,8 @@ mod tests {
             (x.ceil() as u32).clamp(1, bound),
             "ceil of {x:?} clamped to {bound}"
         );
-        let cc = RoundCc::Reno { wf: x, ssthresh: 0 };
+        let mut cc = RoundCc::new(CcAlgorithm::Reno, 1);
+        cc.wf = x;
         assert_eq!(
             cc.window(bound),
             (x.floor() as u32).clamp(1, bound),
