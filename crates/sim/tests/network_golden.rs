@@ -9,8 +9,10 @@
 //! or receiver counter fails here.
 
 use pftk_snap::SnapWriter;
-use tcp_sim::network::{FlowConfig, Network};
+use tcp_sim::cc::CcAlgorithm;
+use tcp_sim::network::{FlowConfig, FlowKind, Network};
 use tcp_sim::queue::{DropTail, QueuePolicy, Red};
+use tcp_sim::receiver::ReceiverConfig;
 use tcp_sim::reno::sender::{RenoStyle, SenderConfig};
 use tcp_sim::tfrc::TfrcConfig;
 use tcp_sim::time::SimDuration;
@@ -127,4 +129,68 @@ fn sack_flow_against_reno() {
         300.0,
     );
     assert_eq!(got, (274, 2_470_451_636));
+}
+
+#[test]
+fn newreno_flow_against_reno() {
+    // RFC 6582 partial-ACK recovery: a shared drop-tail queue drops
+    // several packets of one window, so NewReno stays in recovery where
+    // Reno leaves it.
+    let newreno = SenderConfig {
+        cc: CcAlgorithm::NewReno,
+        ..SenderConfig::default()
+    };
+    let got = run_digest(
+        100.0,
+        Box::new(DropTail::new(15)),
+        12,
+        vec![
+            FlowConfig::tcp(0.1, newreno),
+            FlowConfig::tcp(0.1, SenderConfig::default()),
+        ],
+        300.0,
+    );
+    assert_eq!(got, (274, 2_480_905_693));
+}
+
+#[test]
+fn cubic_tahoe_flow_against_reno() {
+    let cubic_tahoe = SenderConfig {
+        style: RenoStyle::Tahoe,
+        cc: CcAlgorithm::Cubic,
+        ..SenderConfig::default()
+    };
+    let got = run_digest(
+        100.0,
+        Box::new(DropTail::new(20)),
+        13,
+        vec![
+            FlowConfig::tcp(0.1, cubic_tahoe),
+            FlowConfig::tcp(0.1, SenderConfig::default()),
+        ],
+        300.0,
+    );
+    assert_eq!(got, (274, 971_588_487));
+}
+
+#[test]
+fn per_packet_acks_against_delayed_acks() {
+    // `ack_every: 1` never arms the delayed-ACK timer; the default
+    // receiver arms and cancels it on every other segment.
+    let mut per_packet = FlowConfig::tcp(0.1, SenderConfig::default());
+    per_packet.kind = FlowKind::Tcp {
+        sender: SenderConfig::default(),
+        receiver: ReceiverConfig {
+            ack_every: 1,
+            ..ReceiverConfig::default()
+        },
+    };
+    let got = run_digest(
+        100.0,
+        Box::new(DropTail::new(25)),
+        14,
+        vec![per_packet, FlowConfig::tcp(0.1, SenderConfig::default())],
+        300.0,
+    );
+    assert_eq!(got, (274, 2_523_052_367));
 }
