@@ -7,23 +7,27 @@
 //! segments leaving and ACKs arriving — which is what the `tcp-trace`
 //! analysis programs consume.
 //!
-//! Events run on the lane engine ([`HybridQueue`]): data and ACK arrivals
-//! on their monotone lanes, the RTO and delayed-ACK timers on single-slot
-//! lanes. The hot path is monomorphized over the observer and the loss
-//! process (the builder converts any concrete model into a [`LossKind`],
-//! so per-packet drop draws inline instead of going through a `dyn` call).
-//! Sender/receiver outputs are pooled: the steady-state event loop reuses
-//! two scratch buffers instead of allocating per event.
+//! The endpoints and the glue between them are the crate's TCP flow core
+//! (`tcp_flow`), which [`crate::network::Network`] runs too; this module
+//! supplies the wire. Events run on the lane engine
+//! ([`HybridQueue`]): data and ACK arrivals on their monotone lanes, the
+//! RTO and delayed-ACK timers on single-slot lanes. The hot path is
+//! monomorphized over the observer and the loss process (the builder
+//! converts any concrete model into a [`LossKind`], so per-packet drop
+//! draws inline instead of going through a `dyn` call). The core pools
+//! the sender/receiver outputs, so the steady-state event loop allocates
+//! nothing per event.
 
 use crate::event::{EventScheduler, HybridQueue, Lane};
 use crate::fault::{Direction, FaultPlan, Impairment};
 use crate::link::Path;
 use crate::loss::{LossKind, LossModel, NoLoss};
-use crate::packet::{Ack, SackBlocks, Segment, Seq};
-use crate::receiver::{DelAckTimer, Receiver, ReceiverConfig, ReceiverOutput};
-use crate::reno::sender::{Sender, SenderConfig, SenderOutput, TimerCmd};
+use crate::packet::{Ack, Segment, Seq};
+use crate::receiver::{Receiver, ReceiverConfig};
+use crate::reno::sender::{Sender, SenderConfig};
 use crate::rng::SimRng;
 use crate::stats::ConnStats;
+use crate::tcp_flow::{Ev, SackSlab, TcpFlow, Wire};
 use crate::time::{SimDuration, SimTime};
 use pftk_snap::{frame, unframe, SnapError, SnapReader, SnapResult, SnapWriter};
 
@@ -41,139 +45,6 @@ pub trait Observer {
 
 /// The "no trace" observer.
 impl Observer for () {}
-
-/// A pending event. Each is 16 bytes, so a queue entry is 32: an ACK's
-/// SACK ranges (48 bytes inline in an [`Ack`]) wait in the connection's
-/// [`SackSlab`] and the event holds their handle.
-#[derive(Debug)]
-enum Ev {
-    DataArrive { seq: Seq, retransmit: bool },
-    AckArrive { ack: Seq, sack: u32 },
-    Rto(u64),
-    DelAck(u64),
-}
-
-impl Ev {
-    /// Payload codec for queue snapshots: a one-byte discriminant, then the
-    /// variant's fields. An ACK writes its ranges, looked up in `sacks`.
-    fn snapshot_into(&self, sacks: &SackSlab, w: &mut SnapWriter) {
-        match *self {
-            Ev::DataArrive { seq, retransmit } => {
-                w.put_u8(0);
-                w.put_u64(seq);
-                w.put_bool(retransmit);
-            }
-            Ev::AckArrive { ack, sack } => {
-                w.put_u8(1);
-                w.put_u64(ack);
-                sacks.get(sack).snapshot_into(w);
-            }
-            Ev::Rto(gen) => {
-                w.put_u8(2);
-                w.put_u64(gen);
-            }
-            Ev::DelAck(gen) => {
-                w.put_u8(3);
-                w.put_u64(gen);
-            }
-        }
-    }
-
-    /// Reads an event written by [`Self::snapshot_into`], parking an ACK's
-    /// ranges in `sacks`.
-    fn restore_from(r: &mut SnapReader<'_>, sacks: &mut SackSlab) -> SnapResult<Ev> {
-        match r.get_u8()? {
-            0 => Ok(Ev::DataArrive {
-                seq: r.get_u64()?,
-                retransmit: r.get_bool()?,
-            }),
-            1 => Ok(Ev::AckArrive {
-                ack: r.get_u64()?,
-                sack: sacks.put(SackBlocks::restore_from(r)?),
-            }),
-            2 => Ok(Ev::Rto(r.get_u64()?)),
-            3 => Ok(Ev::DelAck(r.get_u64()?)),
-            _ => Err(SnapError::Invalid("event payload discriminant")),
-        }
-    }
-}
-
-/// The SACK ranges of the ACK events in flight, out of line so that an
-/// event stays small. An event holds a handle: 0 is the empty set, which
-/// takes no slot, so an ACK without SACK ranges never touches the slab;
-/// handle `h > 0` names slot `h - 1`. A taken slot joins a free list and
-/// is reused, so the slab grows only to the high-water mark of
-/// SACK-bearing ACKs in flight.
-#[derive(Debug, Default)]
-struct SackSlab {
-    slots: Vec<SackSlot>,
-    /// The handle of the most recently freed slot, whose link names the
-    /// next free one.
-    free: Option<u32>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SackSlot {
-    Held(SackBlocks),
-    Free(Option<u32>),
-}
-
-impl SackSlab {
-    /// The slot index of a handle; `None` for the empty set.
-    #[inline]
-    fn index(handle: u32) -> Option<usize> {
-        usize::try_from(handle.checked_sub(1)?).ok()
-    }
-
-    /// Parks `blocks`, returning their handle.
-    #[inline]
-    fn put(&mut self, blocks: SackBlocks) -> u32 {
-        if blocks.is_empty() {
-            return 0;
-        }
-        if let Some(handle) = self.free {
-            if let Some(slot) = Self::index(handle).and_then(|i| self.slots.get_mut(i)) {
-                if let SackSlot::Free(next) = *slot {
-                    *slot = SackSlot::Held(blocks);
-                    self.free = next;
-                    return handle;
-                }
-            }
-        }
-        //~ allow(hot_alloc): slots are reused through the free list; the slab grows only to the SACK-bearing ACKs in flight
-        self.slots.push(SackSlot::Held(blocks));
-        u32::try_from(self.slots.len()).unwrap_or(0)
-    }
-
-    /// Takes the ranges of `handle` out and frees its slot.
-    #[inline]
-    fn take(&mut self, handle: u32) -> SackBlocks {
-        let next = self.free;
-        let Some(slot) = Self::index(handle).and_then(|i| self.slots.get_mut(i)) else {
-            return SackBlocks::EMPTY;
-        };
-        let SackSlot::Held(blocks) = *slot else {
-            return SackBlocks::EMPTY;
-        };
-        *slot = SackSlot::Free(next);
-        self.free = Some(handle);
-        blocks
-    }
-
-    /// The ranges of `handle`, left in place.
-    fn get(&self, handle: u32) -> SackBlocks {
-        match Self::index(handle).and_then(|i| self.slots.get(i)) {
-            Some(SackSlot::Held(blocks)) => *blocks,
-            _ => SackBlocks::EMPTY,
-        }
-    }
-
-    /// Drops every parked range (the queue they belonged to was emptied).
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free = None;
-    }
-}
 
 /// Frame kind identifying a full connection snapshot (DESIGN.md §13).
 pub const CONN_SNAPSHOT_KIND: u32 = 1;
@@ -275,26 +146,23 @@ impl ConnectionBuilder {
         let half = SimDuration::from_nanos(self.rtt.as_nanos() / 2);
         Connection {
             now: SimTime::ZERO,
-            queue: HybridQueue::new(),
-            sender: Sender::new(self.sender),
-            receiver: Receiver::new(self.receiver.negotiated_with(self.sender.style)),
-            fwd: self.fwd.unwrap_or_else(|| Path::constant(half)),
-            rev: self.rev.unwrap_or_else(|| Path::constant(half)),
-            loss: self.loss,
-            ack_loss: self.ack_loss,
-            fault: self.fault,
-            loss_rng,
-            path_rng,
-            fault_rng,
-            observer,
-            rto_gen: 0,
-            delack_gen: 0,
-            next_round_seq: 0,
+            flow: TcpFlow::new(self.sender, self.receiver),
+            wire: ConnWire {
+                queue: HybridQueue::new(),
+                fwd: self.fwd.unwrap_or_else(|| Path::constant(half)),
+                rev: self.rev.unwrap_or_else(|| Path::constant(half)),
+                loss: self.loss,
+                ack_loss: self.ack_loss,
+                fault: self.fault,
+                loss_rng,
+                path_rng,
+                fault_rng,
+                observer,
+                next_round_seq: 0,
+                sacks: SackSlab::default(),
+            },
             started: false,
             events_processed: 0,
-            sender_out: SenderOutput::default(),
-            receiver_out: ReceiverOutput::default(),
-            sacks: SackSlab::default(),
         }
     }
 }
@@ -302,9 +170,16 @@ impl ConnectionBuilder {
 /// A running simulated TCP connection, monomorphized over its observer.
 pub struct Connection<O: Observer = ()> {
     now: SimTime,
+    flow: TcpFlow,
+    wire: ConnWire<O>,
+    started: bool,
+    events_processed: u64,
+}
+
+/// What lies between a connection's endpoints: paths, loss, fault plan,
+/// their RNG streams, the observer, and the queue.
+struct ConnWire<O> {
     queue: HybridQueue<Ev>,
-    sender: Sender,
-    receiver: Receiver,
     fwd: Path,
     rev: Path,
     loss: LossKind,
@@ -314,16 +189,7 @@ pub struct Connection<O: Observer = ()> {
     path_rng: SimRng,
     fault_rng: SimRng,
     observer: O,
-    rto_gen: u64,
-    delack_gen: u64,
     next_round_seq: Seq,
-    started: bool,
-    events_processed: u64,
-    /// Pooled sender-output scratch: reused across events so the steady
-    /// state allocates nothing per packet.
-    sender_out: SenderOutput,
-    /// Pooled receiver-output scratch.
-    receiver_out: ReceiverOutput,
     /// SACK ranges of the ACK events in the queue.
     sacks: SackSlab,
 }
@@ -354,24 +220,22 @@ impl<O: Observer> Connection<O> {
 
     /// Ground-truth counters (sender counters + receiver delivery count).
     pub fn stats(&self) -> ConnStats {
-        let mut s = self.sender.stats.clone();
-        s.packets_delivered = self.receiver.distinct_received();
-        s
+        self.flow.stats()
     }
 
     /// Read access to the sender (RTT/T0 ground truth, window state).
     pub fn sender(&self) -> &Sender {
-        &self.sender
+        &self.flow.sender
     }
 
     /// Read access to the receiver.
     pub fn receiver(&self) -> &Receiver {
-        &self.receiver
+        &self.flow.receiver
     }
 
     /// Read access to the observer (e.g. to extract a recorded trace).
     pub fn observer(&self) -> &O {
-        &self.observer
+        &self.wire.observer
     }
 
     /// Mutable access to the observer (e.g. to restore a snapshotted
@@ -379,17 +243,17 @@ impl<O: Observer> Connection<O> {
     /// connection snapshot deliberately excludes the observer, whose
     /// persistence is the owner's concern).
     pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
+        &mut self.wire.observer
     }
 
     /// Consumes the connection, returning the observer.
     pub fn into_observer(self) -> O {
-        self.observer
+        self.wire.observer
     }
 
     /// Packets dropped by path bottlenecks (in addition to the loss model).
     pub fn bottleneck_drops(&self) -> u64 {
-        self.fwd.bottleneck_drops() + self.rev.bottleneck_drops()
+        self.wire.fwd.bottleneck_drops() + self.wire.rev.bottleneck_drops()
     }
 
     /// Total discrete events processed so far. Monotone over the life of
@@ -417,48 +281,19 @@ impl<O: Observer> Connection<O> {
     pub fn run_until_budget(&mut self, until: SimTime, max_events: u64) -> bool {
         if !self.started {
             self.started = true;
-            self.sender.on_start_into(self.now, &mut self.sender_out);
-            self.apply_sender_output();
+            self.flow.start(self.now, &mut self.wire);
         }
         while self.events_processed < max_events {
-            let Some((at, ev)) = self.queue.pop_due(until) else {
+            let Some((at, ev)) = self.wire.queue.pop_due(until) else {
                 self.now = until;
                 return false;
             };
             self.now = at;
             self.events_processed += 1;
-            match ev {
-                Ev::DataArrive { seq, retransmit } => {
-                    let seg = Segment { seq, retransmit };
-                    let out = &mut self.receiver_out;
-                    self.receiver.on_segment_into(self.now, seg, out);
-                    self.apply_receiver_output();
-                }
-                Ev::AckArrive { ack, sack } => {
-                    let ack = Ack {
-                        ack,
-                        sack: self.sacks.take(sack),
-                    };
-                    self.observer.on_ack_received(self.now, ack);
-                    self.sender.on_ack_into(self.now, ack, &mut self.sender_out);
-                    self.apply_sender_output();
-                }
-                Ev::Rto(gen) => {
-                    if gen == self.rto_gen {
-                        self.sender.on_rto_into(self.now, &mut self.sender_out);
-                        self.apply_sender_output();
-                    }
-                }
-                Ev::DelAck(gen) => {
-                    if gen == self.delack_gen {
-                        self.receiver.on_delack_into(&mut self.receiver_out);
-                        self.apply_receiver_output();
-                    }
-                }
-            }
+            self.flow.handle(at, ev, &mut self.wire);
         }
         // The budget is spent: that is an abort only if an event is due.
-        if self.queue.peek_time().is_some_and(|at| at <= until) {
+        if self.wire.queue.peek_time().is_some_and(|at| at <= until) {
             return true;
         }
         self.now = until;
@@ -475,117 +310,17 @@ impl<O: Observer> Connection<O> {
     /// completion instant if reached. Events are drained in bounded slices
     /// so the clock cannot run past `deadline`.
     pub fn run_until_complete(&mut self, deadline: SimTime) -> Option<SimTime> {
-        while self.now < deadline && !self.sender.is_complete() {
+        while self.now < deadline && !self.flow.sender.is_complete() {
             let step = SimDuration::from_millis(50).min(deadline - self.now);
             self.run_until(self.now + step);
         }
-        self.sender.completed_at()
+        self.flow.sender.completed_at()
     }
 
     /// Flushes end-of-run bookkeeping (open timeout sequences) into the
     /// stats. Call once after the final `run_until`.
     pub fn finish(&mut self) {
-        self.sender.finish();
-    }
-
-    /// Puts the sender's output on the wire. The scratch output is read in
-    /// place: every other field this touches is a different one.
-    fn apply_sender_output(&mut self) {
-        let out = &self.sender_out;
-        for &seg in &out.segments {
-            self.observer.on_segment_sent(self.now, seg);
-            // Round accounting for intra-round-correlated loss models.
-            if seg.retransmit {
-                self.loss.on_round_boundary();
-                self.next_round_seq = self.sender.snd_nxt();
-            } else if seg.seq >= self.next_round_seq {
-                self.loss.on_round_boundary();
-                self.next_round_seq = seg.seq + self.sender.usable_window().max(1);
-            }
-            if self.loss.should_drop(self.now, &mut self.loss_rng) {
-                self.sender.stats.packets_dropped += 1;
-                continue;
-            }
-            let ev = || Ev::DataArrive {
-                seq: seg.seq,
-                retransmit: seg.retransmit,
-            };
-            match self.fwd.transit(self.now, &mut self.path_rng) {
-                Some(arrival) => {
-                    if self.fault.is_empty() {
-                        self.queue.schedule(Lane::Data, arrival, ev());
-                    } else {
-                        let fate = self
-                            .fault
-                            .apply(self.now, Direction::Data, &mut self.fault_rng);
-                        if fate.dropped {
-                            self.sender.stats.packets_dropped += 1;
-                        } else {
-                            let at = arrival + fate.extra_delay;
-                            self.queue.schedule(Lane::Data, at, ev());
-                            // Extra copies land a nanosecond apart: distinct
-                            // arrivals, effectively simultaneous.
-                            for k in 1..=u64::from(fate.duplicates) {
-                                let dup_at = at + SimDuration::from_nanos(k);
-                                self.queue.schedule(Lane::Data, dup_at, ev());
-                            }
-                        }
-                    }
-                }
-                None => self.sender.stats.packets_dropped += 1,
-            }
-        }
-        if let TimerCmd::Arm(at) = out.timer {
-            self.rto_gen += 1;
-            self.queue.schedule(Lane::Rto, at, Ev::Rto(self.rto_gen));
-        }
-    }
-
-    /// Puts the receiver's output on the wire, reading the scratch output
-    /// in place like [`Self::apply_sender_output`].
-    fn apply_receiver_output(&mut self) {
-        let out = &self.receiver_out;
-        for ack in &out.acks {
-            if let Some(al) = &mut self.ack_loss {
-                if al.should_drop(self.now, &mut self.loss_rng) {
-                    continue;
-                }
-            }
-            if let Some(arrival) = self.rev.transit(self.now, &mut self.path_rng) {
-                // Each scheduled copy parks its own ranges: taking them at
-                // arrival frees the slot.
-                let ev = |sacks: &mut SackSlab| Ev::AckArrive {
-                    ack: ack.ack,
-                    sack: sacks.put(ack.sack),
-                };
-                if self.fault.is_empty() {
-                    self.queue.schedule(Lane::Ack, arrival, ev(&mut self.sacks));
-                } else {
-                    let fate = self
-                        .fault
-                        .apply(self.now, Direction::Ack, &mut self.fault_rng);
-                    if !fate.dropped {
-                        let at = arrival + fate.extra_delay;
-                        self.queue.schedule(Lane::Ack, at, ev(&mut self.sacks));
-                        for k in 1..=u64::from(fate.duplicates) {
-                            let dup_at = at + SimDuration::from_nanos(k);
-                            self.queue.schedule(Lane::Ack, dup_at, ev(&mut self.sacks));
-                        }
-                    }
-                }
-            }
-        }
-        match out.timer {
-            DelAckTimer::Keep => {}
-            DelAckTimer::Arm(at) => {
-                self.delack_gen += 1;
-                self.queue
-                    .schedule(Lane::DelAck, at, Ev::DelAck(self.delack_gen));
-            }
-            DelAckTimer::Cancel => {
-                self.delack_gen += 1;
-            }
-        }
+        self.flow.finish();
     }
 
     /// Encodes the connection's full mutable state — clock, event queue,
@@ -604,33 +339,31 @@ impl<O: Observer> Connection<O> {
     /// cannot be captured can be reported rather than panic.
     pub fn snapshot(&self) -> SnapResult<Vec<u8>> {
         let mut w = SnapWriter::with_capacity(4096);
+        let wire = &self.wire;
         w.put_u64(self.now.as_nanos());
-        w.put_u64(self.rto_gen);
-        w.put_u64(self.delack_gen);
-        w.put_u64(self.next_round_seq);
+        w.put_u64(self.flow.rto_gen);
+        w.put_u64(self.flow.delack_gen);
+        w.put_u64(wire.next_round_seq);
         w.put_bool(self.started);
         w.put_u64(self.events_processed);
-        // The pooled sender/receiver scratch buffers are intentionally not
-        // captured: they are dead between events (each dispatch clears and
-        // refills them before they are read).
-        self.queue
-            .snapshot_into(&mut w, |ev, w| ev.snapshot_into(&self.sacks, w));
-        self.sender.snapshot_into(&mut w);
-        self.receiver.snapshot_into(&mut w);
-        self.fwd.snapshot_into(&mut w);
-        self.rev.snapshot_into(&mut w);
-        self.loss.snapshot_into(&mut w);
-        match &self.ack_loss {
+        wire.queue
+            .snapshot_into(&mut w, |ev, w| ev.snapshot_into(&wire.sacks, w));
+        self.flow.sender.snapshot_into(&mut w);
+        self.flow.receiver.snapshot_into(&mut w);
+        wire.fwd.snapshot_into(&mut w);
+        wire.rev.snapshot_into(&mut w);
+        wire.loss.snapshot_into(&mut w);
+        match &wire.ack_loss {
             Some(al) => {
                 w.put_bool(true);
                 al.snapshot_into(&mut w);
             }
             None => w.put_bool(false),
         }
-        self.fault.state_snapshot_into(&mut w);
-        self.loss_rng.snapshot_into(&mut w);
-        self.path_rng.snapshot_into(&mut w);
-        self.fault_rng.snapshot_into(&mut w);
+        wire.fault.state_snapshot_into(&mut w);
+        wire.loss_rng.snapshot_into(&mut w);
+        wire.path_rng.snapshot_into(&mut w);
+        wire.fault_rng.snapshot_into(&mut w);
         Ok(frame(
             CONN_SNAPSHOT_KIND,
             CONN_SNAPSHOT_VERSION,
@@ -652,23 +385,24 @@ impl<O: Observer> Connection<O> {
             return Err(SnapError::Invalid("not a connection snapshot"));
         }
         let mut r = SnapReader::new(framed.payload);
+        let wire = &mut self.wire;
         self.now = SimTime::from_nanos(r.get_u64()?);
-        self.rto_gen = r.get_u64()?;
-        self.delack_gen = r.get_u64()?;
-        self.next_round_seq = r.get_u64()?;
+        self.flow.rto_gen = r.get_u64()?;
+        self.flow.delack_gen = r.get_u64()?;
+        wire.next_round_seq = r.get_u64()?;
         self.started = r.get_bool()?;
         self.events_processed = r.get_u64()?;
-        self.sacks.clear();
-        let sacks = &mut self.sacks;
-        self.queue
+        wire.sacks.clear();
+        let sacks = &mut wire.sacks;
+        wire.queue
             .restore_from(&mut r, |r| Ev::restore_from(r, sacks))?;
-        self.sender.restore_from(&mut r)?;
-        self.receiver.restore_from(&mut r)?;
-        self.fwd.restore_from(&mut r)?;
-        self.rev.restore_from(&mut r)?;
-        self.loss.restore_from(&mut r)?;
+        self.flow.sender.restore_from(&mut r)?;
+        self.flow.receiver.restore_from(&mut r)?;
+        wire.fwd.restore_from(&mut r)?;
+        wire.rev.restore_from(&mut r)?;
+        wire.loss.restore_from(&mut r)?;
         let snap_has_ack_loss = r.get_bool()?;
-        match (&mut self.ack_loss, snap_has_ack_loss) {
+        match (&mut wire.ack_loss, snap_has_ack_loss) {
             (Some(al), true) => al.restore_from(&mut r)?,
             (None, false) => {}
             (target, found) => {
@@ -679,11 +413,97 @@ impl<O: Observer> Connection<O> {
                 });
             }
         }
-        self.fault.state_restore_from(&mut r)?;
-        self.loss_rng.restore_from(&mut r)?;
-        self.path_rng.restore_from(&mut r)?;
-        self.fault_rng.restore_from(&mut r)?;
+        wire.fault.state_restore_from(&mut r)?;
+        wire.loss_rng.restore_from(&mut r)?;
+        wire.path_rng.restore_from(&mut r)?;
+        wire.fault_rng.restore_from(&mut r)?;
         r.finish()
+    }
+}
+
+impl<O: Observer> ConnWire<O> {
+    /// Schedules a packet that left the path at `arrival` on `lane`, after
+    /// the fault plan's drop, delay and duplication; `false` if the plan
+    /// dropped it. Each copy is a fresh `ev(&mut sacks)`.
+    fn deliver(
+        &mut self,
+        now: SimTime,
+        (lane, dir): (Lane, Direction),
+        arrival: SimTime,
+        mut ev: impl FnMut(&mut SackSlab) -> Ev,
+    ) -> bool {
+        if self.fault.is_empty() {
+            self.queue.schedule(lane, arrival, ev(&mut self.sacks));
+            return true;
+        }
+        let fate = self.fault.apply(now, dir, &mut self.fault_rng);
+        if fate.dropped {
+            return false;
+        }
+        let at = arrival + fate.extra_delay;
+        // Extra copies land a nanosecond apart: distinct arrivals,
+        // effectively simultaneous.
+        for k in 0..=u64::from(fate.duplicates) {
+            let copy = ev(&mut self.sacks);
+            self.queue
+                .schedule(lane, at + SimDuration::from_nanos(k), copy);
+        }
+        true
+    }
+}
+
+impl<O: Observer> Wire for ConnWire<O> {
+    fn send_segment(&mut self, now: SimTime, seg: Segment, sender: &Sender) -> bool {
+        self.observer.on_segment_sent(now, seg);
+        // Round accounting for intra-round-correlated loss models.
+        if seg.retransmit {
+            self.loss.on_round_boundary();
+            self.next_round_seq = sender.snd_nxt();
+        } else if seg.seq >= self.next_round_seq {
+            self.loss.on_round_boundary();
+            self.next_round_seq = seg.seq + sender.usable_window().max(1);
+        }
+        if self.loss.should_drop(now, &mut self.loss_rng) {
+            return true;
+        }
+        let Some(arrival) = self.fwd.transit(now, &mut self.path_rng) else {
+            return true;
+        };
+        let (seq, retransmit) = (seg.seq, seg.retransmit);
+        let data = (Lane::Data, Direction::Data);
+        !self.deliver(now, data, arrival, |_| Ev::DataArrive { seq, retransmit })
+    }
+
+    fn send_ack(&mut self, now: SimTime, ack: Ack) {
+        if let Some(al) = &mut self.ack_loss {
+            if al.should_drop(now, &mut self.loss_rng) {
+                return;
+            }
+        }
+        if let Some(arrival) = self.rev.transit(now, &mut self.path_rng) {
+            // Each scheduled copy parks its own ranges: taking them at
+            // arrival frees the slot.
+            let ev = |sacks: &mut SackSlab| Ev::AckArrive {
+                ack: ack.ack,
+                sack: sacks.put(ack.sack),
+            };
+            self.deliver(now, (Lane::Ack, Direction::Ack), arrival, ev);
+        }
+    }
+
+    fn ack_arrived(&mut self, now: SimTime, ack: Seq, sack: u32) -> Ack {
+        let sack = self.sacks.take(sack);
+        let ack = Ack { ack, sack };
+        self.observer.on_ack_received(now, ack);
+        ack
+    }
+
+    fn arm_rto(&mut self, at: SimTime, gen: u64) {
+        self.queue.schedule(Lane::Rto, at, Ev::Rto(gen));
+    }
+
+    fn arm_delack(&mut self, at: SimTime, gen: u64) {
+        self.queue.schedule(Lane::DelAck, at, Ev::DelAck(gen));
     }
 }
 
@@ -704,7 +524,11 @@ mod tests {
             .seed(3)
             .build();
         c.run_until(SimTime::from_secs_f64(20.0));
-        let next = c.queue.peek_time().expect("a live connection has events");
+        let next = c
+            .wire
+            .queue
+            .peek_time()
+            .expect("a live connection has events");
         (c, next)
     }
 

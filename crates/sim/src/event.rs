@@ -22,8 +22,9 @@
 //! the lane heads, the timer slots and the heap top. A superseded timer
 //! therefore never becomes an event; that is the one observable difference
 //! from a plain `(time, id)` heap. A simulator that schedules only on the
-//! arrival lanes ([`crate::network`] does, for timers too, and
-//! generation-filters stale firings itself) sees exactly the heap's order.
+//! arrival lanes sees exactly the heap's order: [`crate::network`] does,
+//! for timers too, and the TCP flow core it shares with
+//! [`crate::connection`] drops the stale firings by generation.
 
 use crate::time::SimTime;
 use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};

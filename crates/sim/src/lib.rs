@@ -65,6 +65,7 @@ pub mod reno;
 pub mod rng;
 pub mod rounds;
 pub mod stats;
+mod tcp_flow;
 pub mod tfrc;
 pub mod time;
 

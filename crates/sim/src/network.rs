@@ -17,22 +17,25 @@
 //! flows see the same queue, so their losses and queueing delays couple —
 //! the mechanism congestion control exists to manage.
 //!
-//! Events run on the same lane engine as a single connection
-//! ([`HybridQueue`]), but only on its two arrival lanes. N flows have N
-//! timers of each kind, so the single-slot timer lanes do not fit: timers
-//! share the arrival lanes, a stale firing is filtered by its generation
-//! count, and a push that lands before its lane tail overflows to the
-//! heap. Pops therefore follow the plain ascending `(time, id)` order.
+//! A TCP flow runs the same endpoint core as a single connection (the
+//! crate's `tcp_flow` module): this module supplies only its wire. Events
+//! run on the same lane engine ([`HybridQueue`]), but only on its two
+//! arrival lanes. N flows have N timers of each kind, so the single-slot
+//! timer lanes do not fit: timers share the arrival lanes, the core drops
+//! a stale firing by its generation count, and a push that lands before
+//! its lane tail overflows to the heap. Pops therefore follow the plain
+//! ascending `(time, id)` order.
 
 use crate::event::{EventScheduler, HybridQueue, Lane};
 use crate::link::Bottleneck;
 use crate::packet::{Ack, Segment, Seq};
 use crate::queue::QueuePolicy;
-use crate::receiver::{DelAckTimer, Receiver, ReceiverConfig, ReceiverOutput};
-use crate::reno::sender::{Sender, SenderConfig, SenderOutput, TimerCmd};
+use crate::receiver::ReceiverConfig;
+use crate::reno::sender::{Sender, SenderConfig};
 use crate::rng::SimRng;
 use crate::stats::ConnStats;
-use crate::tfrc::{LossIntervalEstimator, TfrcConfig, TfrcController};
+use crate::tcp_flow::{self, SackSlab, TcpFlow, Wire};
+use crate::tfrc::{packet_interval, LossIntervalEstimator, TfrcConfig, TfrcController};
 use crate::time::{SimDuration, SimTime};
 
 /// What kind of traffic a flow sources.
@@ -92,9 +95,12 @@ impl FlowConfig {
 
     /// A CBR flow at `rate_pps` packets per second with the same delay
     /// structure as [`FlowConfig::tcp`].
+    ///
+    /// # Panics
+    /// Unless `rate_pps` is finite and positive and its packets lie at
+    /// least 1 ns apart.
     pub fn cbr(rtt_secs: f64, rate_pps: f64) -> Self {
-        assert!(rate_pps > 0.0, "CBR rate must be positive");
-        let interval = SimDuration::from_secs_f64(1.0 / rate_pps);
+        let interval = packet_interval(rate_pps, "CBR rate");
         Self::symmetric(rtt_secs, FlowKind::Cbr { interval })
     }
 
@@ -129,21 +135,23 @@ impl NetworkFlowStats {
     }
 }
 
+/// One flow: its delays, its endpoints, and its drops at the bottleneck.
+struct Flow {
+    config: FlowConfig,
+    state: FlowState,
+    dropped: u64,
+}
+
 // The Tcp variant dwarfs Cbr/Tfrc, but flows are few (one box per flow
-// beats an extra indirection on every event).
+// beats an extra indirection on every event). A TCP flow's sender counts
+// what it sends; a CBR or TFRC flow has sent `next_seq` packets.
 #[allow(clippy::large_enum_variant)]
 enum FlowState {
-    Tcp {
-        sender: Sender,
-        receiver: Receiver,
-        rto_gen: u64,
-        delack_gen: u64,
-    },
+    Tcp(TcpFlow),
     Cbr {
         interval: SimDuration,
         next_seq: Seq,
         delivered: u64,
-        sent: u64,
     },
     Tfrc {
         controller: TfrcController,
@@ -153,19 +161,61 @@ enum FlowState {
         next_seq: Seq,
         rcv_expected: Seq,
         delivered: u64,
-        sent: u64,
     },
 }
 
+/// What happens to a flow: a packet reaches the bottleneck, an event at
+/// an endpoint (any of the TCP core's; for CBR and TFRC only a packet at
+/// the receiver), a CBR or TFRC source's next send, or TFRC feedback. The
+/// queue holds each with its flow's index.
 enum Ev {
-    QueueArrive { flow: usize, seg: Segment },
-    RxArrive { flow: usize, seg: Segment },
-    AckArrive { flow: usize, ack: Ack },
-    Rto { flow: usize, gen: u64 },
-    DelAck { flow: usize, gen: u64 },
-    CbrTick { flow: usize },
-    TfrcSend { flow: usize },
-    TfrcFeedback { flow: usize },
+    Bottleneck(Segment),
+    Endpoint(tcp_flow::Ev),
+    Send,
+    TfrcFeedback,
+}
+
+/// A TCP flow's wire: the access delay into the shared bottleneck, the
+/// ACK delay back, and timers on the arrival lanes (see the module docs).
+struct NetWire<'a> {
+    queue: &'a mut HybridQueue<(usize, Ev)>,
+    sacks: &'a mut SackSlab,
+    flow: usize,
+    config: &'a FlowConfig,
+}
+
+impl NetWire<'_> {
+    fn schedule(&mut self, lane: Lane, at: SimTime, ev: tcp_flow::Ev) {
+        self.queue.schedule(lane, at, (self.flow, Ev::Endpoint(ev)));
+    }
+}
+
+impl Wire for NetWire<'_> {
+    fn send_segment(&mut self, now: SimTime, seg: Segment, _: &Sender) -> bool {
+        let at = now + self.config.access_delay;
+        self.queue
+            .schedule(Lane::Data, at, (self.flow, Ev::Bottleneck(seg)));
+        false
+    }
+
+    fn send_ack(&mut self, now: SimTime, ack: Ack) {
+        let sack = self.sacks.put(ack.sack);
+        let ev = tcp_flow::Ev::AckArrive { ack: ack.ack, sack };
+        self.schedule(Lane::Ack, now + self.config.ack_delay, ev);
+    }
+
+    fn ack_arrived(&mut self, _: SimTime, ack: Seq, sack: u32) -> Ack {
+        let sack = self.sacks.take(sack);
+        Ack { ack, sack }
+    }
+
+    fn arm_rto(&mut self, at: SimTime, gen: u64) {
+        self.schedule(Lane::Ack, at, tcp_flow::Ev::Rto(gen));
+    }
+
+    fn arm_delack(&mut self, at: SimTime, gen: u64) {
+        self.schedule(Lane::Data, at, tcp_flow::Ev::DelAck(gen));
+    }
 }
 
 /// The shared-bottleneck network.
@@ -173,12 +223,12 @@ pub struct Network {
     now: SimTime,
     /// Bottleneck and receiver events go on the data lane, events at the
     /// senders on the ACK lane (see the module docs).
-    queue: HybridQueue<Ev>,
-    flows: Vec<(FlowConfig, FlowState)>,
+    queue: HybridQueue<(usize, Ev)>,
+    flows: Vec<Flow>,
     /// The shared bottleneck; its admission draws use `rng`.
     bottleneck: Bottleneck,
-    per_flow_drops: Vec<u64>,
-    per_flow_sent: Vec<u64>,
+    /// SACK ranges of the ACK events in the queue, of every flow.
+    sacks: SackSlab,
     rng: SimRng,
     started: bool,
 }
@@ -195,8 +245,7 @@ impl Network {
             queue: HybridQueue::new(),
             flows: Vec::new(),
             bottleneck: Bottleneck::new(rate_pps, policy),
-            per_flow_drops: Vec::new(),
-            per_flow_sent: Vec::new(),
+            sacks: SackSlab::default(),
             rng: SimRng::seed_from_u64(seed),
             started: false,
         }
@@ -205,17 +254,11 @@ impl Network {
     /// Adds a flow; returns its index.
     pub fn add_flow(&mut self, config: FlowConfig) -> usize {
         let state = match &config.kind {
-            FlowKind::Tcp { sender, receiver } => FlowState::Tcp {
-                sender: Sender::new(*sender),
-                receiver: Receiver::new(receiver.negotiated_with(sender.style)),
-                rto_gen: 0,
-                delack_gen: 0,
-            },
+            FlowKind::Tcp { sender, receiver } => FlowState::Tcp(TcpFlow::new(*sender, *receiver)),
             FlowKind::Cbr { interval } => FlowState::Cbr {
                 interval: *interval,
                 next_seq: 0,
                 delivered: 0,
-                sent: 0,
             },
             FlowKind::Tfrc { config } => FlowState::Tfrc {
                 controller: TfrcController::new(*config),
@@ -224,12 +267,13 @@ impl Network {
                 next_seq: 0,
                 rcv_expected: 0,
                 delivered: 0,
-                sent: 0,
             },
         };
-        self.flows.push((config, state));
-        self.per_flow_drops.push(0);
-        self.per_flow_sent.push(0);
+        self.flows.push(Flow {
+            config,
+            state,
+            dropped: 0,
+        });
         self.flows.len() - 1
     }
 
@@ -237,28 +281,30 @@ impl Network {
     pub fn run_until(&mut self, until: SimTime) {
         if !self.started {
             self.started = true;
-            for i in 0..self.flows.len() {
-                match &mut self.flows[i].1 {
-                    FlowState::Tcp { sender, .. } => {
-                        let out = sender.on_start(SimTime::ZERO);
-                        self.apply_sender_output(i, out);
+            let now = self.now;
+            for (flow, f) in self.flows.iter_mut().enumerate() {
+                let queue = &mut self.queue;
+                match &mut f.state {
+                    FlowState::Tcp(tcp) => {
+                        let mut wire = NetWire {
+                            queue,
+                            sacks: &mut self.sacks,
+                            flow,
+                            config: &f.config,
+                        };
+                        tcp.start(now, &mut wire);
                     }
-                    FlowState::Cbr { .. } => {
-                        self.queue
-                            .schedule(Lane::Ack, SimTime::ZERO, Ev::CbrTick { flow: i });
-                    }
+                    FlowState::Cbr { .. } => queue.schedule(Lane::Ack, now, (flow, Ev::Send)),
                     FlowState::Tfrc { .. } => {
-                        self.queue
-                            .schedule(Lane::Ack, SimTime::ZERO, Ev::TfrcSend { flow: i });
-                        self.queue
-                            .schedule(Lane::Ack, SimTime::ZERO, Ev::TfrcFeedback { flow: i });
+                        queue.schedule(Lane::Ack, now, (flow, Ev::Send));
+                        queue.schedule(Lane::Ack, now, (flow, Ev::TfrcFeedback));
                     }
                 }
             }
         }
-        while let Some((at, ev)) = self.queue.pop_due(until) {
+        while let Some((at, (flow, ev))) = self.queue.pop_due(until) {
             self.now = at;
-            self.dispatch(ev);
+            self.dispatch(flow, ev);
         }
         self.now = until;
     }
@@ -270,219 +316,126 @@ impl Network {
 
     /// Flushes end-of-run bookkeeping; call once after the final run.
     pub fn finish(&mut self) {
-        for (_, state) in &mut self.flows {
-            if let FlowState::Tcp { sender, .. } = state {
-                sender.finish();
+        for f in &mut self.flows {
+            if let FlowState::Tcp(tcp) = &mut f.state {
+                tcp.finish();
             }
         }
     }
 
     /// Per-flow statistics, in `add_flow` order.
     pub fn stats(&self) -> Vec<NetworkFlowStats> {
-        self.flows
-            .iter()
-            .enumerate()
-            .map(|(i, (_, state))| match state {
-                FlowState::Tcp {
-                    sender, receiver, ..
-                } => NetworkFlowStats {
-                    sent: self.per_flow_sent[i],
-                    dropped: self.per_flow_drops[i],
-                    delivered: receiver.distinct_received(),
-                    tcp: Some({
-                        let mut s = sender.stats.clone();
-                        s.packets_delivered = receiver.distinct_received();
-                        s
-                    }),
-                },
+        let stats = |f: &Flow| {
+            let (sent, delivered, tcp) = match &f.state {
+                FlowState::Tcp(tcp) => {
+                    let s = tcp.stats();
+                    (s.packets_sent, s.packets_delivered, Some(s))
+                }
                 FlowState::Cbr {
-                    delivered, sent, ..
-                } => NetworkFlowStats {
-                    sent: *sent,
-                    dropped: self.per_flow_drops[i],
-                    delivered: *delivered,
-                    tcp: None,
-                },
-                FlowState::Tfrc {
-                    delivered, sent, ..
-                } => NetworkFlowStats {
-                    sent: *sent,
-                    dropped: self.per_flow_drops[i],
-                    delivered: *delivered,
-                    tcp: None,
-                },
-            })
-            .collect()
+                    next_seq,
+                    delivered,
+                    ..
+                }
+                | FlowState::Tfrc {
+                    next_seq,
+                    delivered,
+                    ..
+                } => (*next_seq, *delivered, None),
+            };
+            let dropped = f.dropped;
+            NetworkFlowStats {
+                sent,
+                dropped,
+                delivered,
+                tcp,
+            }
+        };
+        self.flows.iter().map(stats).collect()
     }
 
-    fn dispatch(&mut self, ev: Ev) {
+    fn dispatch(&mut self, flow: usize, ev: Ev) {
+        let now = self.now;
+        let Some(f) = self.flows.get_mut(flow) else {
+            return;
+        };
         match ev {
-            Ev::QueueArrive { flow, seg } => {
-                let Some(depart) = self.bottleneck.offer(self.now, &mut self.rng) else {
-                    self.per_flow_drops[flow] += 1;
+            Ev::Bottleneck(seg) => {
+                let Some(depart) = self.bottleneck.offer(now, &mut self.rng) else {
+                    f.dropped += 1;
                     return;
                 };
-                let tail = self.flows[flow].0.tail_delay;
+                let (seq, retransmit) = (seg.seq, seg.retransmit);
+                let ev = tcp_flow::Ev::DataArrive { seq, retransmit };
+                let at = depart + f.config.tail_delay;
                 self.queue
-                    .schedule(Lane::Data, depart + tail, Ev::RxArrive { flow, seg });
+                    .schedule(Lane::Data, at, (flow, Ev::Endpoint(ev)));
             }
-            Ev::RxArrive { flow, seg } => match &mut self.flows[flow].1 {
-                FlowState::Tcp { receiver, .. } => {
-                    let out = receiver.on_segment(self.now, seg);
-                    self.apply_receiver_output(flow, out);
+            Ev::Endpoint(ev) => match &mut f.state {
+                FlowState::Tcp(tcp) => {
+                    let mut wire = NetWire {
+                        queue: &mut self.queue,
+                        sacks: &mut self.sacks,
+                        flow,
+                        config: &f.config,
+                    };
+                    tcp.handle(now, ev, &mut wire);
                 }
-                FlowState::Cbr { delivered, .. } => {
-                    *delivered += 1;
-                }
+                FlowState::Cbr { delivered, .. } => *delivered += 1,
                 FlowState::Tfrc {
                     estimator,
                     rcv_expected,
                     delivered,
                     ..
                 } => {
+                    let tcp_flow::Ev::DataArrive { seq, .. } = ev else {
+                        return;
+                    };
                     *delivered += 1;
-                    if seg.seq > *rcv_expected {
+                    if seq > *rcv_expected {
                         // Sequence gap: one or more losses.
-                        estimator.on_gap(self.now);
+                        estimator.on_gap(now);
                     }
                     estimator.on_packet();
-                    *rcv_expected = (*rcv_expected).max(seg.seq + 1);
+                    *rcv_expected = (*rcv_expected).max(seq + 1);
                 }
             },
-            Ev::AckArrive { flow, ack } => {
-                if let FlowState::Tcp { sender, .. } = &mut self.flows[flow].1 {
-                    let out = sender.on_ack(self.now, ack);
-                    self.apply_sender_output(flow, out);
-                }
-            }
-            Ev::Rto { flow, gen } => {
-                if let FlowState::Tcp {
-                    sender, rto_gen, ..
-                } = &mut self.flows[flow].1
-                {
-                    if gen == *rto_gen {
-                        let out = sender.on_rto_fired(self.now);
-                        self.apply_sender_output(flow, out);
+            Ev::Send => {
+                let (next_seq, interval) = match &mut f.state {
+                    FlowState::Cbr {
+                        interval, next_seq, ..
+                    } => (next_seq, *interval),
+                    FlowState::Tfrc {
+                        controller,
+                        next_seq,
+                        ..
+                    } => {
+                        let interval = packet_interval(controller.rate_pps(), "TFRC rate");
+                        (next_seq, interval)
                     }
-                }
+                    FlowState::Tcp(_) => return,
+                };
+                let seg = Segment {
+                    seq: *next_seq,
+                    retransmit: false,
+                };
+                *next_seq += 1;
+                let at = now + f.config.access_delay;
+                self.queue
+                    .schedule(Lane::Data, at, (flow, Ev::Bottleneck(seg)));
+                self.queue
+                    .schedule(Lane::Ack, now + interval, (flow, Ev::Send));
             }
-            Ev::DelAck { flow, gen } => {
-                if let FlowState::Tcp {
-                    receiver,
-                    delack_gen,
-                    ..
-                } = &mut self.flows[flow].1
-                {
-                    if gen == *delack_gen {
-                        let out = receiver.on_delack_timer();
-                        self.apply_receiver_output(flow, out);
-                    }
-                }
-            }
-            Ev::TfrcSend { flow } => {
-                let access = self.flows[flow].0.access_delay;
-                if let FlowState::Tfrc {
-                    controller,
-                    next_seq,
-                    sent,
-                    ..
-                } = &mut self.flows[flow].1
-                {
-                    let seg = Segment {
-                        seq: *next_seq,
-                        retransmit: false,
-                    };
-                    *next_seq += 1;
-                    *sent += 1;
-                    let interval = SimDuration::from_secs_f64(1.0 / controller.rate_pps());
-                    self.per_flow_sent[flow] += 1;
-                    self.queue.schedule(
-                        Lane::Data,
-                        self.now + access,
-                        Ev::QueueArrive { flow, seg },
-                    );
-                    self.queue
-                        .schedule(Lane::Ack, self.now + interval, Ev::TfrcSend { flow });
-                }
-            }
-            Ev::TfrcFeedback { flow } => {
+            Ev::TfrcFeedback => {
                 if let FlowState::Tfrc {
                     controller,
                     estimator,
                     feedback_delay,
                     ..
-                } = &mut self.flows[flow].1
+                } = &mut f.state
                 {
                     controller.on_feedback(estimator.loss_event_rate());
-                    let delay = *feedback_delay;
-                    self.queue
-                        .schedule(Lane::Ack, self.now + delay, Ev::TfrcFeedback { flow });
-                }
-            }
-            Ev::CbrTick { flow } => {
-                let access = self.flows[flow].0.access_delay;
-                if let FlowState::Cbr {
-                    interval,
-                    next_seq,
-                    sent,
-                    ..
-                } = &mut self.flows[flow].1
-                {
-                    let seg = Segment {
-                        seq: *next_seq,
-                        retransmit: false,
-                    };
-                    *next_seq += 1;
-                    *sent += 1;
-                    let interval = *interval;
-                    self.per_flow_sent[flow] += 1;
-                    self.queue.schedule(
-                        Lane::Data,
-                        self.now + access,
-                        Ev::QueueArrive { flow, seg },
-                    );
-                    self.queue
-                        .schedule(Lane::Ack, self.now + interval, Ev::CbrTick { flow });
-                }
-            }
-        }
-    }
-
-    fn apply_sender_output(&mut self, flow: usize, out: SenderOutput) {
-        let access = self.flows[flow].0.access_delay;
-        for seg in out.segments {
-            self.per_flow_sent[flow] += 1;
-            self.queue
-                .schedule(Lane::Data, self.now + access, Ev::QueueArrive { flow, seg });
-        }
-        if let TimerCmd::Arm(at) = out.timer {
-            if let FlowState::Tcp { rto_gen, .. } = &mut self.flows[flow].1 {
-                *rto_gen += 1;
-                let gen = *rto_gen;
-                self.queue.schedule(Lane::Ack, at, Ev::Rto { flow, gen });
-            }
-        }
-    }
-
-    fn apply_receiver_output(&mut self, flow: usize, out: ReceiverOutput) {
-        let ack_delay = self.flows[flow].0.ack_delay;
-        for ack in out.acks {
-            self.queue
-                .schedule(Lane::Ack, self.now + ack_delay, Ev::AckArrive { flow, ack });
-        }
-        match out.timer {
-            DelAckTimer::Keep => {}
-            DelAckTimer::Arm(at) => {
-                if let FlowState::Tcp { delack_gen, .. } = &mut self.flows[flow].1 {
-                    *delack_gen += 1;
-                    let gen = *delack_gen;
-                    self.queue
-                        .schedule(Lane::Data, at, Ev::DelAck { flow, gen });
-                }
-            }
-            DelAckTimer::Cancel => {
-                if let FlowState::Tcp { delack_gen, .. } = &mut self.flows[flow].1 {
-                    *delack_gen += 1;
+                    let at = now + *feedback_delay;
+                    self.queue.schedule(Lane::Ack, at, (flow, Ev::TfrcFeedback));
                 }
             }
         }
@@ -685,6 +638,26 @@ mod tests {
             cv_tfrc < cv_tcp * 1.5,
             "TFRC CV {cv_tfrc:.3} should not be rougher than TCP CV {cv_tcp:.3}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "less than 1 ns apart")]
+    fn cbr_rate_with_a_zero_spacing_is_rejected() {
+        // 1 / 3e9 s rounds to 0 ns: the tick would reschedule itself at
+        // the same instant forever.
+        FlowConfig::cbr(0.1, 3e9);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn nan_cbr_rate_is_rejected() {
+        FlowConfig::cbr(0.1, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn zero_cbr_rate_is_rejected() {
+        FlowConfig::cbr(0.1, 0.0);
     }
 
     #[test]

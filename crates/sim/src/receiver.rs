@@ -12,9 +12,10 @@ use crate::time::{SimDuration, SimTime};
 use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 /// What the connection layer should do with the delayed-ACK timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DelAckTimer {
     /// Leave as is.
+    #[default]
     Keep,
     /// Arm (or re-arm) to fire at the instant.
     Arm(SimTime),
@@ -27,21 +28,12 @@ pub enum DelAckTimer {
 /// The `*_into` event entry points fill a caller-owned instance, so a hot
 /// loop reuses one allocation for the whole run; see
 /// [`ReceiverOutput::reset`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReceiverOutput {
     /// ACKs to send, in order.
     pub acks: Vec<Ack>,
     /// Delayed-ACK timer instruction.
     pub timer: DelAckTimer,
-}
-
-impl Default for ReceiverOutput {
-    fn default() -> Self {
-        ReceiverOutput {
-            acks: Vec::new(),
-            timer: DelAckTimer::Keep,
-        }
-    }
 }
 
 impl ReceiverOutput {
@@ -219,15 +211,8 @@ impl Receiver {
         })
     }
 
-    /// Handles an arriving data segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: Segment) -> ReceiverOutput {
-        let mut out = ReceiverOutput::default();
-        self.on_segment_into(now, seg, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Receiver::on_segment`]: resets and fills
-    /// the caller-owned `out`.
+    /// Handles an arriving data segment. Resets and fills the caller-owned
+    /// `out`.
     //= pftk#delack-b
     pub fn on_segment_into(&mut self, now: SimTime, seg: Segment, out: &mut ReceiverOutput) {
         out.reset();
@@ -272,14 +257,7 @@ impl Receiver {
     }
 
     /// The delayed-ACK timer fired: flush the pending acknowledgment.
-    pub fn on_delack_timer(&mut self) -> ReceiverOutput {
-        let mut out = ReceiverOutput::default();
-        self.on_delack_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Receiver::on_delack_timer`]: resets and
-    /// fills the caller-owned `out`.
+    /// Resets and fills the caller-owned `out`.
     pub fn on_delack_into(&mut self, out: &mut ReceiverOutput) {
         out.reset();
         if self.unacked > 0 {
@@ -292,6 +270,27 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test-only allocating forms of the event entry points: each fills a
+    /// fresh output through the `_into` form and returns it.
+    trait Drive {
+        fn segment(&mut self, now: SimTime, seg: Segment) -> ReceiverOutput;
+        fn fire_delack(&mut self) -> ReceiverOutput;
+    }
+
+    impl Drive for Receiver {
+        fn segment(&mut self, now: SimTime, seg: Segment) -> ReceiverOutput {
+            let mut out = ReceiverOutput::default();
+            self.on_segment_into(now, seg, &mut out);
+            out
+        }
+
+        fn fire_delack(&mut self) -> ReceiverOutput {
+            let mut out = ReceiverOutput::default();
+            self.on_delack_into(&mut out);
+            out
+        }
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -311,10 +310,10 @@ mod tests {
     #[test]
     fn delayed_ack_every_second_segment() {
         let mut r = rx();
-        let out = r.on_segment(t(0), seg(0));
+        let out = r.segment(t(0), seg(0));
         assert!(out.acks.is_empty(), "first segment held for delack");
         assert!(matches!(out.timer, DelAckTimer::Arm(_)));
-        let out = r.on_segment(t(1), seg(1));
+        let out = r.segment(t(1), seg(1));
         assert_eq!(out.acks, vec![Ack::plain(2)]);
         assert_eq!(out.timer, DelAckTimer::Cancel);
     }
@@ -326,41 +325,41 @@ mod tests {
             ..ReceiverConfig::default()
         };
         let mut r = Receiver::new(config);
-        let out = r.on_segment(t(0), seg(0));
+        let out = r.segment(t(0), seg(0));
         assert_eq!(out.acks, vec![Ack::plain(1)]);
     }
 
     #[test]
     fn delack_timer_flushes_odd_segment() {
         let mut r = rx();
-        r.on_segment(t(0), seg(0));
-        let out = r.on_delack_timer();
+        r.segment(t(0), seg(0));
+        let out = r.fire_delack();
         assert_eq!(out.acks, vec![Ack::plain(1)]);
         // Timer with nothing pending is a no-op.
-        let out = r.on_delack_timer();
+        let out = r.fire_delack();
         assert!(out.acks.is_empty());
     }
 
     #[test]
     fn out_of_order_triggers_immediate_dupack() {
         let mut r = rx();
-        r.on_segment(t(0), seg(0));
-        r.on_segment(t(1), seg(1)); // rcv_nxt = 2
-        let out = r.on_segment(t(2), seg(3)); // gap at 2
+        r.segment(t(0), seg(0));
+        r.segment(t(1), seg(1)); // rcv_nxt = 2
+        let out = r.segment(t(2), seg(3)); // gap at 2
         assert_eq!(out.acks, vec![Ack::plain(2)]);
-        let out = r.on_segment(t(3), seg(4));
+        let out = r.segment(t(3), seg(4));
         assert_eq!(out.acks, vec![Ack::plain(2)], "every OOO segment dupacks");
     }
 
     #[test]
     fn gap_fill_jumps_cumulative_ack() {
         let mut r = rx();
-        r.on_segment(t(0), seg(0));
-        r.on_segment(t(1), seg(1));
-        r.on_segment(t(2), seg(3));
-        r.on_segment(t(3), seg(4));
+        r.segment(t(0), seg(0));
+        r.segment(t(1), seg(1));
+        r.segment(t(2), seg(3));
+        r.segment(t(3), seg(4));
         // Filling the hole at 2 advances past everything buffered.
-        let out = r.on_segment(t(4), seg(2));
+        let out = r.segment(t(4), seg(2));
         assert_eq!(r.rcv_nxt(), 5);
         // In-order arrival counts toward delack; with ack_every=2 the count
         // was reset by the OOO arrivals, so this is the 1st unacked → held.
@@ -371,19 +370,19 @@ mod tests {
     #[test]
     fn spurious_retransmission_reacked() {
         let mut r = rx();
-        r.on_segment(t(0), seg(0));
-        r.on_segment(t(1), seg(1));
-        let out = r.on_segment(t(2), seg(0));
+        r.segment(t(0), seg(0));
+        r.segment(t(1), seg(1));
+        let out = r.segment(t(2), seg(0));
         assert_eq!(out.acks, vec![Ack::plain(2)]);
     }
 
     #[test]
     fn distinct_received_ignores_duplicates() {
         let mut r = rx();
-        r.on_segment(t(0), seg(0));
-        r.on_segment(t(1), seg(2));
-        r.on_segment(t(2), seg(2)); // duplicate OOO
-        r.on_segment(t(3), seg(0)); // duplicate old
+        r.segment(t(0), seg(0));
+        r.segment(t(1), seg(2));
+        r.segment(t(2), seg(2)); // duplicate OOO
+        r.segment(t(3), seg(0)); // duplicate old
         assert_eq!(r.distinct_received(), 2);
     }
 
@@ -394,11 +393,11 @@ mod tests {
             ..ReceiverConfig::default()
         };
         let mut r = Receiver::new(config);
-        r.on_segment(t(0), seg(0)); // rcv_nxt = 1
-                                    // Hole at 1; buffer 2,3 and 5.
-        r.on_segment(t(1), seg(2));
-        r.on_segment(t(2), seg(3));
-        let out = r.on_segment(t(3), seg(5));
+        r.segment(t(0), seg(0)); // rcv_nxt = 1
+                                 // Hole at 1; buffer 2,3 and 5.
+        r.segment(t(1), seg(2));
+        r.segment(t(2), seg(3));
+        let out = r.segment(t(3), seg(5));
         let ack = out.acks[0];
         assert_eq!(ack.ack, 1);
         // Most recent range (5..6) first, then (2..4).
@@ -408,8 +407,8 @@ mod tests {
     #[test]
     fn sack_disabled_by_default() {
         let mut r = rx();
-        r.on_segment(t(0), seg(0));
-        let out = r.on_segment(t(1), seg(3));
+        r.segment(t(0), seg(0));
+        let out = r.segment(t(1), seg(3));
         assert!(out.acks[0].sack.is_empty());
     }
 
@@ -421,9 +420,9 @@ mod tests {
             ..ReceiverConfig::default()
         };
         let mut r = Receiver::new(config);
-        r.on_segment(t(0), seg(0));
-        r.on_segment(t(1), seg(2)); // hole at 1
-        let out = r.on_segment(t(2), seg(1)); // fills it
+        r.segment(t(0), seg(0));
+        r.segment(t(1), seg(2)); // hole at 1
+        let out = r.segment(t(2), seg(1)); // fills it
         let ack = out.acks[0];
         assert_eq!(ack.ack, 3);
         assert!(ack.sack.is_empty(), "no OOO data left");
@@ -434,7 +433,7 @@ mod tests {
         let mut r = rx();
         let mut acks = 0;
         for i in 0..100 {
-            acks += r.on_segment(t(i), seg(i)).acks.len();
+            acks += r.segment(t(i), seg(i)).acks.len();
         }
         assert_eq!(acks, 50, "b=2 means one ACK per two segments");
         assert_eq!(r.rcv_nxt(), 100);

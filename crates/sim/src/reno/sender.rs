@@ -1,8 +1,9 @@
 //! The TCP Reno sender state machine (sans-I/O).
 //!
 //! The sender never touches the event queue or the paths: each input event
-//! (`on_start`, `on_ack`, `on_rto_fired`) returns a [`SenderOutput`] listing
-//! the segments to transmit and what to do with the retransmission timer.
+//! ([`Sender::on_start_into`], [`Sender::on_ack_into`],
+//! [`Sender::on_rto_into`]) fills a caller-owned [`SenderOutput`] with the
+//! segments to transmit and what to do with the retransmission timer.
 //! The connection layer turns those into scheduled events. This keeps the
 //! protocol logic purely functional over its own state and unit-testable
 //! without a network.
@@ -37,9 +38,10 @@ pub enum RenoStyle {
 }
 
 /// What the connection layer should do with the RTO timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimerCmd {
     /// Leave the timer as it is.
+    #[default]
     Keep,
     /// (Re)arm the timer to fire at the given instant, cancelling any
     /// earlier deadline.
@@ -50,21 +52,12 @@ pub enum TimerCmd {
 ///
 /// The `*_into` event entry points fill a caller-owned instance, so a hot
 /// loop reuses one allocation for the whole run; see [`SenderOutput::reset`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SenderOutput {
     /// Segments to put on the wire, in order.
     pub segments: Vec<Segment>,
     /// Timer instruction.
     pub timer: TimerCmd,
-}
-
-impl Default for SenderOutput {
-    fn default() -> Self {
-        SenderOutput {
-            segments: Vec::new(),
-            timer: TimerCmd::Keep,
-        }
-    }
 }
 
 impl SenderOutput {
@@ -302,29 +295,14 @@ impl Sender {
     }
 
     /// Kicks the connection off at time `now`: sends the initial window and
-    /// arms the timer.
-    pub fn on_start(&mut self, now: SimTime) -> SenderOutput {
-        let mut out = SenderOutput::default();
-        self.on_start_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Sender::on_start`]: resets and fills
-    /// the caller-owned `out`.
+    /// arms the timer. Resets and fills the caller-owned `out`.
     pub fn on_start_into(&mut self, now: SimTime, out: &mut SenderOutput) {
         out.reset();
         self.fill_window(now, out);
         out.timer = TimerCmd::Arm(now + self.rto.current_rto());
     }
 
-    /// Processes an arriving cumulative ACK.
-    pub fn on_ack(&mut self, now: SimTime, ack: Ack) -> SenderOutput {
-        let mut out = SenderOutput::default();
-        self.on_ack_into(now, ack, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Sender::on_ack`]: resets and fills the
+    /// Processes an arriving cumulative ACK. Resets and fills the
     /// caller-owned `out`.
     pub fn on_ack_into(&mut self, now: SimTime, ack: Ack, out: &mut SenderOutput) {
         self.stats.acks_received += 1;
@@ -516,15 +494,8 @@ impl Sender {
         }
     }
 
-    /// The retransmission timer fired.
-    pub fn on_rto_fired(&mut self, now: SimTime) -> SenderOutput {
-        let mut out = SenderOutput::default();
-        self.on_rto_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Sender::on_rto_fired`]: resets and fills
-    /// the caller-owned `out`.
+    /// The retransmission timer fired. Resets and fills the caller-owned
+    /// `out`.
     pub fn on_rto_into(&mut self, now: SimTime, out: &mut SenderOutput) {
         out.reset();
         if self.flight() == 0 {
@@ -604,6 +575,34 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    /// Test-only allocating forms of the event entry points: each fills a
+    /// fresh output through the `_into` form and returns it.
+    trait Drive {
+        fn start(&mut self, now: SimTime) -> SenderOutput;
+        fn ack(&mut self, now: SimTime, ack: Ack) -> SenderOutput;
+        fn fire_rto(&mut self, now: SimTime) -> SenderOutput;
+    }
+
+    impl Drive for Sender {
+        fn start(&mut self, now: SimTime) -> SenderOutput {
+            let mut out = SenderOutput::default();
+            self.on_start_into(now, &mut out);
+            out
+        }
+
+        fn ack(&mut self, now: SimTime, ack: Ack) -> SenderOutput {
+            let mut out = SenderOutput::default();
+            self.on_ack_into(now, ack, &mut out);
+            out
+        }
+
+        fn fire_rto(&mut self, now: SimTime) -> SenderOutput {
+            let mut out = SenderOutput::default();
+            self.on_rto_into(now, &mut out);
+            out
+        }
+    }
+
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
@@ -615,7 +614,7 @@ mod tests {
     #[test]
     fn start_sends_initial_window_and_arms_timer() {
         let mut s = sender();
-        let out = s.on_start(t(0));
+        let out = s.start(t(0));
         assert_eq!(out.segments.len(), 1); // initial cwnd 1
         assert_eq!(
             out.segments[0],
@@ -631,8 +630,8 @@ mod tests {
     #[test]
     fn ack_grows_window_slow_start() {
         let mut s = sender();
-        s.on_start(t(0));
-        let out = s.on_ack(t(100), Ack::plain(1));
+        s.start(t(0));
+        let out = s.ack(t(100), Ack::plain(1));
         // cwnd 1 → 2; flight 0 → send 2.
         assert_eq!(out.segments.len(), 2);
         assert_eq!(s.flight(), 2);
@@ -642,17 +641,17 @@ mod tests {
     #[test]
     fn dupacks_trigger_fast_retransmit_at_threshold() {
         let mut s = sender();
-        s.on_start(t(0));
+        s.start(t(0));
         // Grow to a window of several packets.
-        s.on_ack(t(100), Ack::plain(1));
-        s.on_ack(t(200), Ack::plain(2));
-        s.on_ack(t(300), Ack::plain(3));
+        s.ack(t(100), Ack::plain(1));
+        s.ack(t(200), Ack::plain(2));
+        s.ack(t(300), Ack::plain(3));
         assert!(s.flight() >= 4);
         let una = s.snd_una();
         // Three duplicate ACKs.
-        assert!(s.on_ack(t(400), Ack::plain(una)).segments.is_empty());
-        assert!(s.on_ack(t(401), Ack::plain(una)).segments.is_empty());
-        let out = s.on_ack(t(402), Ack::plain(una));
+        assert!(s.ack(t(400), Ack::plain(una)).segments.is_empty());
+        assert!(s.ack(t(401), Ack::plain(una)).segments.is_empty());
+        let out = s.ack(t(402), Ack::plain(una));
         assert_eq!(out.segments.len(), 1);
         assert!(out.segments[0].retransmit);
         assert_eq!(out.segments[0].seq, una);
@@ -668,12 +667,12 @@ mod tests {
             ..SenderConfig::default()
         };
         let mut s = Sender::new(config);
-        s.on_start(t(0));
-        s.on_ack(t(100), Ack::plain(1));
-        s.on_ack(t(200), Ack::plain(2));
+        s.start(t(0));
+        s.ack(t(100), Ack::plain(1));
+        s.ack(t(200), Ack::plain(2));
         let una = s.snd_una();
-        s.on_ack(t(300), Ack::plain(una));
-        let out = s.on_ack(t(301), Ack::plain(una));
+        s.ack(t(300), Ack::plain(una));
+        let out = s.ack(t(301), Ack::plain(una));
         assert_eq!(s.stats.td_events, 1, "TD after only two dupacks");
         assert!(out.segments[0].retransmit);
     }
@@ -681,11 +680,11 @@ mod tests {
     #[test]
     fn rto_collapses_window_and_retransmits() {
         let mut s = sender();
-        s.on_start(t(0));
-        s.on_ack(t(100), Ack::plain(1));
-        s.on_ack(t(200), Ack::plain(2));
+        s.start(t(0));
+        s.ack(t(100), Ack::plain(1));
+        s.ack(t(200), Ack::plain(2));
         assert!(s.flight() > 1);
-        let out = s.on_rto_fired(t(5000));
+        let out = s.fire_rto(t(5000));
         assert_eq!(out.segments.len(), 1);
         assert!(out.segments[0].retransmit);
         assert_eq!(out.segments[0].seq, s.snd_una());
@@ -696,19 +695,19 @@ mod tests {
     #[test]
     fn timeout_sequences_recorded_on_progress() {
         let mut s = sender();
-        s.on_start(t(0));
-        s.on_rto_fired(t(3000));
-        s.on_rto_fired(t(9000)); // backed-off second firing: same sequence
+        s.start(t(0));
+        s.fire_rto(t(3000));
+        s.fire_rto(t(9000)); // backed-off second firing: same sequence
         assert_eq!(s.stats.to_events(), 0, "sequence still open");
-        s.on_ack(t(9500), Ack::plain(1));
+        s.ack(t(9500), Ack::plain(1));
         assert_eq!(s.stats.to_sequences[1], 1, "double timeout recorded as T1");
     }
 
     #[test]
     fn finish_flushes_open_sequence() {
         let mut s = sender();
-        s.on_start(t(0));
-        s.on_rto_fired(t(3000));
+        s.start(t(0));
+        s.fire_rto(t(3000));
         s.finish();
         assert_eq!(s.stats.to_sequences[0], 1);
         // Idempotent.
@@ -723,9 +722,9 @@ mod tests {
             ..SenderConfig::default()
         };
         let mut s = Sender::new(config);
-        s.on_start(t(0));
+        s.start(t(0));
         for i in 1..100u64 {
-            s.on_ack(t(i * 10), Ack::plain(i));
+            s.ack(t(i * 10), Ack::plain(i));
             assert!(s.flight() <= 4, "flight {} exceeds rwnd", s.flight());
         }
     }
@@ -733,10 +732,10 @@ mod tests {
     #[test]
     fn karn_discards_sample_for_retransmitted_head() {
         let mut s = sender();
-        s.on_start(t(0)); // times seq 0
-        s.on_rto_fired(t(3000)); // retransmits seq 0 → timing discarded
+        s.start(t(0)); // times seq 0
+        s.fire_rto(t(3000)); // retransmits seq 0 → timing discarded
         let before = s.rto_estimator().mean_rtt();
-        s.on_ack(t(3100), Ack::plain(1));
+        s.ack(t(3100), Ack::plain(1));
         assert_eq!(
             s.rto_estimator().mean_rtt(),
             before,
@@ -747,18 +746,18 @@ mod tests {
     #[test]
     fn fast_recovery_inflation_allows_new_data() {
         let mut s = sender();
-        s.on_start(t(0));
+        s.start(t(0));
         for i in 1..=8u64 {
-            s.on_ack(t(i * 10), Ack::plain(i));
+            s.ack(t(i * 10), Ack::plain(i));
         }
         let una = s.snd_una();
-        s.on_ack(t(200), Ack::plain(una));
-        s.on_ack(t(201), Ack::plain(una));
-        s.on_ack(t(202), Ack::plain(una)); // fast retransmit
-                                           // Further dupacks inflate and eventually release new segments.
+        s.ack(t(200), Ack::plain(una));
+        s.ack(t(201), Ack::plain(una));
+        s.ack(t(202), Ack::plain(una)); // fast retransmit
+                                        // Further dupacks inflate and eventually release new segments.
         let mut released = 0;
         for k in 0..10 {
-            released += s.on_ack(t(210 + k), Ack::plain(una)).segments.len();
+            released += s.ack(t(210 + k), Ack::plain(una)).segments.len();
         }
         assert!(released > 0, "window inflation never released data");
     }
@@ -766,8 +765,8 @@ mod tests {
     #[test]
     fn ack_beyond_snd_nxt_ignored() {
         let mut s = sender();
-        s.on_start(t(0));
-        let out = s.on_ack(t(1), Ack::plain(999));
+        s.start(t(0));
+        let out = s.ack(t(1), Ack::plain(999));
         assert!(out.segments.is_empty());
         assert_eq!(s.snd_una(), 0);
     }
@@ -783,9 +782,9 @@ mod tests {
             cc,
             ..SenderConfig::default()
         });
-        s.on_start(t(0));
+        s.start(t(0));
         for i in 1..=8u64 {
-            s.on_ack(t(i * 10), Ack::plain(i));
+            s.ack(t(i * 10), Ack::plain(i));
         }
         s
     }
@@ -793,7 +792,7 @@ mod tests {
     fn dupack_n(s: &mut Sender, una: Seq, n: u64, base_ms: u64) -> Vec<Segment> {
         let mut sent = Vec::new();
         for k in 0..n {
-            sent.extend(s.on_ack(t(base_ms + k), Ack::plain(una)).segments);
+            sent.extend(s.ack(t(base_ms + k), Ack::plain(una)).segments);
         }
         sent
     }
@@ -821,7 +820,7 @@ mod tests {
         dupack_n(&mut s, una, 3, 200); // enter recovery, retransmit head
         assert!(s.congestion().in_fast_recovery());
         // Partial ACK: advances but below `recover` (= snd_nxt at entry).
-        let out = s.on_ack(t(400), Ack::plain(una + 2));
+        let out = s.ack(t(400), Ack::plain(una + 2));
         assert!(
             s.congestion().in_fast_recovery(),
             "partial ACK must not exit"
@@ -835,7 +834,7 @@ mod tests {
         assert_eq!(out.segments[0].seq, una + 2);
         assert_eq!(s.stats.td_events, 1, "one indication for the whole episode");
         // Full ACK ends recovery.
-        s.on_ack(t(500), Ack::plain(snd_nxt));
+        s.ack(t(500), Ack::plain(snd_nxt));
         assert!(!s.congestion().in_fast_recovery());
     }
 
@@ -845,7 +844,7 @@ mod tests {
         let una = s.snd_una();
         dupack_n(&mut s, una, 3, 200);
         assert!(s.congestion().in_fast_recovery());
-        s.on_ack(t(400), Ack::plain(una + 2));
+        s.ack(t(400), Ack::plain(una + 2));
         assert!(
             !s.congestion().in_fast_recovery(),
             "plain Reno exits on a partial ACK"
@@ -863,7 +862,7 @@ mod tests {
         let sack = crate::packet::SackBlocks::from_ranges([(10, 12), (13, 17)]);
         let mut sent = Vec::new();
         for k in 0..3u64 {
-            sent.extend(s.on_ack(t(200 + k), Ack { ack: una, sack }).segments);
+            sent.extend(s.ack(t(200 + k), Ack { ack: una, sack }).segments);
         }
         assert_eq!(s.stats.td_events, 1);
         let retx: Vec<Seq> = sent
@@ -877,7 +876,7 @@ mod tests {
         );
         // Repairs 8 and 9 arrive; with 10–11 already held the cumulative
         // ACK jumps to 12 — a partial ACK (recover = 17).
-        let out = s.on_ack(
+        let out = s.ack(
             t(400),
             Ack {
                 ack: 12,
@@ -907,7 +906,7 @@ mod tests {
         let uniq: std::collections::BTreeSet<&Seq> = all.iter().collect();
         assert_eq!(all.len(), uniq.len(), "duplicate hole repairs: {all:?}");
         // The full ACK closes the episode: one TD indication total.
-        s.on_ack(t(500), Ack::plain(end));
+        s.ack(t(500), Ack::plain(end));
         assert!(!s.congestion().in_fast_recovery());
         assert_eq!(
             s.stats.td_events, 1,
@@ -922,14 +921,14 @@ mod tests {
         let end = s.snd_nxt();
         let sack = crate::packet::SackBlocks::from_ranges([(una + 2, end)]);
         for k in 0..3u64 {
-            s.on_ack(t(200 + k), Ack { ack: una, sack });
+            s.ack(t(200 + k), Ack { ack: una, sack });
         }
         assert!(s.congestion().in_fast_recovery());
-        s.on_ack(t(300), Ack::plain(end));
+        s.ack(t(300), Ack::plain(end));
         assert!(!s.congestion().in_fast_recovery());
         assert!(!s.is_complete());
         // New data flows again.
-        let out = s.on_ack(t(400), Ack::plain(s.snd_nxt()));
+        let out = s.ack(t(400), Ack::plain(s.snd_nxt()));
         let _ = out;
     }
 
@@ -940,10 +939,10 @@ mod tests {
             ..SenderConfig::default()
         };
         let mut s = Sender::new(config);
-        let out = s.on_start(t(0));
+        let out = s.start(t(0));
         assert_eq!(out.segments.len(), 1); // initial cwnd 1
         assert!(!s.is_complete());
-        let out = s.on_ack(t(100), Ack::plain(1));
+        let out = s.ack(t(100), Ack::plain(1));
         assert_eq!(
             out.segments.len(),
             2,
@@ -951,10 +950,10 @@ mod tests {
         );
         assert_eq!(s.snd_nxt(), 3);
         // No more new data even as the window opens further.
-        let out = s.on_ack(t(200), Ack::plain(2));
+        let out = s.ack(t(200), Ack::plain(2));
         assert!(out.segments.is_empty());
         assert!(!s.is_complete());
-        s.on_ack(t(300), Ack::plain(3));
+        s.ack(t(300), Ack::plain(3));
         assert!(s.is_complete());
         assert_eq!(s.completed_at(), Some(t(300)));
     }
@@ -966,14 +965,14 @@ mod tests {
             ..SenderConfig::default()
         };
         let mut s = Sender::new(config);
-        s.on_start(t(0));
-        s.on_ack(t(100), Ack::plain(1)); // sends seq 1
-                                         // Seq 1 lost: RTO fires, retransmits it.
-        let out = s.on_rto_fired(t(4000));
+        s.start(t(0));
+        s.ack(t(100), Ack::plain(1)); // sends seq 1
+                                      // Seq 1 lost: RTO fires, retransmits it.
+        let out = s.fire_rto(t(4000));
         assert_eq!(out.segments.len(), 1);
         assert!(out.segments[0].retransmit);
         assert_eq!(out.segments[0].seq, 1);
-        s.on_ack(t(4200), Ack::plain(2));
+        s.ack(t(4200), Ack::plain(2));
         assert!(s.is_complete());
     }
 
@@ -984,10 +983,10 @@ mod tests {
             ..SenderConfig::default()
         };
         let mut s = Sender::new(config);
-        s.on_start(t(0));
-        s.on_ack(t(100), Ack::plain(1));
+        s.start(t(0));
+        s.ack(t(100), Ack::plain(1));
         assert!(s.is_complete());
-        let out = s.on_rto_fired(t(5000));
+        let out = s.fire_rto(t(5000));
         assert!(out.segments.is_empty());
         assert_eq!(out.timer, TimerCmd::Keep, "timer must die after completion");
     }
@@ -995,9 +994,9 @@ mod tests {
     #[test]
     fn infinite_source_never_completes() {
         let mut s = sender();
-        s.on_start(t(0));
+        s.start(t(0));
         for i in 1..100u64 {
-            s.on_ack(t(i * 10), Ack::plain(i));
+            s.ack(t(i * 10), Ack::plain(i));
         }
         assert!(!s.is_complete());
         assert!(s.completed_at().is_none());
@@ -1006,16 +1005,16 @@ mod tests {
     #[test]
     fn new_ack_exits_fast_recovery() {
         let mut s = sender();
-        s.on_start(t(0));
+        s.start(t(0));
         for i in 1..=8u64 {
-            s.on_ack(t(i * 10), Ack::plain(i));
+            s.ack(t(i * 10), Ack::plain(i));
         }
         let una = s.snd_una();
         for k in 0..3 {
-            s.on_ack(t(200 + k), Ack::plain(una));
+            s.ack(t(200 + k), Ack::plain(una));
         }
         assert!(s.congestion().in_fast_recovery());
-        s.on_ack(t(300), Ack::plain(s.snd_nxt()));
+        s.ack(t(300), Ack::plain(s.snd_nxt()));
         assert!(!s.congestion().in_fast_recovery());
     }
 }

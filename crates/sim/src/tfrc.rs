@@ -18,7 +18,7 @@
 //! explicit feedback packets; the RTT is a configured estimate instead of a
 //! measured one; there is no oscillation damping or idle-period handling.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use pftk_model::params::ModelParams;
 use pftk_model::sendrate::approx_model;
 use pftk_model::units::LossProb;
@@ -112,6 +112,25 @@ impl LossIntervalEstimator {
     }
 }
 
+/// The spacing of a source that sends `rate_pps` packets per second.
+///
+/// # Panics
+/// Unless `rate_pps` is finite and positive and the spacing rounds to at
+/// least 1 ns: a source rescheduled at the instant it fires would never
+/// let the clock move. `what` names the rate in the message.
+pub(crate) fn packet_interval(rate_pps: f64, what: &str) -> SimDuration {
+    assert!(
+        rate_pps.is_finite() && rate_pps > 0.0,
+        "{what} must be finite and positive, got {rate_pps}"
+    );
+    let interval = SimDuration::from_secs_f64(1.0 / rate_pps);
+    assert!(
+        interval.as_nanos() > 0,
+        "{what} of {rate_pps} pkt/s spaces packets less than 1 ns apart"
+    );
+    interval
+}
+
 /// TFRC sender configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TfrcConfig {
@@ -149,8 +168,21 @@ pub struct TfrcController {
 
 impl TfrcController {
     /// A controller starting at the configured initial rate.
+    ///
+    /// # Panics
+    /// Unless `rtt_secs` is positive; both rates are finite and positive
+    /// with packets at least 1 ns apart; and `max_rate_pps` is at least the
+    /// probing floor of one packet per 8 RTTs. Every rate the controller
+    /// can reach then lies between these bounds.
     pub fn new(config: TfrcConfig) -> Self {
-        assert!(config.initial_rate_pps > 0.0 && config.rtt_secs > 0.0);
+        assert!(config.rtt_secs > 0.0, "TFRC rtt must be positive");
+        packet_interval(config.initial_rate_pps, "TFRC initial rate");
+        packet_interval(config.max_rate_pps, "TFRC max rate");
+        assert!(
+            floor_pps(&config) <= config.max_rate_pps,
+            "TFRC max rate {} pkt/s is below the probing floor",
+            config.max_rate_pps
+        );
         TfrcController {
             config,
             rate_pps: config.initial_rate_pps,
@@ -188,16 +220,18 @@ impl TfrcController {
                 //= pftk#eq-33
                 //= pftk#tcp-friendly
                 let eq = approx_model(lp, &params);
-                self.rate_pps = eq.clamp(
-                    // At least one packet per RTO-ish interval, so the flow
-                    // keeps probing (RFC 5348's one-packet-per-64s absolute
-                    // floor is far below anything this testbed needs).
-                    1.0 / (8.0 * self.config.rtt_secs),
-                    self.config.max_rate_pps,
-                );
+                self.rate_pps = eq.clamp(floor_pps(&self.config), self.config.max_rate_pps);
             }
         }
     }
+}
+
+/// The slowest rate the control equation may set: one packet per
+/// RTO-ish interval, so the flow keeps probing (RFC 5348's
+/// one-packet-per-64s absolute floor is far below anything this testbed
+/// needs).
+fn floor_pps(config: &TfrcConfig) -> f64 {
+    1.0 / (8.0 * config.rtt_secs)
 }
 
 #[cfg(test)]
@@ -311,6 +345,46 @@ mod tests {
         let before = c.rate_pps();
         c.on_feedback(Some(0.05));
         assert!(c.rate_pps() < before);
+    }
+
+    fn config(initial_rate_pps: f64, max_rate_pps: f64) -> TfrcConfig {
+        TfrcConfig {
+            rtt_secs: 0.1,
+            t0_secs: 0.4,
+            initial_rate_pps,
+            max_rate_pps,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "less than 1 ns apart")]
+    fn initial_rate_with_a_zero_spacing_is_rejected() {
+        TfrcController::new(config(3e9, 100_000.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "less than 1 ns apart")]
+    fn max_rate_with_a_zero_spacing_is_rejected() {
+        TfrcController::new(config(10.0, 3e9));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn nan_max_rate_is_rejected() {
+        TfrcController::new(config(10.0, f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn infinite_initial_rate_is_rejected() {
+        TfrcController::new(config(f64::INFINITY, 100_000.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "below the probing floor")]
+    fn max_rate_below_the_probing_floor_is_rejected() {
+        // The floor at a 100 ms RTT is 1.25 pkt/s.
+        TfrcController::new(config(1.0, 1.0));
     }
 
     #[test]

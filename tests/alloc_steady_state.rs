@@ -16,6 +16,9 @@
 //! coefficient need them all), so its sample vectors keep doubling, but
 //! its in-flight state must not allocate per event.
 //!
+//! The shared-bottleneck network runs the same TCP flow core, pooled
+//! outputs included, so a warm `Network` window is held to zero too.
+//!
 //! The same harness pins the fleet shard loop: after warm-up, a
 //! `FleetShard::run_until` window over hundreds of flows must be
 //! allocation-free too (SoA arenas, pending times included, are fixed
@@ -23,12 +26,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use padhye_tcp_repro::sim::connection::Connection;
 use padhye_tcp_repro::sim::fleet::{FleetCohort, FleetShard, FleetSpec};
 use padhye_tcp_repro::sim::link::Path;
 use padhye_tcp_repro::sim::loss::Bernoulli;
+use padhye_tcp_repro::sim::network::{FlowConfig, Network};
+use padhye_tcp_repro::sim::queue::DropTail;
 use padhye_tcp_repro::sim::reno::sender::SenderConfig;
 use padhye_tcp_repro::sim::rounds::RoundsConfig;
 use padhye_tcp_repro::sim::time::{SimDuration, SimTime};
@@ -37,25 +41,26 @@ use padhye_tcp_repro::trace::stream::StreamConfig;
 
 /// System allocator with an allocation counter in front.
 ///
-/// Counting is gated per-thread: the libtest harness's main thread parks
-/// on a channel while the test runs and allocates in `std::sync::mpmc`
-/// at unpredictable instants, so a process-wide counter is flaky. Only
-/// the thread that opted in via `COUNTING` contributes to the total.
+/// Counting is gated per thread, and so is the count: the libtest
+/// harness's main thread parks on a channel while the test runs and
+/// allocates in `std::sync::mpmc` at unpredictable instants, and tests
+/// run in parallel, so a process-wide counter would add one test's
+/// allocations to another's window. Only the thread that opted in via
+/// `COUNTING` counts, into its own `ALLOCATIONS`.
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Whether allocations on this thread are counted. Const-initialized
-    /// `Cell<bool>` has no destructor and its access never allocates, so
-    /// reading it inside the allocator cannot recurse.
+    /// `Cell`s have no destructor and their access never allocates, so
+    /// reading them inside the allocator cannot recurse.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_here() {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        //~ allow(relaxed_atomic): single-threaded count gated by the thread-local; no hand-off rides on it
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -111,11 +116,9 @@ fn steady_state_simulation_does_not_allocate() {
     let sent_at_snapshot = conn.stats().packets_sent;
 
     COUNTING.with(|c| c.set(true));
-    //~ allow(relaxed_atomic): reads a counter only this thread bumps
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let hit = conn.run_until_budget(SimTime::from_secs_f64(120.0), 10_000_000);
-    //~ allow(relaxed_atomic): reads a counter only this thread bumps
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(false));
     assert!(!hit, "measurement window must not hit the event budget");
 
@@ -154,11 +157,9 @@ fn warm_streaming_analyzer_allocates_only_sample_growth() {
     let sent_at_snapshot = conn.stats().packets_sent;
 
     COUNTING.with(|c| c.set(true));
-    //~ allow(relaxed_atomic): reads a counter only this thread bumps
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let hit = conn.run_until_budget(SimTime::from_secs_f64(330.0), 10_000_000);
-    //~ allow(relaxed_atomic): reads a counter only this thread bumps
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(false));
     assert!(!hit, "measurement window must not hit the event budget");
 
@@ -175,6 +176,55 @@ fn warm_streaming_analyzer_allocates_only_sample_growth() {
         allocations <= 40,
         "warm streaming analyzer allocated {allocations} times over \
          {sent_in_window} packets; only sample-vector doublings are expected"
+    );
+}
+
+#[test]
+fn warm_network_does_not_allocate() {
+    // Two TCP flows with unequal RTTs and a CBR flow through one
+    // drop-tail queue: bottleneck drops, loss recovery and both timer
+    // kinds, with stale timers left in the queue. TFRC stays out: its
+    // loss-interval history grows by design. The bounded receiver window
+    // caps packets in flight, and so the burst one ACK can release, as in
+    // the single-connection test. The pooled outputs grow to that burst
+    // by doubling; a 60 s warm-up ends one doubling short, 120 s does not.
+    let config = SenderConfig {
+        rwnd: 64,
+        ..SenderConfig::default()
+    };
+    let mut net = Network::new(200.0, Box::new(DropTail::new(30)), 5);
+    net.add_flow(FlowConfig::tcp(0.1, config));
+    net.add_flow(FlowConfig::tcp(0.2, config));
+    net.add_flow(FlowConfig::cbr(0.1, 40.0));
+    let sent = |net: &Network| net.stats().iter().map(|s| s.sent).sum::<u64>();
+
+    // Warm-up: queue and pool high-water marks.
+    net.run_until(SimTime::from_secs_f64(120.0));
+    let sent_at_snapshot = sent(&net);
+
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCATIONS.with(Cell::get);
+    net.run_until(SimTime::from_secs_f64(300.0));
+    let after = ALLOCATIONS.with(Cell::get);
+    COUNTING.with(|c| c.set(false));
+
+    let stats = net.stats();
+    let sent_in_window = sent(&net) - sent_at_snapshot;
+    assert!(
+        sent_in_window > 10_000,
+        "degenerate window: only {sent_in_window} packets"
+    );
+    assert!(
+        stats.iter().all(|s| s.dropped > 0),
+        "every flow should meet the full queue: {stats:?}"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "warm network allocated {} times over {} packets; both packet \
+         engines must be allocation-free after warm-up",
+        after - before,
+        sent_in_window
     );
 }
 
@@ -220,11 +270,9 @@ fn warm_fleet_shard_does_not_allocate() {
     assert!(warmed > 10_000, "degenerate warm-up: {warmed} events");
 
     COUNTING.with(|c| c.set(true));
-    //~ allow(relaxed_atomic): reads a counter only this thread bumps
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let in_window = shard.run_until(SimTime::from_secs_f64(300.0));
-    //~ allow(relaxed_atomic): reads a counter only this thread bumps
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(false));
 
     assert!(
