@@ -1,17 +1,19 @@
 //! Atomics/concurrency audit: classifies every atomic access and flags
 //! `Ordering::Relaxed` on synchronization-bearing operations.
 //!
-//! The work-stealing `WorkerPool` (PR 4) moved campaign execution onto
-//! shared atomics; a misplaced `Relaxed` there would let a task hand-off
-//! race ahead of its payload and silently corrupt a campaign row. This
-//! pass finds every atomic method call whose arguments name a memory
-//! ordering (`load`, `store`, `swap`, `fetch_*`, `compare_exchange*`),
-//! records an [`AtomicSite`] classification for the audit report, and
-//! reports a `relaxed_atomic` violation for any `Relaxed` access that
-//! does not carry a justified `//~ allow(relaxed_atomic)` whitelist
-//! entry. Benign uses — monotonic stat counters, round-robin cursors
-//! whose only requirement is uniqueness — are annotated at the site;
-//! anything guarding a hand-off must use `Acquire`/`Release`/`AcqRel`.
+//! The campaign worker pool hands tasks over through one `Mutex`-guarded
+//! queue, but each task's lifecycle (queued, running, abandoned) and the
+//! supervisor's job claims are atomics; a misplaced `Relaxed` there would
+//! let an abandonment or a hand-off race ahead of its payload and
+//! silently corrupt a campaign row. This pass finds every atomic method
+//! call whose arguments name a memory ordering (`load`, `store`, `swap`,
+//! `fetch_*`, `compare_exchange*`), records an [`AtomicSite`]
+//! classification for the audit report, and reports a `relaxed_atomic`
+//! violation for any `Relaxed` access that does not carry a justified
+//! `//~ allow(relaxed_atomic)` whitelist entry. Benign uses — monotonic
+//! stat counters, indices whose only requirement is uniqueness — are
+//! annotated at the site; anything guarding a hand-off must use
+//! `Acquire`/`Release`/`AcqRel`.
 //!
 //! Detection requires an `Ordering` variant identifier inside the call's
 //! argument list, so `Vec::swap(a, b)` or an unrelated `.load(path)`

@@ -26,6 +26,16 @@ const BLOCK_WORDS: usize = 16;
 /// `2^-53`: scales a 53-bit integer into `[0, 1)`.
 const UNIT_53: f64 = 1.0 / 9_007_199_254_740_992.0;
 
+/// Maps a 53-bit value `x` to `(x + ½)·2⁻⁵³`. Below 2⁵² the sum is exact,
+/// giving `[2⁻⁵⁴, ½ − 2⁻⁵⁴]`. From 2⁵² up, `x + 0.5` needs a 54th bit and
+/// rounds half to even: an even `x` maps to `x·2⁻⁵³`, an odd one to
+/// `(x + 1)·2⁻⁵³`, so `x = 2⁵³ − 1` maps to exactly 1.0.
+#[inline]
+fn half_ulp_unit(x: u64) -> f64 {
+    //~ allow(cast): 53-bit integer to f64 is exact
+    (x as f64 + 0.5) * UNIT_53
+}
+
 /// One row of the 4×4 ChaCha state.
 type Row = [u32; 4];
 
@@ -280,12 +290,13 @@ impl SimRng {
         Ok(())
     }
 
-    /// A uniform draw in the open interval (0, 1): 53 random mantissa bits
-    /// offset by half an ulp, so the value lies in `[2⁻⁵⁴, 1 − 2⁻⁵⁴]`.
+    /// A uniform draw in `(0, 1]`: 53 random bits `x` mapped to
+    /// `(x + ½)·2⁻⁵³`, so the smallest value is 2⁻⁵⁴ and `ln` of a draw is
+    /// always finite. Above one half the sum rounds to an even `x`, and
+    /// the largest `x` gives exactly 1.0 (once in 2⁵³ draws).
     #[inline]
     pub fn open01(&mut self) -> f64 {
-        //~ allow(cast): 53-bit integer to f64 is exact
-        ((self.next_u64() >> 11) as f64 + 0.5) * UNIT_53
+        half_ulp_unit(self.next_u64() >> 11)
     }
 
     /// Bernoulli draw with success probability `p` (clamped to [0, 1]).
@@ -383,6 +394,15 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.open01(), b.open01());
         }
+    }
+
+    #[test]
+    fn half_ulp_unit_edges() {
+        let unit = |x: u64| half_ulp_unit(x).to_bits();
+        assert_eq!(unit(0), 2f64.powi(-54).to_bits());
+        assert_eq!(unit((1 << 52) - 1), (0.5 - 2f64.powi(-54)).to_bits());
+        assert_eq!(unit(1 << 52), 0.5f64.to_bits());
+        assert_eq!(unit((1 << 53) - 1), 1.0f64.to_bits());
     }
 
     #[test]

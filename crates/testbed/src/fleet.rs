@@ -1,6 +1,6 @@
 //! Fleet-scale sharded campaigns: 10^5–10^6 concurrent §II-model flows,
-//! cut into cache-sized blocks that [`pool::WorkerPool`] workers
-//! balance, validated distributionally against Eq. (32).
+//! cut into cache-sized blocks that pooled workers take from one queue,
+//! validated distributionally against Eq. (32).
 //!
 //! The paper's Table II validates the model one connection at a time; a
 //! fleet campaign asks the same question at population scale. Each cohort
@@ -30,7 +30,8 @@
 //! horizon, so its cost per event barely depends on its size; the blocks
 //! are there for balance. One range per worker would leave the halves
 //! unevenly loaded, because cohorts differ in cost per flow, while many
-//! small blocks let work stealing even those costs out.
+//! small blocks on one queue even those costs out: a worker that finishes
+//! early takes the next block.
 //!
 //! ## Wire audit
 //!
@@ -211,7 +212,7 @@ pub fn run_fleet(spec: &FleetCampaignSpec, shards: usize) -> FleetReport {
 
 /// Runs the fleet campaign: cuts the global flow space into contiguous
 /// cache-sized blocks, executes each block as a [`FleetShard`] on a
-/// [`pool::WorkerPool`] of at most `shards` workers (with seeded schedule
+/// worker pool of at most `shards` workers (with seeded schedule
 /// chaos when `schedule_chaos` is set), merges per-cohort results in
 /// global flow order, and runs the serial wire audit. The pool never has
 /// more workers than blocks; with one worker the blocks run inline, in
@@ -267,8 +268,8 @@ fn sim_spec(spec: &FleetCampaignSpec) -> FleetSpec {
 /// Most flows one block may hold. Blocks serve load balance only: a
 /// shard runs each flow to the horizon in turn, so its per-event cost
 /// barely moves between 1024-flow blocks and one 100k range (DESIGN.md
-/// §14.3), and ~25 blocks at 10^5 flows give two workers' work stealing
-/// room to even out the cohorts' unequal costs.
+/// §14.3), and ~25 blocks at 10^5 flows on one queue let two workers
+/// even out the cohorts' unequal costs.
 const BLOCK_FLOWS: u64 = 4096;
 
 /// Cuts `0..total` into the fewest contiguous, near-equal blocks of at
@@ -281,9 +282,10 @@ fn block_ranges(total: u64) -> Vec<Range<u64>> {
 }
 
 /// Runs every block of `0..total` as a [`FleetShard`] through
-/// [`pool::run_in_order`] on at most `shards` workers, whose work
-/// stealing balances the blocks; returns the finished blocks in range
-/// order. With one worker (or one block) the blocks run inline, in order.
+/// [`pool::run_in_order`] on at most `shards` workers, which take the
+/// blocks from one queue as they free up; returns the finished blocks in
+/// range order. With one worker (or one block) the blocks run inline, in
+/// order.
 fn run_shards(
     fleet_spec: &Arc<FleetSpec>,
     total: u64,

@@ -38,7 +38,7 @@ pub mod fleet;
 pub mod hosts;
 pub mod journal;
 pub mod paths;
-pub mod pool;
+mod pool;
 pub mod report;
 pub mod supervisor;
 
@@ -54,7 +54,6 @@ pub use fleet::{
 pub use hosts::{host, Host, Os, HOSTS};
 pub use journal::{CampaignRecord, CrashPoint, Journal, ResultPayload};
 pub use paths::{fig7_paths, fig8_paths, table2_path, ModemSpec, PathSpec, TABLE2_PATHS};
-pub use pool::{TaskHandle, WorkerPool};
 pub use supervisor::{
     run_campaign, CampaignReport, CampaignRow, Job, JobSpec, Outcome, SupervisorConfig,
 };

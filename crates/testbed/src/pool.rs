@@ -1,50 +1,36 @@
-//! A reusable work-stealing worker pool for campaign execution.
+//! The campaign worker pool: long-lived workers fed from one FIFO queue.
 //!
-//! The supervisor used to spawn one detached OS thread per *attempt*; a
-//! 24-path Table II campaign with retries could burn through dozens of
-//! short-lived threads. This pool spawns its workers once and feeds them
-//! through per-worker deques with work stealing: submission round-robins
-//! across the workers' own queues, an idle worker first drains its own
-//! queue front-to-back, then steals from the back of its siblings'.
+//! A `Mutex` guards the queue and a shutdown flag; idle workers sleep on
+//! a `Condvar` that each submission and the pool's drop signal. Campaign
+//! tasks last milliseconds or longer, so one lock per hand-off is noise.
+//! The workers are spawned once per pool, not once per attempt: a thread
+//! per attempt costs only ~40 µs, yet it lost 6 of 6 alternating
+//! `table2_hour` pairs to this pool on a 2-vCPU host (DESIGN.md §9.4).
 //!
-//! The supervisor's containment semantics are preserved exactly:
-//!
-//! * **panic isolation** — a worker runs every task under
+//! * **panic isolation** — every task runs under
 //!   [`std::panic::catch_unwind`], so a panicking experiment neither kills
-//!   the worker nor poisons anything; the worker moves on to the next task
-//!   (the task's own channel reports the panic, as before);
+//!   its worker nor poisons anything (the task's own channel reports it);
 //! * **abandonment** — OS threads cannot be killed, so when a wall-clock
-//!   deadline expires the monitor calls [`WorkerPool::abandon`]: a task
-//!   that has not started yet is discarded unrun, and a task currently
-//!   executing gets its worker *replaced* — a fresh worker thread is
-//!   spawned immediately so pool capacity never degrades, and the stuck
-//!   worker exits (instead of rejoining the pool) if it ever finishes.
-//!
-//! No condition variables: idle workers park with
-//! [`std::thread::park_timeout`] and submissions unpark the pool. An
-//! unpark "token" is never lost (unpark-before-park makes the next park
-//! return immediately), and the timeout bounds the latency of any race to
-//! one short interval.
+//!   deadline expires the monitor calls [`WorkerPool::abandon`]: a queued
+//!   task is discarded unrun, and a running one keeps its worker, which
+//!   is written off (it exits if the task ever returns) while a
+//!   replacement worker on the same queue keeps the pool at capacity.
 //!
 //! **Schedule chaos** ([`WorkerPool::with_schedule_chaos`]): for the
-//! replay-equivalence gate the pool can deliberately perturb its own
-//! scheduling — each worker draws from a tiny seeded xorshift stream to
-//! insert 0–3 [`std::thread::yield_now`] points before every grab and to
-//! rotate its steal order. Campaign output must be bit-identical under
-//! any such schedule (and any worker count); the chaos knob makes "the
-//! schedule happened to be benign" an untenable explanation for a
-//! passing test. Chaos never changes *what* runs, only *when* and *who*.
+//! replay-equivalence gate each worker draws from a tiny seeded xorshift
+//! stream to yield 0–3 times ([`std::thread::yield_now`]) before every
+//! grab, perturbing which worker takes which task and how they
+//! interleave. Campaign output must be bit-identical under any schedule
+//! and worker count; chaos changes only *when* and *who*, never *what*.
 //!
-//! **Ordered runs** (`run_in_order`, crate-private): the fleet's blocks
-//! and the serial campaign's connections are independent tasks whose
-//! results must come back by index, not by completion. The runner submits
-//! them to one pool and collects each result into its task's slot.
+//! **Ordered runs** ([`run_in_order`]): the fleet's blocks and the serial
+//! campaign's connections are independent tasks whose results must come
+//! back by index, not by completion.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::Thread;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Task lifecycle states (stored in [`TaskHandle::state`]).
@@ -56,15 +42,10 @@ const ABANDONED_QUEUED: u8 = 2;
 /// when (if) the task returns; a replacement has already been spawned.
 const ABANDONED_RUNNING: u8 = 3;
 
-/// How long an idle worker sleeps between queue checks. Parking is also
-/// interrupted by every submission, so this is only the fallback bound on
-/// wakeup latency.
-const IDLE_PARK: Duration = Duration::from_millis(50);
-
 /// Locks `mutex`, taking the data even if a panicking holder poisoned
-/// it: every structure behind these locks (queues, registries, report
-/// slots) stays consistent between operations, so poison carries no
-/// information here.
+/// it: every structure behind these locks (the task queue, report slots)
+/// stays consistent between operations, so poison carries no information
+/// here.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -77,19 +58,20 @@ struct TaskCell {
 
 /// A handle to a submitted task, used to abandon it after a deadline.
 #[derive(Debug, Clone)]
-pub struct TaskHandle {
+pub(crate) struct TaskHandle {
     state: Arc<AtomicU8>,
 }
 
+/// What the pool's one lock guards.
+struct Queue {
+    tasks: VecDeque<TaskCell>,
+    shutdown: bool,
+}
+
 struct PoolShared {
-    /// One deque per home worker slot; stealing crosses slots.
-    queues: Vec<Mutex<VecDeque<TaskCell>>>,
-    /// Park/unpark registry: every live (and some exited) worker threads.
-    /// Unparking an exited thread is a no-op, so stale entries are
-    /// harmless; the list only grows when workers are replaced, which is
-    /// rare (one entry per abandonment).
-    threads: Mutex<Vec<Thread>>,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled when a task is queued or the pool shuts down.
+    ready: Condvar,
     workers_spawned: AtomicUsize,
     tasks_executed: AtomicUsize,
     /// Schedule-chaos seed; `None` = natural scheduling.
@@ -109,59 +91,40 @@ fn xorshift64(state: &mut u64) -> u64 {
 }
 
 impl PoolShared {
-    /// Pops the next task for a worker homed at `home`: own queue from the
-    /// front (FIFO), then a steal from the back of sibling queues starting
-    /// `steal_start` siblings past its own (0 = natural order; chaos mode
-    /// rotates it to exercise different victim orders).
-    fn grab(&self, home: usize, steal_start: usize) -> Option<TaskCell> {
-        if let Some(cell) = lock(&self.queues[home]).pop_front() {
-            return Some(cell);
-        }
-        let n = self.queues.len();
-        for off in 0..n.saturating_sub(1) {
-            let victim = (home + 1 + (steal_start + off) % (n - 1)) % n;
-            if let Some(cell) = lock(&self.queues[victim]).pop_back() {
-                return Some(cell);
+    /// Waits for the next queued task, oldest first; `None` once the pool
+    /// shuts down. A chaos worker first yields 0–3 times.
+    fn next_task(&self, chaos: Option<&mut u64>) -> Option<TaskCell> {
+        if let Some(state) = chaos {
+            for _ in 0..(xorshift64(state) & 3) {
+                std::thread::yield_now();
             }
         }
-        None
-    }
-
-    fn unpark_all(&self) {
-        for t in lock(&self.threads).iter() {
-            t.unpark();
+        let mut queue = lock(&self.queue);
+        loop {
+            if queue.shutdown {
+                return None;
+            }
+            if let Some(cell) = queue.tasks.pop_front() {
+                return Some(cell);
+            }
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    fn spawn_worker(self: &Arc<Self>, home: usize) {
-        //~ allow(relaxed_atomic): monotonic stat counter read by diagnostics only
-        self.workers_spawned.fetch_add(1, Ordering::Relaxed);
+    fn spawn_worker(self: &Arc<Self>) {
+        //~ allow(relaxed_atomic): monotonic stat counter; the returned index only seeds chaos
+        let index = self.workers_spawned.fetch_add(1, Ordering::Relaxed) as u64;
         let shared = Arc::clone(self);
         std::thread::spawn(move || {
-            lock(&shared.threads).push(std::thread::current());
-            // Per-worker chaos stream: seed mixed with the home slot so
-            // workers perturb independently but reproducibly.
+            // Per-worker chaos stream: seed mixed with the worker's spawn
+            // index so workers perturb independently but reproducibly.
             let mut chaos = shared
                 .chaos
-                .map(|seed| (seed ^ (home as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let steal_start = match chaos.as_mut() {
-                    Some(state) => {
-                        let draw = xorshift64(state);
-                        for _ in 0..(draw & 3) {
-                            std::thread::yield_now();
-                        }
-                        (draw >> 2) as usize % shared.queues.len()
-                    }
-                    None => 0,
-                };
-                let Some(cell) = shared.grab(home, steal_start) else {
-                    std::thread::park_timeout(IDLE_PARK);
-                    continue;
-                };
+                .map(|seed| (seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
+            while let Some(cell) = shared.next_task(chaos.as_mut()) {
                 if cell
                     .state
                     .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
@@ -186,73 +149,54 @@ impl PoolShared {
     }
 }
 
-/// The pool; see the module docs. Dropping it shuts the workers down
-/// (idle workers exit promptly; a worker stuck in an abandoned task leaks,
-/// exactly as the old detached-thread design leaked it).
-pub struct WorkerPool {
+/// The pool; see the module docs. Dropping it shuts the workers down:
+/// idle workers wake and exit, and queued tasks are dropped unrun (a
+/// worker stuck in an abandoned task cannot be stopped and leaks).
+pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
-    next: AtomicUsize,
-    replacement_home: AtomicUsize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers_spawned", &self.workers_spawned())
-            .field("tasks_executed", &self.tasks_executed())
-            .finish()
-    }
 }
 
 impl WorkerPool {
     /// A pool with `workers` worker threads (at least one).
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         Self::build(workers, None)
     }
 
     /// A pool that deliberately perturbs its own scheduling (seeded yield
-    /// points and rotated steal order; see the module docs). Campaign
-    /// output must be invariant under the perturbation — the
-    /// replay-equivalence gate runs the same seeded campaign with and
-    /// without chaos and asserts bit-identical reports.
-    pub fn with_schedule_chaos(workers: usize, seed: u64) -> Self {
+    /// points; see the module docs). Campaign output must be invariant
+    /// under the perturbation — the replay-equivalence gate runs the same
+    /// seeded campaign with and without chaos and asserts bit-identical
+    /// reports.
+    pub(crate) fn with_schedule_chaos(workers: usize, seed: u64) -> Self {
         Self::build(workers, Some(seed))
     }
 
     fn build(workers: usize, chaos: Option<u64>) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            threads: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
             workers_spawned: AtomicUsize::new(0),
             tasks_executed: AtomicUsize::new(0),
             chaos,
         });
-        for home in 0..workers {
-            shared.spawn_worker(home);
+        for _ in 0..workers.max(1) {
+            shared.spawn_worker();
         }
-        WorkerPool {
-            shared,
-            next: AtomicUsize::new(0),
-            replacement_home: AtomicUsize::new(0),
-        }
+        WorkerPool { shared }
     }
 
-    /// Submits a task; it runs on some worker, FIFO per home queue,
-    /// stealable by any idle worker. Returns a handle for
-    /// [`WorkerPool::abandon`].
-    pub fn submit<F: FnOnce() + Send + 'static>(&self, task: F) -> TaskHandle {
+    /// Queues a task behind every earlier one; the next free worker runs
+    /// it. Returns a handle for [`WorkerPool::abandon`].
+    pub(crate) fn submit<F: FnOnce() + Send + 'static>(&self, task: F) -> TaskHandle {
         let state = Arc::new(AtomicU8::new(QUEUED));
-        let cell = TaskCell {
+        lock(&self.shared.queue).tasks.push_back(TaskCell {
             run: Box::new(task),
             state: Arc::clone(&state),
-        };
-        let n = self.shared.queues.len();
-        //~ allow(relaxed_atomic): round-robin cursor; only uniqueness matters, the queue Mutex orders the hand-off
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % n;
-        lock(&self.shared.queues[slot]).push_back(cell);
-        self.shared.unpark_all();
+        });
+        self.shared.ready.notify_one();
         TaskHandle { state }
     }
 
@@ -261,7 +205,7 @@ impl WorkerPool {
     /// keeps running on its (unkillable) worker, but that worker is
     /// written off and a replacement is spawned immediately, so the pool's
     /// capacity is unchanged. Idempotent.
-    pub fn abandon(&self, handle: &TaskHandle) {
+    pub(crate) fn abandon(&self, handle: &TaskHandle) {
         let result = handle
             .state
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |state| match state {
@@ -271,34 +215,17 @@ impl WorkerPool {
             });
         if result == Ok(RUNNING) {
             // The runner is stuck inside the task: replace it.
-            let n = self.shared.queues.len();
-            //~ allow(relaxed_atomic): round-robin cursor choosing a home slot; no payload rides on it
-            let home = self.replacement_home.fetch_add(1, Ordering::Relaxed) % n;
-            self.shared.spawn_worker(home);
+            self.shared.spawn_worker();
         }
-    }
-
-    /// Worker threads spawned over the pool's lifetime (initial workers
-    /// plus abandonment replacements).
-    pub fn workers_spawned(&self) -> usize {
-        //~ allow(relaxed_atomic): diagnostic read of a stat counter
-        self.shared.workers_spawned.load(Ordering::Relaxed)
-    }
-
-    /// Tasks that ran to completion (including ones that panicked inside
-    /// and ones abandoned mid-run that eventually returned).
-    pub fn tasks_executed(&self) -> usize {
-        //~ allow(relaxed_atomic): diagnostic read of a stat counter
-        self.shared.tasks_executed.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.unpark_all();
-        // No joins: idle workers exit within one park interval; a worker
-        // wedged inside an abandoned task cannot be waited for anyway.
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.ready.notify_all();
+        // No joins: idle workers wake and exit; a worker wedged inside an
+        // abandoned task cannot be waited for anyway.
     }
 }
 
@@ -323,6 +250,20 @@ const ORDERED_WALL_BUDGET: Duration = Duration::from_secs(1800);
 /// of the previous one; the message names the task index.
 //= pftk#det-ordered-output
 pub(crate) fn run_in_order<T, F>(
+    workers: usize,
+    schedule_chaos: Option<u64>,
+    tasks: Vec<F>,
+) -> Vec<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    run_in_order_within(ORDERED_WALL_BUDGET, workers, schedule_chaos, tasks)
+}
+
+/// [`run_in_order`] with the wait for each next result bounded by `budget`.
+fn run_in_order_within<T, F>(
+    budget: Duration,
     workers: usize,
     schedule_chaos: Option<u64>,
     tasks: Vec<F>,
@@ -363,7 +304,7 @@ where
 
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for _ in 0..n {
-        let Ok((i, outcome)) = rx.recv_timeout(ORDERED_WALL_BUDGET) else {
+        let Ok((i, outcome)) = rx.recv_timeout(budget) else {
             let first = slots.iter().position(Option::is_none).unwrap_or(n);
             //~ allow(panic): a lost task means a lost worker; the run cannot continue
             panic!("ordered task {first} of {n} (first outstanding) died or exceeded its budget");
@@ -384,12 +325,24 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Instant;
 
+    /// Worker threads spawned over the pool's lifetime (initial workers
+    /// plus abandonment replacements).
+    fn workers_spawned(pool: &WorkerPool) -> usize {
+        pool.shared.workers_spawned.load(Ordering::Relaxed)
+    }
+
+    /// Tasks that ran to completion (including ones that panicked inside
+    /// and ones abandoned mid-run that eventually returned).
+    fn tasks_executed(pool: &WorkerPool) -> usize {
+        pool.shared.tasks_executed.load(Ordering::Relaxed)
+    }
+
     /// The executed-task counter is bumped *after* a task body returns, so
     /// a test that observed a task's side effect may still be ahead of the
     /// counter; wait for it to catch up.
     fn wait_for_executed(pool: &WorkerPool, n: usize) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.tasks_executed() < n && Instant::now() < deadline {
+        while tasks_executed(pool) < n && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
@@ -408,9 +361,9 @@ mod tests {
         let mut got: Vec<u64> = rx.iter().collect();
         got.sort_unstable();
         assert_eq!(got, (0..32).collect::<Vec<_>>());
-        assert_eq!(pool.workers_spawned(), 4);
+        assert_eq!(workers_spawned(&pool), 4);
         wait_for_executed(&pool, 32);
-        assert_eq!(pool.tasks_executed(), 32);
+        assert_eq!(tasks_executed(&pool), 32);
     }
 
     #[test]
@@ -437,9 +390,9 @@ mod tests {
             let _ = tx.send(7u64);
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
-        assert_eq!(pool.workers_spawned(), 1, "no replacement for a panic");
+        assert_eq!(workers_spawned(&pool), 1, "no replacement for a panic");
         wait_for_executed(&pool, 2);
-        assert_eq!(pool.tasks_executed(), 2);
+        assert_eq!(tasks_executed(&pool), 2);
     }
 
     #[test]
@@ -459,7 +412,7 @@ mod tests {
         let _ = gate_tx.send(()); // release the worker
                                   // The abandoned task's channel reports disconnection, not a value.
         assert!(rx.recv_timeout(Duration::from_secs(5)).is_err());
-        assert_eq!(pool.workers_spawned(), 1, "queued abandonment: no spawn");
+        assert_eq!(workers_spawned(&pool), 1, "queued abandonment: no spawn");
     }
 
     #[test]
@@ -482,7 +435,7 @@ mod tests {
             let _ = tx.send(42u64);
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(42));
-        assert_eq!(pool.workers_spawned(), 2, "one replacement spawned");
+        assert_eq!(workers_spawned(&pool), 2, "one replacement spawned");
         let _ = gate_tx.send(());
     }
 
@@ -501,14 +454,14 @@ mod tests {
         pool.abandon(&handle);
         pool.abandon(&handle);
         pool.abandon(&handle);
-        assert_eq!(pool.workers_spawned(), 3, "exactly one replacement");
+        assert_eq!(workers_spawned(&pool), 3, "exactly one replacement");
         let _ = gate_tx.send(());
     }
 
     #[test]
-    fn work_stealing_uses_all_workers() {
-        // 4 workers, 4 long-ish tasks submitted round-robin: if stealing
-        // (or fair distribution) works, wall time is ~1 task, not 4.
+    fn all_workers_take_tasks_concurrently() {
+        // 4 workers, 4 long-ish tasks on the one queue: if every idle
+        // worker takes a task, wall time is ~1 task, not 4.
         let pool = WorkerPool::new(4);
         let started = Instant::now();
         let (tx, rx) = mpsc::channel();
@@ -543,7 +496,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..64).collect::<Vec<_>>());
         wait_for_executed(&pool, 64);
-        assert_eq!(pool.tasks_executed(), 64, "chaos reorders, never drops");
+        assert_eq!(tasks_executed(&pool), 64, "chaos reorders, never drops");
     }
 
     #[test]
@@ -615,5 +568,38 @@ mod tests {
             .map(|i| move || assert!(i != 2, "injected task panic"))
             .collect();
         run_in_order(1, None, tasks);
+    }
+
+    #[test]
+    fn wedged_ordered_task_exceeds_the_budget() {
+        // Task 1 blocks on a gate far longer than the budget; tasks 0 and
+        // 2 finish on the other worker, so the wait for the third result
+        // runs out the budget.
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let mut gate = Some(gate_rx);
+        let tasks = (0..3u64)
+            .map(|i| {
+                let gate = if i == 1 { gate.take() } else { None };
+                move || {
+                    if let Some(gate) = gate {
+                        let _ = gate.recv_timeout(Duration::from_secs(10));
+                    }
+                    i
+                }
+            })
+            .collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_in_order_within(Duration::from_millis(100), 2, None, tasks)
+        }));
+        // Release the wedged worker before asserting anything.
+        let _ = gate_tx.send(());
+        let message = match outcome {
+            Ok(results) => panic!("a wedged run returned {results:?}"),
+            Err(payload) => payload.downcast::<String>().map(|s| *s).unwrap_or_default(),
+        };
+        assert_eq!(
+            message,
+            "ordered task 1 of 3 (first outstanding) died or exceeded its budget"
+        );
     }
 }

@@ -4,13 +4,13 @@
 //!
 //! The paper's Table II aggregates 24 hour-long measurements; losing all
 //! 24 because one path wedged would have been absurd in 1997 and is just
-//! as absurd here. Experiments run on a shared work-stealing
-//! [`WorkerPool`] (one worker per monitor, spawned once per campaign
+//! as absurd here. Experiments run on a shared worker pool (one FIFO
+//! queue, one long-lived worker per monitor, spawned once per campaign
 //! instead of one thread per attempt) with:
 //!
 //! * a **wall-clock budget** — the monitor waits on a channel with
 //!   [`std::sync::mpsc::Receiver::recv_timeout`]; an attempt that blows
-//!   the budget is abandoned via [`WorkerPool::abandon`] (threads cannot
+//!   the budget is abandoned via the pool's `abandon` (threads cannot
 //!   be killed; the pool immediately replaces the wedged worker so
 //!   campaign capacity never degrades, and the leaked attempt keeps its
 //!   own sim-event budget, so even a hung one is doubly fenced);
@@ -107,9 +107,9 @@ pub struct SupervisorConfig {
     /// Concurrent experiments; 0 = one per available core.
     pub max_workers: usize,
     /// When set, the worker pool perturbs its own scheduling from this
-    /// seed ([`WorkerPool::with_schedule_chaos`]): injected yield points
-    /// and rotated steal order. Campaign reports must be bit-identical
-    /// with or without it; the replay-equivalence gate relies on that.
+    /// seed: each worker yields 0–3 times, from a seeded stream, before
+    /// it takes a task. Campaign reports must be bit-identical with or
+    /// without it; the replay-equivalence gate relies on that.
     pub schedule_chaos: Option<u64>,
 }
 

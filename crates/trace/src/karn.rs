@@ -15,7 +15,7 @@
 use crate::record::{Trace, TraceEvent};
 use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// RTT samples are whole nanoseconds over this scale, which is what lets a
 /// snapshot write each one as its integer nanoseconds.
@@ -450,8 +450,7 @@ impl KarnState {
             // (no way to tell TD vs TO here without the classifier; T0
             // sampling accepts the small TD contamination the same way
             // trace tools do — the gap for a fast retransmit is ≈RTT and
-            // for a timeout ≈RTO, so downstream users combine this with
-            // the classifier; see `estimate_t0_classified`).
+            // for a timeout ≈RTO).
             let anchor = prev_at.into_iter().chain(self.last_progress_ns).max();
             if let Some(anchor) = anchor {
                 if time_ns > anchor {
@@ -705,53 +704,6 @@ pub fn estimate_timing(trace: &Trace) -> TimingEstimates {
     core.finish()
 }
 
-/// T0 estimation restricted to retransmissions the classifier labelled as
-/// timeout-sequence starts — use when TD contamination matters (the plain
-/// [`estimate_timing`] also averages fast-retransmit gaps, biasing T0 low
-/// on TD-heavy traces).
-pub fn estimate_t0_classified(trace: &Trace, timeout_start_times: &[u64]) -> Option<f64> {
-    if timeout_start_times.is_empty() {
-        return None;
-    }
-    let starts: std::collections::BTreeSet<u64> = timeout_start_times.iter().copied().collect();
-    let mut last_send_of: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut last_progress_ns: Option<u64> = None;
-    let mut last_ack: u64 = 0;
-    let mut snd_max: u64 = 0;
-    let mut sum = 0.0;
-    let mut n: u64 = 0;
-    for rec in trace.records() {
-        match rec.event {
-            TraceEvent::Send { seq, .. } => {
-                if seq >= snd_max {
-                    snd_max = seq + 1;
-                } else if starts.contains(&rec.time_ns) {
-                    let anchor = last_send_of
-                        .get(&seq)
-                        .copied()
-                        .into_iter()
-                        .chain(last_progress_ns)
-                        .max();
-                    if let Some(anchor) = anchor {
-                        if rec.time_ns > anchor {
-                            sum += (rec.time_ns - anchor) as f64 / 1e9;
-                            n += 1;
-                        }
-                    }
-                }
-                last_send_of.insert(seq, rec.time_ns);
-            }
-            TraceEvent::AckIn { ack } => {
-                if ack > last_ack {
-                    last_ack = ack;
-                    last_progress_ns = Some(rec.time_ns);
-                }
-            }
-        }
-    }
-    (n > 0).then(|| sum / n as f64)
-}
-
 /// The incremental RTT-vs-flight correlator: the streaming core behind
 /// [`rtt_window_correlation`].
 ///
@@ -851,6 +803,7 @@ mod tests {
     use super::*;
     use crate::record::TraceRecord;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The reference the selection median must match bit for bit: sort,
     /// then index.
@@ -1332,29 +1285,6 @@ mod tests {
         assert_eq!(est.t0_samples, 2);
         // First sequence T0 = 3 s; second = 24 − 21.2 = 2.8 s.
         assert!((est.mean_t0.unwrap() - (3.0 + 2.8) / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn classified_t0_uses_only_given_starts() {
-        let t = trace(&[
-            (0, send(0)),
-            (1, send(1)),
-            (100 * MS, ack(1)),
-            (101 * MS, ack(1)),
-            (102 * MS, ack(1)),
-            (103 * MS, ack(1)),
-            (104 * MS, send(1)), // fast retransmit — would contaminate T0
-            (5 * S, send(1)),    // true timeout
-        ]);
-        let plain = estimate_timing(&t);
-        // Plain estimator sampled the fast retransmit's tiny gap.
-        assert!(plain.mean_t0.unwrap() < 1.0);
-        let classified = estimate_t0_classified(&t, &[5 * S]).unwrap();
-        assert!(
-            (classified - (5.0 - 0.104)).abs() < 1e-6,
-            "got {classified}"
-        );
-        assert!(estimate_t0_classified(&t, &[]).is_none());
     }
 
     #[test]

@@ -56,16 +56,11 @@ pub use import::{export_text, import_text, import_text_strict, Import, ImportErr
 pub use intervals::{
     split_intervals, split_intervals_bounded, IntervalCategory, IntervalCore, IntervalStats,
 };
-pub use karn::{
-    estimate_t0_classified, estimate_timing, rtt_window_correlation, CorrCore, KarnCore,
-    TimingEstimates,
-};
+pub use karn::{estimate_timing, rtt_window_correlation, CorrCore, KarnCore, TimingEstimates};
 pub use log::TraceLog;
 pub use metrics::{average_error, Observation};
 pub use record::{Trace, TraceEvent, TraceRecord};
-pub use stream::{
-    AnalyzerPool, LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TeeSink, TraceSink,
-};
+pub use stream::{AnalyzerPool, LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink};
 pub use summary::TraceSummary;
 pub use table::{format_table, TableRow};
 pub use validate::{conservation, validate, Conservation, Finding, Problem, ValidateConfig};

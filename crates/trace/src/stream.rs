@@ -28,7 +28,7 @@
 //! The [`TraceSink`] trait is the seam: the testbed's per-event observer
 //! writes into *some* sink, and the caller picks retain
 //! ([`TraceLog`] — keep every event) or reduce ([`StreamAnalyzer`] —
-//! O(window) state) or both ([`TeeSink`]).
+//! O(window) state).
 
 use crate::analyzer::{Analysis, AnalyzerConfig, Classifier, LossIndication};
 use crate::intervals::{IntervalCore, IntervalStats};
@@ -594,40 +594,6 @@ impl TraceSink for StreamAnalyzer {
     }
 }
 
-/// A sink that feeds every event to both of its children — retain *and*
-/// reduce in one pass (e.g. keep the trace for export while streaming the
-/// analysis).
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    /// First child.
-    pub a: A,
-    /// Second child.
-    pub b: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
-    /// Tees events into `a` and `b`.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-
-    /// Dissolves the tee back into its children.
-    pub fn into_parts(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn on_send(&mut self, time_ns: u64, seq: u64, retx: bool) {
-        self.a.on_send(time_ns, seq, retx);
-        self.b.on_send(time_ns, seq, retx);
-    }
-    fn on_ack_in(&mut self, time_ns: u64, ack: u64) {
-        self.a.on_ack_in(time_ns, ack);
-        self.b.on_ack_in(time_ns, ack);
-    }
-}
-
 /// A recycling pool of [`StreamAnalyzer`]s for campaigns that analyze
 /// *many* flows — the fleet driver's per-cohort packet-level audit flows,
 /// or any serial sweep of short connections.
@@ -868,22 +834,6 @@ mod tests {
         }
         let second = a.finish_and_reset(Some(250.0));
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn tee_sink_retains_and_reduces_in_one_pass() {
-        let t = eventful_trace();
-        let mut tee = TeeSink::new(
-            TraceLog::new(),
-            StreamAnalyzer::new(StreamConfig::default()),
-        );
-        for rec in t.records() {
-            tee.on_record(rec);
-        }
-        let (log, analyzer) = tee.into_parts();
-        assert_eq!(log.into_trace(), t);
-        let got = analyzer.finish(Some(250.0));
-        assert_eq!(got.analysis, analyze(&t, AnalyzerConfig::default()));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the property end to end. The same pinned-seed campaign over the first
 //! eight Table II paths is executed by the supervised worker pool at 1, 2,
 //! and 8 workers — and again with schedule chaos injected (seeded
-//! yield-point shuffling plus rotated steal order inside the pool) — and
-//! every run must reproduce the single-worker reference **bit for bit**:
+//! yield points before each worker takes its next task) — and every
+//! run must reproduce the single-worker reference **bit for bit**:
 //! identical traces, identical stats, identical calibration floats
 //! (compared via `f64::to_bits`, not epsilon).
 //!
@@ -179,8 +179,8 @@ fn campaign_replays_bit_identically_across_worker_counts() {
         assert_bit_identical(&reference, &plain, &format!("{workers} workers"));
 
         // Same campaign under schedule chaos: the pool inserts seeded
-        // yield points and rotates steal order, maximally perturbing which
-        // worker runs which job when. Results must not notice.
+        // yield points before each task hand-off, perturbing which worker
+        // runs which job when. Results must not notice.
         let chaotic = run_with(workers, Some(0xC4A0_5000 + workers as u64));
         assert_bit_identical(
             &reference,
@@ -280,9 +280,9 @@ fn fleet_reports_are_bit_identical_across_shard_counts() {
         let plain = run_fleet(&spec, shards);
         assert_fleet_identical(&reference, &plain, &format!("{shards} shards"));
 
-        // Same campaign under schedule chaos: seeded yield points and
-        // rotated steal order inside the worker pool perturb which worker
-        // runs which shard when. Reports must not notice.
+        // Same campaign under schedule chaos: seeded yield points inside
+        // the worker pool perturb which worker runs which block when.
+        // Reports must not notice.
         let chaotic = run_fleet_with(&spec, shards, Some(0xF1EE_7C4A + shards as u64));
         assert_fleet_identical(
             &reference,

@@ -73,7 +73,7 @@ fn config(workers: usize, crash: Option<Arc<CrashPoint>>) -> JournalConfig {
             retry: false,
             max_workers: workers,
             // Reuse the worker-pool chaos machinery: seeded yield points
-            // and rotated steal order, so the kill point lands under
+            // before each task hand-off, so the kill point lands under
             // perturbed scheduling.
             schedule_chaos: Some(0xC4A0_5E5E + workers as u64),
         },
