@@ -141,7 +141,7 @@ impl CcAlgorithm {
         CcAlgorithm::Scalable,
     ];
 
-    /// Stable lower-case name (CLI/env values, file names, CI matrix keys).
+    /// Stable lower-case name (file names, report columns).
     pub fn label(self) -> &'static str {
         match self {
             CcAlgorithm::Reno => "reno",
@@ -149,34 +149,6 @@ impl CcAlgorithm {
             CcAlgorithm::Cubic => "cubic",
             CcAlgorithm::Relentless => "relentless",
             CcAlgorithm::Scalable => "scalable",
-        }
-    }
-
-    /// Parses a [`Self::label`] value (case-insensitive).
-    pub fn parse(s: &str) -> Option<CcAlgorithm> {
-        match s.to_ascii_lowercase().as_str() {
-            "reno" => Some(CcAlgorithm::Reno),
-            "newreno" => Some(CcAlgorithm::NewReno),
-            "cubic" => Some(CcAlgorithm::Cubic),
-            "relentless" => Some(CcAlgorithm::Relentless),
-            "scalable" => Some(CcAlgorithm::Scalable),
-            _ => None,
-        }
-    }
-
-    /// Reads the `PFTK_CC` environment variable (the CI variant-matrix
-    /// knob). Unset → Reno; set to anything unparseable → panic, so a
-    /// typo in a CI matrix fails loudly instead of silently testing Reno.
-    pub fn from_env() -> CcAlgorithm {
-        match std::env::var("PFTK_CC") {
-            Ok(v) => match CcAlgorithm::parse(&v) {
-                Some(algo) => algo,
-                None => {
-                    //~ allow(panic): a typoed CI matrix entry must fail loudly, not silently test Reno
-                    panic!("PFTK_CC={v:?} is not one of reno|newreno|cubic|relentless|scalable")
-                }
-            },
-            Err(_) => CcAlgorithm::default(),
         }
     }
 
@@ -461,13 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip() {
-        for algo in CcAlgorithm::ALL {
-            assert_eq!(CcAlgorithm::parse(algo.label()), Some(algo));
+    fn labels_are_distinct_and_state_reports_its_algorithm() {
+        for (i, algo) in CcAlgorithm::ALL.into_iter().enumerate() {
             assert_eq!(CcState::new(algo, 1.0).algorithm(), algo);
+            let earlier = &CcAlgorithm::ALL[..i];
+            assert!(earlier.iter().all(|a| a.label() != algo.label()));
         }
-        assert_eq!(CcAlgorithm::parse("bbr"), None);
-        assert_eq!(CcAlgorithm::parse("CUBIC"), Some(CcAlgorithm::Cubic));
     }
 
     #[test]
@@ -725,17 +696,5 @@ mod tests {
             );
             assert_eq!(cc.window(), restored.window(), "{algo:?}");
         }
-    }
-
-    #[test]
-    fn from_env_matches_environment() {
-        // Must pass both locally (unset → Reno) and under the CI variant
-        // matrix (PFTK_CC set); never mutate the env — tests run in
-        // parallel.
-        let expect = match std::env::var("PFTK_CC") {
-            Ok(v) => CcAlgorithm::parse(&v).expect("PFTK_CC set but unparseable"),
-            Err(_) => CcAlgorithm::Reno,
-        };
-        assert_eq!(CcAlgorithm::from_env(), expect);
     }
 }

@@ -11,7 +11,9 @@
 //! (`tcp_flow`), which [`crate::network::Network`] runs too; this module
 //! supplies the wire. Events run on the lane engine
 //! ([`HybridQueue`]): data and ACK arrivals on their monotone lanes, the
-//! RTO and delayed-ACK timers on single-slot lanes. The hot path is
+//! RTO and delayed-ACK timers in timer slots 0 and 1, where a re-arm
+//! supersedes the pending deadline (the one-flow case of the network's
+//! per-flow slots). The hot path is
 //! monomorphized over the observer and the loss process (the builder
 //! converts any concrete model into a [`LossKind`], so per-packet drop
 //! draws inline instead of going through a `dyn` call). The core pools

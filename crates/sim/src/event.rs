@@ -13,18 +13,22 @@
 //!   ([`Lane::Data`]/[`Lane::Ack`]): an append is O(1) whenever its time is
 //!   not before the lane tail, and a push that would break the lane's order
 //!   (a fault-plan delay spike) overflows to the heap;
-//! * single-slot timer lanes ([`Lane::Rto`]/[`Lane::DelAck`]), where a
-//!   schedule *supersedes* the pending entry, because a connection has at
-//!   most one live deadline per timer kind;
+//! * numbered timer slots, each holding at most one pending event: arming
+//!   a slot *supersedes* its pending entry, because a flow has at most one
+//!   live deadline per timer kind. The entry keeps the id issued when it
+//!   was armed. [`Lane::Rto`] and [`Lane::DelAck`] are slots 0 and 1, a
+//!   connection's two timers; in [`crate::network`] flow `f` owns slots
+//!   `2f` and `2f + 1`. A winner tree over the slots keeps the earliest
+//!   one at hand;
 //! * a small heap for the overflow.
 //!
 //! Each lane stays sorted by `(time, id)`, and a pop takes the minimum over
-//! the lane heads, the timer slots and the heap top. A superseded timer
-//! therefore never becomes an event; that is the one observable difference
-//! from a plain `(time, id)` heap. A simulator that schedules only on the
-//! arrival lanes sees exactly the heap's order: [`crate::network`] does,
-//! for timers too, and the TCP flow core it shares with
-//! [`crate::connection`] drops the stale firings by generation.
+//! the lane heads, the earliest timer slot and the heap top. A superseded
+//! timer therefore never becomes an event; that is the one observable
+//! difference from a plain `(time, id)` heap. Both packet engines keep
+//! every timer in the slots, so the only stale firings left are cancelled
+//! delayed ACKs, which wait in their slot and which the TCP flow core
+//! drops by generation.
 
 use crate::time::SimTime;
 use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
@@ -43,12 +47,11 @@ pub enum Lane {
     /// ACK-direction link arrivals (receiver → sender): monotone
     /// per-path, eligible for the O(1) deque lane.
     Ack,
-    /// The retransmission-timeout timer: **single-slot** — scheduling
-    /// replaces any pending entry in this lane, because re-arming the RTO
-    /// supersedes the previous deadline (the simulator would discard its
-    /// firing via a generation check anyway).
+    /// The retransmission-timeout timer, timer slot 0: scheduling
+    /// replaces any pending entry in the slot, because re-arming the RTO
+    /// supersedes the previous deadline.
     Rto,
-    /// The delayed-ACK timer: single-slot, like [`Lane::Rto`].
+    /// The delayed-ACK timer, timer slot 1; a slot like [`Lane::Rto`].
     DelAck,
 }
 
@@ -73,6 +76,12 @@ pub trait EventScheduler<E>: Default {
     }
 }
 
+/// An event's total-order key `(at, id)`.
+type Key = (SimTime, u64);
+
+/// The key of an empty timer slot: it sorts after every issued key.
+const VACANT: Key = (SimTime::from_nanos(u64::MAX), u64::MAX);
+
 /// A pending event, ordered by its total-order key `(at, id)`.
 #[derive(Debug)]
 struct Entry<E> {
@@ -81,9 +90,15 @@ struct Entry<E> {
     payload: E,
 }
 
+impl<E> Entry<E> {
+    fn key(&self) -> Key {
+        (self.at, self.id)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.id) == (other.at, other.id)
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -94,18 +109,153 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.id).cmp(&(other.at, other.id))
+        self.key().cmp(&other.key())
     }
 }
 
-/// The event engine: two monotone arrival lanes, two single-slot timer
-/// lanes, plus a tiny heap for out-of-order pushes; see the module docs.
+/// The timer slots: slot `s` holds at most one pending event, and arming
+/// it again supersedes that event. A winner tree over the slot keys names
+/// the earliest slot, so arming or popping replays the matches on one
+/// leaf-to-root path, and stops where a match comes out as before.
+#[derive(Debug)]
+struct TimerSlots<E> {
+    /// Each slot's pending payload. The slot count `n` is a power of two,
+    /// at least two.
+    payloads: Vec<Option<E>>,
+    /// The winner tree, `2n` nodes of `(key, slot)`: node `n + s` is slot
+    /// `s` with its key ([`VACANT`] when empty), and node `i` in `1..n`
+    /// holds the lesser of its children `2i` and `2i + 1`.
+    tree: Vec<(Key, usize)>,
+    /// The root, node 1, kept inline so that [`HybridQueue::min_key`]
+    /// reads it without following a pointer.
+    head: (Key, usize),
+    /// Number of armed slots.
+    armed: usize,
+}
+
+impl<E> TimerSlots<E> {
+    /// Two empty slots: a connection's RTO and delayed-ACK timers.
+    fn new() -> Self {
+        let mut slots = TimerSlots {
+            payloads: Vec::new(),
+            tree: Vec::new(),
+            head: (VACANT, 0),
+            armed: 0,
+        };
+        slots.grow(1);
+        slots
+    }
+
+    /// Makes room for `slot` (the slot count doubles until it fits) and
+    /// replays every match, leaves first.
+    #[cold]
+    fn grow(&mut self, slot: usize) {
+        let (old, n) = (self.payloads.len(), (slot + 1).max(2).next_power_of_two());
+        let leaf = |node: usize| match node.checked_sub(n) {
+            Some(s) if s < old => self.node(old + s),
+            Some(s) => (VACANT, s),
+            None => (VACANT, 0),
+        };
+        //~ allow(hot_alloc): the slots grow once per doubling, to the highest slot a simulator arms (two per flow)
+        let tree = (0..2 * n).map(leaf).collect();
+        self.tree = tree;
+        //~ allow(hot_alloc): grows with the tree, once per doubling
+        self.payloads.extend((old..n).map(|_| None));
+        for node in (1..n).rev() {
+            let winner = self.match_at(node);
+            if let Some(stored) = self.tree.get_mut(node) {
+                *stored = winner;
+            }
+        }
+        self.head = self.node(1);
+    }
+
+    #[inline]
+    fn node(&self, node: usize) -> (Key, usize) {
+        self.tree.get(node).copied().unwrap_or((VACANT, 0))
+    }
+
+    /// The winner at `node`: the child of lesser key.
+    #[inline]
+    fn match_at(&self, node: usize) -> (Key, usize) {
+        let (left, right) = (self.node(2 * node), self.node(2 * node + 1));
+        if right.0 < left.0 {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// Sets `slot`'s key and replays the matches above it. A match that
+    /// comes out as before leaves every match above it as it was, so the
+    /// walk stops there.
+    #[inline]
+    fn fix(&mut self, slot: usize, key: Key) {
+        let mut node = self.payloads.len() + slot;
+        let mut entry = (key, slot);
+        loop {
+            match self.tree.get_mut(node) {
+                Some(stored) if *stored != entry => *stored = entry,
+                _ => return,
+            }
+            if node == 1 {
+                break;
+            }
+            node /= 2;
+            entry = self.match_at(node);
+        }
+        self.head = entry;
+    }
+
+    /// Arms `slot` at `key`, superseding its pending event.
+    #[inline]
+    fn arm(&mut self, slot: usize, key: Key, payload: E) {
+        if slot >= self.payloads.len() {
+            self.grow(slot);
+        }
+        let Some(pending) = self.payloads.get_mut(slot) else {
+            return;
+        };
+        if pending.replace(payload).is_none() {
+            self.armed += 1;
+        }
+        self.fix(slot, key);
+    }
+
+    /// Removes the earliest armed event.
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let ((at, _), slot) = self.head;
+        let payload = self.payloads.get_mut(slot)?.take()?;
+        self.armed -= 1;
+        self.fix(slot, VACANT);
+        Some((at, payload))
+    }
+
+    /// Every slot in order: its key and payload when armed.
+    fn iter(&self) -> impl Iterator<Item = Option<(Key, &E)>> {
+        let leaves = self.tree.iter().skip(self.payloads.len());
+        leaves
+            .zip(&self.payloads)
+            .map(|(&(key, _), payload)| payload.as_ref().map(|p| (key, p)))
+    }
+
+    /// Empties every slot, keeping the slot count.
+    fn clear(&mut self) {
+        let n = self.payloads.len();
+        self.payloads.clear();
+        self.armed = 0;
+        self.grow(n - 1);
+    }
+}
+
+/// The event engine: two monotone arrival lanes, the timer slots, plus a
+/// tiny heap for out-of-order pushes; see the module docs.
 #[derive(Debug)]
 pub struct HybridQueue<E> {
     data: VecDeque<Entry<E>>,
     ack: VecDeque<Entry<E>>,
-    rto: Option<Entry<E>>,
-    delack: Option<Entry<E>>,
+    timers: TimerSlots<E>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_id: u64,
 }
@@ -121,8 +271,7 @@ impl<E> Default for HybridQueue<E> {
 enum Src {
     Data,
     Ack,
-    Rto,
-    DelAck,
+    Timer,
     Heap,
 }
 
@@ -141,42 +290,45 @@ impl<E> HybridQueue<E> {
         HybridQueue {
             data: VecDeque::with_capacity(Self::INITIAL_CAPACITY),
             ack: VecDeque::with_capacity(Self::INITIAL_CAPACITY),
-            rto: None,
-            delack: None,
+            timers: TimerSlots::new(),
             heap: BinaryHeap::with_capacity(Self::INITIAL_CAPACITY),
             next_id: 0,
         }
     }
 
+    /// Arms timer slot `slot` to fire `payload` at `at`, superseding the
+    /// slot's pending event. Slots 0 and 1 are [`Lane::Rto`] and
+    /// [`Lane::DelAck`]; the slots grow to the highest one armed.
+    #[inline]
+    pub(crate) fn arm(&mut self, slot: usize, at: SimTime, payload: E) {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.timers.arm(slot, (at, id), payload);
+    }
+
     /// The time of the earliest pending event, with its source: one
-    /// pass over the two lane heads, the two timer slots and the heap top.
+    /// pass over the two lane heads, the earliest timer slot and the heap
+    /// top.
     #[inline]
     fn min_key(&self) -> Option<(SimTime, Src)> {
-        let mut best: Option<(SimTime, u64, Src)> = None;
+        let mut best = (self.timers.head.0, Src::Timer);
         if let Some(front) = self.data.front() {
-            best = Some((front.at, front.id, Src::Data));
+            if front.key() < best.0 {
+                best = (front.key(), Src::Data);
+            }
         }
         if let Some(front) = self.ack.front() {
-            if best.is_none_or(|(at, id, _)| (front.at, front.id) < (at, id)) {
-                best = Some((front.at, front.id, Src::Ack));
-            }
-        }
-        if let Some(slot) = &self.rto {
-            if best.is_none_or(|(at, id, _)| (slot.at, slot.id) < (at, id)) {
-                best = Some((slot.at, slot.id, Src::Rto));
-            }
-        }
-        if let Some(slot) = &self.delack {
-            if best.is_none_or(|(at, id, _)| (slot.at, slot.id) < (at, id)) {
-                best = Some((slot.at, slot.id, Src::DelAck));
+            if front.key() < best.0 {
+                best = (front.key(), Src::Ack);
             }
         }
         if let Some(Reverse(top)) = self.heap.peek() {
-            if best.is_none_or(|(at, id, _)| (top.at, top.id) < (at, id)) {
-                best = Some((top.at, top.id, Src::Heap));
+            if top.key() < best.0 {
+                best = (top.key(), Src::Heap);
             }
         }
-        best.map(|(at, _, src)| (at, src))
+        let ((at, _), src) = best;
+        (best.0 != VACANT).then_some((at, src))
     }
 
     /// Removes the head of `src`, the source [`Self::min_key`] named.
@@ -185,45 +337,46 @@ impl<E> HybridQueue<E> {
         match src {
             Src::Data => self.data.pop_front().map(|e| (e.at, e.payload)),
             Src::Ack => self.ack.pop_front().map(|e| (e.at, e.payload)),
-            Src::Rto => self.rto.take().map(|e| (e.at, e.payload)),
-            Src::DelAck => self.delack.take().map(|e| (e.at, e.payload)),
+            Src::Timer => self.timers.pop(),
             Src::Heap => self.heap.pop().map(|Reverse(e)| (e.at, e.payload)),
         }
     }
 
     /// Writes the queue's full state — every pending event with its
     /// `(time, id)` key plus the id counter — using `enc` to serialize
-    /// payloads. Heap entries are emitted sorted by key so the byte
-    /// encoding is a pure function of the queue's contents (a `BinaryHeap`'s
-    /// internal layout depends on insertion history).
+    /// payloads. Timer slots are written in slot order without a count,
+    /// so a snapshot restores into a queue with as many slots (a
+    /// connection's two). Heap entries are emitted sorted by key so the
+    /// byte encoding is a pure function of the queue's contents (a
+    /// `BinaryHeap`'s internal layout depends on insertion history).
     pub(crate) fn snapshot_into(
         &self,
         w: &mut SnapWriter,
         mut enc: impl FnMut(&E, &mut SnapWriter),
     ) {
-        let mut put = |e: &Entry<E>, w: &mut SnapWriter| {
-            w.put_u64(e.at.as_nanos());
-            w.put_u64(e.id);
-            enc(&e.payload, w);
+        let mut put = |(at, id): Key, payload: &E, w: &mut SnapWriter| {
+            w.put_u64(at.as_nanos());
+            w.put_u64(id);
+            enc(payload, w);
         };
         w.put_u64(self.next_id);
         for lane in [&self.data, &self.ack] {
             w.put_usize(lane.len());
             for e in lane {
-                put(e, w);
+                put(e.key(), &e.payload, w);
             }
         }
-        for slot in [&self.rto, &self.delack] {
+        for slot in self.timers.iter() {
             w.put_bool(slot.is_some());
-            if let Some(e) = slot {
-                put(e, w);
+            if let Some((key, payload)) = slot {
+                put(key, payload, w);
             }
         }
         let mut entries: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
         entries.sort();
         w.put_usize(entries.len());
         for e in entries {
-            put(e, w);
+            put(e.key(), &e.payload, w);
         }
     }
 
@@ -238,8 +391,7 @@ impl<E> HybridQueue<E> {
     ) -> SnapResult<()> {
         self.data.clear();
         self.ack.clear();
-        self.rto = None;
-        self.delack = None;
+        self.timers.clear();
         self.heap.clear();
         self.next_id = r.get_u64()?;
         let mut read_entry = |r: &mut SnapReader<'_>| -> SnapResult<Entry<E>> {
@@ -248,31 +400,22 @@ impl<E> HybridQueue<E> {
             let payload = dec(r)?;
             Ok(Entry { at, id, payload })
         };
-        for lane_idx in 0..2u8 {
+        for deque in [&mut self.data, &mut self.ack] {
             let n = r.get_usize()?;
             for _ in 0..n {
                 let e = read_entry(r)?;
-                let deque = if lane_idx == 0 {
-                    &mut self.data
-                } else {
-                    &mut self.ack
-                };
                 if deque.back().is_some_and(|b| e <= *b) {
                     return Err(SnapError::Invalid("event lane not sorted by (time, id)"));
                 }
                 deque.push_back(e);
             }
         }
-        self.rto = if r.get_bool()? {
-            Some(read_entry(r)?)
-        } else {
-            None
-        };
-        self.delack = if r.get_bool()? {
-            Some(read_entry(r)?)
-        } else {
-            None
-        };
+        for slot in 0..self.timers.payloads.len() {
+            if r.get_bool()? {
+                let e = read_entry(r)?;
+                self.timers.arm(slot, e.key(), e.payload);
+            }
+        }
         let n = r.get_usize()?;
         for _ in 0..n {
             self.heap.push(Reverse(read_entry(r)?));
@@ -281,25 +424,32 @@ impl<E> HybridQueue<E> {
     }
 }
 
+#[cfg(test)]
+impl<E> HybridQueue<E> {
+    /// The payloads pending on the arrival lanes and in the overflow heap.
+    pub(crate) fn arrivals(&self) -> impl Iterator<Item = &E> {
+        let lanes = self.data.iter().chain(&self.ack);
+        let heap = self.heap.iter().map(|Reverse(e)| e);
+        lanes.chain(heap).map(|e| &e.payload)
+    }
+
+    /// Number of armed timer slots.
+    pub(crate) fn timers_armed(&self) -> usize {
+        self.timers.armed
+    }
+}
+
 impl<E> EventScheduler<E> for HybridQueue<E> {
     #[inline]
     fn schedule(&mut self, lane: Lane, at: SimTime, payload: E) {
-        let id = self.next_id;
-        self.next_id += 1;
         let deque = match lane {
             Lane::Data => &mut self.data,
             Lane::Ack => &mut self.ack,
-            // Single-slot timers: the new deadline supersedes any pending
-            // one (which the simulator would have generation-filtered).
-            Lane::Rto => {
-                self.rto = Some(Entry { at, id, payload });
-                return;
-            }
-            Lane::DelAck => {
-                self.delack = Some(Entry { at, id, payload });
-                return;
-            }
+            Lane::Rto => return self.arm(0, at, payload),
+            Lane::DelAck => return self.arm(1, at, payload),
         };
+        let id = self.next_id;
+        self.next_id += 1;
         // The lane stays sorted by (at, id): ids are globally increasing,
         // so appending preserves order whenever time is non-decreasing. A
         // violating push (fault-plan delay landing before the lane tail)
@@ -333,19 +483,14 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
 
     #[inline]
     fn len(&self) -> usize {
-        self.data.len()
-            + self.ack.len()
-            + usize::from(self.rto.is_some())
-            + usize::from(self.delack.is_some())
-            + self.heap.len()
+        self.data.len() + self.ack.len() + self.timers.armed + self.heap.len()
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
         self.data.is_empty()
             && self.ack.is_empty()
-            && self.rto.is_none()
-            && self.delack.is_none()
+            && self.timers.armed == 0
             && self.heap.is_empty()
     }
 }
@@ -495,65 +640,93 @@ mod tests {
 
     /// The queue realizes the `(time, id)` total order: a randomized
     /// schedule history (mostly-monotone lanes with occasional backwards
-    /// jumps and re-armed timers, interleaved with pops) must pop the same
-    /// events in the same order as an ordered map keyed by `(time, id)`.
-    /// A timer re-arm removes the superseded key from the map, as the
-    /// single-slot lanes do.
+    /// jumps, timers armed across 64 slots, interleaved with pops) must pop
+    /// the same events in the same order as an ordered map keyed by
+    /// `(time, id)`. Arming a slot removes its superseded key from the map.
+    /// Re-arms land both before and after the slot's pending deadline,
+    /// the slots grow while armed, and slots 0 and 1 are armed through
+    /// [`Lane::Rto`] and [`Lane::DelAck`] too.
     #[test]
     fn hybrid_matches_ordered_model_on_randomized_histories() {
         use std::collections::BTreeMap;
+        const SLOTS: usize = 64;
 
+        let (mut earlier, mut later) = (0usize, 0usize);
         for seed in 0..20u64 {
             let mut rng = SimRng::seed_from_u64(seed);
             let mut model: BTreeMap<(SimTime, u64), u32> = BTreeMap::new();
             let mut hybrid = HybridQueue::new();
-            // Keys of the latest RTO and delayed-ACK entries.
-            let mut live_rto: Option<(SimTime, u64)> = None;
-            let mut live_delack: Option<(SimTime, u64)> = None;
+            // The key of each slot's latest arm.
+            let mut live: [Option<(SimTime, u64)>; SLOTS] = [None; SLOTS];
             let mut data_clock = 0u64;
             let mut ack_clock = 0u64;
             // The payload doubles as the queue's insertion id: both count
             // schedules from zero.
             let mut next = 0u32;
-            for _ in 0..400 {
-                let op = rng.uniform_u32(0, 10);
-                let (lane, at) = match op {
+            for step in 0..1500u32 {
+                let id = u64::from(next);
+                match rng.uniform_u32(0, 11) {
                     // Monotone data arrival.
                     0..=2 => {
                         data_clock += rng.uniform_u64(0, 40);
-                        (Lane::Data, data_clock)
+                        hybrid.schedule(Lane::Data, t(data_clock), next);
+                        model.insert((t(data_clock), id), next);
                     }
                     // Monotone ACK arrival.
-                    3..=5 => {
+                    3..=4 => {
                         ack_clock += rng.uniform_u64(0, 40);
-                        (Lane::Ack, ack_clock)
+                        hybrid.schedule(Lane::Ack, t(ack_clock), next);
+                        model.insert((t(ack_clock), id), next);
                     }
                     // Backwards lane push (fault-plan delay spike).
-                    6 => (Lane::Data, rng.uniform_u64(0, data_clock.max(1))),
-                    // (Re-)arm the RTO timer at an arbitrary instant.
-                    7 => (Lane::Rto, rng.uniform_u64(0, 2000)),
-                    // (Re-)arm the delayed-ACK timer.
-                    8 => (Lane::DelAck, rng.uniform_u64(0, 2000)),
+                    5 => {
+                        let at = t(rng.uniform_u64(0, data_clock.max(1)));
+                        hybrid.schedule(Lane::Data, at, next);
+                        model.insert((at, id), next);
+                    }
+                    // (Re-)arm a timer slot: before or after its pending
+                    // deadline when it has one, anywhere otherwise. The
+                    // slot range widens as the history runs, so the slots
+                    // grow while some are armed.
+                    6..=9 => {
+                        let top = (1 + step / 16).min(SLOTS as u32 - 1);
+                        let slot = rng.uniform_u32(0, top) as usize;
+                        let pending = live[slot].filter(|key| model.contains_key(key));
+                        let at = match pending {
+                            Some((due, _)) if rng.chance(0.5) => {
+                                earlier += 1;
+                                rng.uniform_u64(0, due.as_nanos().saturating_sub(1))
+                            }
+                            Some((due, _)) => {
+                                later += 1;
+                                due.as_nanos() + rng.uniform_u64(1, 500)
+                            }
+                            None => rng.uniform_u64(0, 4000),
+                        };
+                        if let Some(old) = live[slot].replace((t(at), id)) {
+                            model.remove(&old);
+                        }
+                        model.insert((t(at), id), next);
+                        match slot {
+                            0 if rng.chance(0.5) => hybrid.schedule(Lane::Rto, t(at), next),
+                            1 if rng.chance(0.5) => hybrid.schedule(Lane::DelAck, t(at), next),
+                            _ => hybrid.arm(slot, t(at), next),
+                        }
+                    }
                     // Interleaved pop.
                     _ => {
                         let want = model.pop_first().map(|((at, _), v)| (at, v));
                         assert_eq!(EventScheduler::pop(&mut hybrid), want, "seed {seed}");
                         continue;
                     }
-                };
-                let key = (t(at), u64::from(next));
-                let superseded = match lane {
-                    Lane::Rto => live_rto.replace(key),
-                    Lane::DelAck => live_delack.replace(key),
-                    Lane::Data | Lane::Ack => None,
-                };
-                if let Some(old) = superseded {
-                    model.remove(&old);
                 }
-                model.insert(key, next);
-                hybrid.schedule(lane, t(at), next);
                 next += 1;
                 assert_eq!(model.len(), EventScheduler::len(&hybrid), "seed {seed}");
+                assert_eq!(
+                    hybrid.peek_time(),
+                    model.first_key_value().map(|(&(at, _), _)| at),
+                    "seed {seed}"
+                );
             }
             // Drain: the full remaining sequences must agree.
             loop {
@@ -563,6 +736,11 @@ mod tests {
                     break;
                 }
             }
+            assert!(hybrid.is_empty(), "seed {seed}");
         }
+        assert!(
+            earlier > 100 && later > 100,
+            "re-arms: {earlier} earlier, {later} later"
+        );
     }
 }

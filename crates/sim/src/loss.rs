@@ -169,11 +169,6 @@ impl GilbertElliott {
         let p_g2b = loss_rate * p_b2g / (1.0 - loss_rate);
         GilbertElliott::new(0.0, 1.0, p_g2b, p_b2g)
     }
-
-    /// True while the chain sits in the Bad (bursty-loss) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
 }
 
 impl LossModel for GilbertElliott {

@@ -19,12 +19,13 @@
 //!
 //! A TCP flow runs the same endpoint core as a single connection (the
 //! crate's `tcp_flow` module): this module supplies only its wire. Events
-//! run on the same lane engine ([`HybridQueue`]), but only on its two
-//! arrival lanes. N flows have N timers of each kind, so the single-slot
-//! timer lanes do not fit: timers share the arrival lanes, the core drops
-//! a stale firing by its generation count, and a push that lands before
-//! its lane tail overflows to the heap. Pops therefore follow the plain
-//! ascending `(time, id)` order.
+//! run on the same lane engine ([`HybridQueue`]) under the same timer
+//! discipline. Flow `f` owns timer slots `2f` and `2f + 1`: a TCP flow's
+//! RTO and delayed-ACK timers, or a CBR or TFRC source's send tick and
+//! TFRC feedback tick. Re-arming a slot supersedes its pending event, so
+//! the arrival lanes carry only link arrivals and a flow has at most two
+//! timer entries pending. A connection is the one-flow case: its timers
+//! are slots 0 and 1.
 
 use crate::event::{EventScheduler, HybridQueue, Lane};
 use crate::link::Bottleneck;
@@ -176,18 +177,12 @@ enum Ev {
 }
 
 /// A TCP flow's wire: the access delay into the shared bottleneck, the
-/// ACK delay back, and timers on the arrival lanes (see the module docs).
+/// ACK delay back, and the flow's two timer slots (see the module docs).
 struct NetWire<'a> {
     queue: &'a mut HybridQueue<(usize, Ev)>,
     sacks: &'a mut SackSlab,
     flow: usize,
     config: &'a FlowConfig,
-}
-
-impl NetWire<'_> {
-    fn schedule(&mut self, lane: Lane, at: SimTime, ev: tcp_flow::Ev) {
-        self.queue.schedule(lane, at, (self.flow, Ev::Endpoint(ev)));
-    }
 }
 
 impl Wire for NetWire<'_> {
@@ -200,8 +195,9 @@ impl Wire for NetWire<'_> {
 
     fn send_ack(&mut self, now: SimTime, ack: Ack) {
         let sack = self.sacks.put(ack.sack);
-        let ev = tcp_flow::Ev::AckArrive { ack: ack.ack, sack };
-        self.schedule(Lane::Ack, now + self.config.ack_delay, ev);
+        let ev = Ev::Endpoint(tcp_flow::Ev::AckArrive { ack: ack.ack, sack });
+        let at = now + self.config.ack_delay;
+        self.queue.schedule(Lane::Ack, at, (self.flow, ev));
     }
 
     fn ack_arrived(&mut self, _: SimTime, ack: Seq, sack: u32) -> Ack {
@@ -210,19 +206,27 @@ impl Wire for NetWire<'_> {
     }
 
     fn arm_rto(&mut self, at: SimTime, gen: u64) {
-        self.schedule(Lane::Ack, at, tcp_flow::Ev::Rto(gen));
+        let ev = Ev::Endpoint(tcp_flow::Ev::Rto(gen));
+        self.queue.arm(first_slot(self.flow), at, (self.flow, ev));
     }
 
     fn arm_delack(&mut self, at: SimTime, gen: u64) {
-        self.schedule(Lane::Data, at, tcp_flow::Ev::DelAck(gen));
+        let ev = Ev::Endpoint(tcp_flow::Ev::DelAck(gen));
+        self.queue
+            .arm(first_slot(self.flow) + 1, at, (self.flow, ev));
     }
+}
+
+/// Flow `flow`'s first timer slot; the second follows it.
+fn first_slot(flow: usize) -> usize {
+    2 * flow
 }
 
 /// The shared-bottleneck network.
 pub struct Network {
     now: SimTime,
-    /// Bottleneck and receiver events go on the data lane, events at the
-    /// senders on the ACK lane (see the module docs).
+    /// Bottleneck and receiver arrivals go on the data lane, ACK arrivals
+    /// on the ACK lane, timers in the flows' slots (see the module docs).
     queue: HybridQueue<(usize, Ev)>,
     flows: Vec<Flow>,
     /// The shared bottleneck; its admission draws use `rng`.
@@ -294,10 +298,10 @@ impl Network {
                         };
                         tcp.start(now, &mut wire);
                     }
-                    FlowState::Cbr { .. } => queue.schedule(Lane::Ack, now, (flow, Ev::Send)),
+                    FlowState::Cbr { .. } => queue.arm(first_slot(flow), now, (flow, Ev::Send)),
                     FlowState::Tfrc { .. } => {
-                        queue.schedule(Lane::Ack, now, (flow, Ev::Send));
-                        queue.schedule(Lane::Ack, now, (flow, Ev::TfrcFeedback));
+                        queue.arm(first_slot(flow), now, (flow, Ev::Send));
+                        queue.arm(first_slot(flow) + 1, now, (flow, Ev::TfrcFeedback));
                     }
                 }
             }
@@ -423,7 +427,7 @@ impl Network {
                 self.queue
                     .schedule(Lane::Data, at, (flow, Ev::Bottleneck(seg)));
                 self.queue
-                    .schedule(Lane::Ack, now + interval, (flow, Ev::Send));
+                    .arm(first_slot(flow), now + interval, (flow, Ev::Send));
             }
             Ev::TfrcFeedback => {
                 if let FlowState::Tfrc {
@@ -435,7 +439,8 @@ impl Network {
                 {
                     controller.on_feedback(estimator.loss_event_rate());
                     let at = now + *feedback_delay;
-                    self.queue.schedule(Lane::Ack, at, (flow, Ev::TfrcFeedback));
+                    self.queue
+                        .arm(first_slot(flow) + 1, at, (flow, Ev::TfrcFeedback));
                 }
             }
         }
@@ -674,6 +679,36 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
+    }
+
+    /// Every timer lives in its flow's two slots: after a long run of many
+    /// flows (each ACK re-arms an RTO), the queue holds at most two timer
+    /// entries per flow and no timer on an arrival lane or in the heap.
+    #[test]
+    fn timers_stay_in_their_flows_slots() {
+        let n = 32;
+        let red = crate::queue::Red::new(32.0, 96.0, 0.1, 0.002, 192);
+        let mut net = Network::new(25.0 * 32.0, Box::new(red), 7);
+        for _ in 0..n {
+            net.add_flow(tcp_flow(0.1));
+        }
+        net.run_for(secs(200.0));
+        assert!(net.queue.timers_armed() <= 2 * n);
+        assert!(net.queue.timers_armed() >= n, "every flow has an RTO armed");
+        let mut arrivals = 0;
+        for (_, ev) in net.queue.arrivals() {
+            arrivals += 1;
+            assert!(
+                matches!(
+                    ev,
+                    Ev::Bottleneck(_)
+                        | Ev::Endpoint(tcp_flow::Ev::DataArrive { .. })
+                        | Ev::Endpoint(tcp_flow::Ev::AckArrive { .. })
+                ),
+                "a timer on an arrival lane"
+            );
+        }
+        assert!(arrivals > 0, "a busy network has packets in flight");
     }
 
     #[test]

@@ -3,8 +3,13 @@
 //! packet) and their timer generations. [`crate::connection::Connection`]
 //! and [`crate::network::Network`] differ only in what lies between the
 //! endpoints, so each hands the core its own [`Wire`] and the core writes
-//! the glue once. It drops a timer firing whose generation was
-//! superseded, so an engine may leave stale timers in its queue.
+//! the glue once.
+//!
+//! Both engines arm the two timers in the flow's superseding timer slots
+//! ([`crate::event::HybridQueue`]), so a re-armed timer never fires. The
+//! core still drops a firing whose generation is not the live one: a
+//! cancelled delayed ACK bumps its generation but stays in its slot, and
+//! the generations are part of a connection's checkpoint bytes.
 
 use crate::packet::{Ack, SackBlocks, Segment, Seq};
 use crate::receiver::{DelAckTimer, Receiver, ReceiverConfig, ReceiverOutput};

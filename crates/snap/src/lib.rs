@@ -515,14 +515,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Reads a varint as a `usize`; [`SnapError::Invalid`] if the value
-    /// does not fit this platform's `usize`.
-    #[inline]
-    pub fn get_varint_usize(&mut self) -> SnapResult<usize> {
-        let v = self.get_varint()?;
-        usize::try_from(v).map_err(|_| SnapError::Invalid("usize overflow"))
-    }
-
     /// Reads an integer written by [`SnapWriter::put_scaled_u64`] at the
     /// same `scale`. Raw bits that the integer form could have carried
     /// are [`SnapError::Invalid`], as is any odd varint but `1`, and raw

@@ -49,7 +49,6 @@ use tcp_sim::time::{SimDuration, SimTime};
 use tcp_trace::analyzer::Analysis;
 use tcp_trace::intervals::IntervalStats;
 use tcp_trace::karn::TimingEstimates;
-use tcp_trace::log::TraceLog;
 use tcp_trace::record::Trace;
 use tcp_trace::stream::{LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink};
 
@@ -57,9 +56,9 @@ use tcp_trace::stream::{LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, T
 /// glue between the simulator and the analysis programs (the `tcpdump` of
 /// this testbed). Two modes, combinable:
 ///
-/// * **retain** — a columnar [`TraceLog`] keeps every event (a
-///   steady-state push is three primitive stores into preallocated
-///   columns; the zero-allocation audit pins this mode);
+/// * **retain** — a [`Trace`] keeps every event (a steady-state push is
+///   one 24-byte store into a preallocated buffer, and the recorder hands
+///   that buffer out as is; the zero-allocation audit pins this mode);
 /// * **reduce** — a [`StreamAnalyzer`] folds each event into the paper's
 ///   statistics on the fly with O(window) state, so hour-long campaigns
 ///   never materialize their traces.
@@ -71,8 +70,20 @@ use tcp_trace::stream::{LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, T
 /// retention opt-in).
 #[derive(Debug)]
 pub struct TraceRecorder {
-    log: Option<TraceLog>,
+    log: Option<Trace>,
     stream: Option<StreamAnalyzer>,
+}
+
+/// A trace with room for a run of `horizon_secs` at `events_per_sec` wire
+/// events (sends plus ACK arrivals) per second, with a quarter headroom so
+/// a typical run never reallocates. A cap keeps a wild rate estimate from
+/// attempting an absurd up-front reservation; the trace still grows on
+/// demand past it.
+fn trace_for_horizon(horizon_secs: f64, events_per_sec: f64) -> Trace {
+    const CAP: f64 = 1e8;
+    let est = (horizon_secs.max(0.0) * events_per_sec.max(0.0) * 1.25).ceil();
+    //~ allow(cast): deliberate float truncation after round/floor
+    Trace::with_capacity(est.min(CAP) as usize)
 }
 
 impl Default for TraceRecorder {
@@ -86,7 +97,7 @@ impl TraceRecorder {
     /// An empty retain-only recorder.
     pub fn new() -> Self {
         TraceRecorder {
-            log: Some(TraceLog::new()),
+            log: Some(Trace::new()),
             stream: None,
         }
     }
@@ -96,7 +107,7 @@ impl TraceRecorder {
     /// second.
     pub fn for_horizon(horizon_secs: f64, events_per_sec: f64) -> Self {
         TraceRecorder {
-            log: Some(TraceLog::for_horizon(horizon_secs, events_per_sec)),
+            log: Some(trace_for_horizon(horizon_secs, events_per_sec)),
             stream: None,
         }
     }
@@ -137,7 +148,7 @@ impl TraceRecorder {
         events_per_sec: f64,
     ) -> Self {
         TraceRecorder {
-            log: Some(TraceLog::for_horizon(horizon_secs, events_per_sec)),
+            log: Some(trace_for_horizon(horizon_secs, events_per_sec)),
             stream: Some(StreamAnalyzer::new(config)),
         }
     }
@@ -151,17 +162,13 @@ impl TraceRecorder {
         self.log
             //~ allow(expect): retention is a construction-time property of the recorder
             .expect("TraceRecorder::into_trace on a non-retaining recorder")
-            .into_trace()
     }
 
     /// Consumes the recorder, yielding the streamed analysis (with the
     /// interval segmentation bounded by `total_secs`) and the retained
     /// trace — each present iff the corresponding mode was enabled.
     pub fn finish(self, total_secs: Option<f64>) -> (Option<StreamAnalysis>, Option<Trace>) {
-        (
-            self.stream.map(|s| s.finish(total_secs)),
-            self.log.map(TraceLog::into_trace),
-        )
+        (self.stream.map(|s| s.finish(total_secs)), self.log)
     }
 
     /// Snapshot of the streaming analyzer's state, for checkpointed runs.
@@ -214,7 +221,7 @@ impl TraceRecorder {
 impl Observer for TraceRecorder {
     fn on_segment_sent(&mut self, at: SimTime, seg: Segment) {
         if let Some(log) = &mut self.log {
-            log.push_send(at.as_nanos(), seg.seq, seg.retransmit);
+            log.on_send(at.as_nanos(), seg.seq, seg.retransmit);
         }
         if let Some(stream) = &mut self.stream {
             stream.on_send(at.as_nanos(), seg.seq, seg.retransmit);
@@ -223,7 +230,7 @@ impl Observer for TraceRecorder {
 
     fn on_ack_received(&mut self, at: SimTime, ack: Ack) {
         if let Some(log) = &mut self.log {
-            log.push_ack_in(at.as_nanos(), ack.ack);
+            log.on_ack_in(at.as_nanos(), ack.ack);
         }
         if let Some(stream) = &mut self.stream {
             stream.on_ack_in(at.as_nanos(), ack.ack);
@@ -1101,6 +1108,22 @@ mod tests {
     use super::*;
     use crate::paths::{fig8_paths, table2_path, TABLE2_PATHS};
     use tcp_trace::analyzer::{analyze, AnalyzerConfig};
+
+    /// A degenerate horizon estimate neither panics nor keeps the
+    /// retained trace from growing on demand (the zero-allocation audit
+    /// covers a sound estimate).
+    #[test]
+    fn degenerate_horizon_still_retains() {
+        let mut recorder = TraceRecorder::for_horizon(-5.0, f64::NAN);
+        for i in 0..1000u64 {
+            let seg = Segment {
+                seq: i,
+                retransmit: false,
+            };
+            recorder.on_segment_sent(SimTime::from_nanos(i), seg);
+        }
+        assert_eq!(recorder.into_trace().len(), 1000);
+    }
 
     /// Calibrated wire-loss parameters, bit for bit, for four Table II
     /// paths (three sender OSes, one TD-free path) at two seeds — recorded

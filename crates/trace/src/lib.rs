@@ -9,8 +9,6 @@
 //! * [`record`] — the trace format (the `tcpdump` stand-in): timestamped
 //!   data-segment departures and ACK arrivals, serializable as JSON lines
 //!   or a compact binary framing;
-//! * [`log`](mod@log) — a columnar (struct-of-arrays) recording buffer for the
-//!   simulation hot path, losslessly convertible to [`record`] form;
 //! * [`stream`] — incremental (streaming) analysis: the [`TraceSink`] seam
 //!   and the [`StreamAnalyzer`] that reduces wire events to the paper's
 //!   statistics with O(window) state, bit-identical to the batch path
@@ -42,7 +40,6 @@ pub mod health;
 pub mod import;
 pub mod intervals;
 pub mod karn;
-pub mod log;
 pub mod metrics;
 pub mod record;
 pub mod stream;
@@ -57,7 +54,6 @@ pub use intervals::{
     split_intervals, split_intervals_bounded, IntervalCategory, IntervalCore, IntervalStats,
 };
 pub use karn::{estimate_timing, rtt_window_correlation, CorrCore, KarnCore, TimingEstimates};
-pub use log::TraceLog;
 pub use metrics::{average_error, Observation};
 pub use record::{Trace, TraceEvent, TraceRecord};
 pub use stream::{AnalyzerPool, LogMark, StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink};

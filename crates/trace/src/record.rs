@@ -67,6 +67,13 @@ impl Trace {
         Trace::default()
     }
 
+    /// An empty trace with room for `records` records.
+    pub fn with_capacity(records: usize) -> Self {
+        Trace {
+            records: Vec::with_capacity(records),
+        }
+    }
+
     /// Appends a record. Records must be pushed in nondecreasing time order
     /// (they come from a monotone simulation clock); this is checked.
     pub fn push(&mut self, record: TraceRecord) {
@@ -78,6 +85,19 @@ impl Trace {
                 last.time_ns
             );
         }
+        self.records.push(record);
+    }
+
+    /// Appends a record whose time order the caller guarantees (a
+    /// [`crate::TraceSink`] is fed in order); checked in debug builds.
+    #[inline]
+    pub(crate) fn push_in_order(&mut self, record: TraceRecord) {
+        debug_assert!(
+            self.records
+                .last()
+                .is_none_or(|last| record.time_ns >= last.time_ns),
+            "trace records must be time-ordered"
+        );
         self.records.push(record);
     }
 
@@ -332,6 +352,16 @@ mod tests {
             time_ns: 5,
             event: TraceEvent::AckIn { ack: 2 },
         });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time-ordered")]
+    fn out_of_order_sink_push_asserts_in_debug() {
+        use crate::TraceSink;
+        let mut t = Trace::new();
+        t.on_ack_in(10, 1);
+        t.on_ack_in(5, 2);
     }
 
     #[test]

@@ -27,13 +27,12 @@
 //!
 //! The [`TraceSink`] trait is the seam: the testbed's per-event observer
 //! writes into *some* sink, and the caller picks retain
-//! ([`TraceLog`] — keep every event) or reduce ([`StreamAnalyzer`] —
+//! ([`Trace`] — keep every event) or reduce ([`StreamAnalyzer`] —
 //! O(window) state).
 
 use crate::analyzer::{Analysis, AnalyzerConfig, Classifier, LossIndication};
 use crate::intervals::{IntervalCore, IntervalStats};
 use crate::karn::{Flight, KarnState, TimingEstimates};
-use crate::log::TraceLog;
 use crate::record::{Trace, TraceEvent, TraceRecord};
 use pftk_snap::{frame_with, unframe, SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
@@ -88,8 +87,8 @@ pub struct LogMark {
 
 /// A consumer of sender-side wire events, fed in nondecreasing time order.
 ///
-/// Implemented by the retaining stores ([`TraceLog`], [`Trace`]) and the
-/// reducing analyzer ([`StreamAnalyzer`]); the testbed's observer writes
+/// Implemented by the retaining store ([`Trace`]) and the reducing
+/// analyzer ([`StreamAnalyzer`]); the testbed's observer writes
 /// through this trait so retention is a configuration choice, not a code
 /// path.
 pub trait TraceSink {
@@ -106,24 +105,17 @@ pub trait TraceSink {
     }
 }
 
-impl TraceSink for TraceLog {
-    fn on_send(&mut self, time_ns: u64, seq: u64, retx: bool) {
-        self.push_send(time_ns, seq, retx);
-    }
-    fn on_ack_in(&mut self, time_ns: u64, ack: u64) {
-        self.push_ack_in(time_ns, ack);
-    }
-}
-
+/// A sink is fed in time order, so the order check is the caller's
+/// contract, asserted in debug builds only.
 impl TraceSink for Trace {
     fn on_send(&mut self, time_ns: u64, seq: u64, retx: bool) {
-        self.push(TraceRecord {
+        self.push_in_order(TraceRecord {
             time_ns,
             event: TraceEvent::Send { seq, retx },
         });
     }
     fn on_ack_in(&mut self, time_ns: u64, ack: u64) {
-        self.push(TraceRecord {
+        self.push_in_order(TraceRecord {
             time_ns,
             event: TraceEvent::AckIn { ack },
         });

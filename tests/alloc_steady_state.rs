@@ -3,12 +3,12 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! runs a connection past its warm-up transient (queues grown, output
-//! scratch buffers at their high-water marks, the columnar trace at its
+//! scratch buffers at their high-water marks, the retained trace at its
 //! preallocated capacity), snapshots the allocation counter, simulates a
 //! further window, and asserts the counter did not move. This pins the
 //! pooling work — reused `SenderOutput`/`ReceiverOutput` scratch, lane
-//! deques and timer heap that only grow, and the capacity-preallocated
-//! `TraceLog` — against regressions that reintroduce per-packet `Box` or
+//! deques and timer slots that only grow, and the capacity-preallocated
+//! retained `Trace` — against regressions that reintroduce per-packet `Box` or
 //! `Vec` churn.
 //!
 //! A streaming recorder is held to a looser bound: the analyzer keeps one
@@ -104,7 +104,7 @@ fn steady_state_simulation_does_not_allocate() {
         .loss(Bernoulli::new(0.02))
         .sender_config(config)
         .seed(9)
-        // Preallocate the trace columns for the whole 120 s run so the
+        // Preallocate the trace for the whole 120 s run so the
         // recorder never grows mid-measurement.
         .build_with_observer(TraceRecorder::for_horizon(120.0, 2_000.0));
 

@@ -1,11 +1,8 @@
-//! The CI variant-matrix consumer: `PFTK_CC=<label>` selects which
-//! congestion controller this whole-stack smoke runs — packet-level
-//! engine, mid-run snapshot/restore, §II rounds model, and a budgeted
-//! Table II path through the testbed pipeline. Unset, it runs Reno (the
-//! paper's law), so the plain tier-1 sweep covers the default and the
-//! matrix (`PFTK_CC=reno|newreno|cubic|relentless|scalable`) covers the
-//! rest. A typo in the matrix fails loudly in `CcAlgorithm::from_env`
-//! rather than silently testing Reno five times.
+//! The whole stack under every congestion-control law: for each of
+//! `CcAlgorithm::ALL`, the packet-level engine, a mid-run
+//! snapshot/restore, the §II rounds model, and a budgeted Table II path
+//! through the testbed pipeline. No tier-1 invariant may depend on Reno
+//! being the only law in the build.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,8 +21,12 @@ use padhye_tcp_repro::testbed::{
 //= pftk#variant-envelope type=test
 #[test]
 fn selected_variant_runs_the_whole_stack() {
-    let algo = CcAlgorithm::from_env();
+    for algo in CcAlgorithm::ALL {
+        runs_the_whole_stack(algo);
+    }
+}
 
+fn runs_the_whole_stack(algo: CcAlgorithm) {
     // Packet level: the variant simulates, delivers, and accounts sanely.
     let build = || {
         Connection::builder()
